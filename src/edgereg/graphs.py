@@ -214,14 +214,6 @@ def closed_neighborhood(g: Graph, target) -> frozenset[int]:
     return frozenset(_bits(out))
 
 
-def open_neighborhood(g: Graph, target) -> frozenset[int]:
-    verts = _target_vertices(g, target)
-    out = 0
-    for v in verts:
-        out |= g.adj[v]
-    return frozenset(_bits(out)) - verts
-
-
 def _target_vertices(g: Graph, target) -> frozenset[int]:
     if isinstance(target, int):
         verts = {target}
@@ -333,13 +325,9 @@ def _canonical_reps(n: int) -> list[Graph]:
                 key = canonical_key(g)
                 if key not in found:
                     found[key] = g
-        reps = [found[k] for k in sorted(found, key=lambda k: (_edge_bits(k[1]), k[1]))]
+        reps = [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
     _REPS_CACHE[n] = reps
     return reps
-
-
-def _edge_bits(code: int) -> int:
-    return code.bit_count()
 
 
 def enumerate_graphs(n: int, connected_only: bool = False,

@@ -10,8 +10,10 @@ Two independent routes compute the same Betti table:
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets.
 
-The two code paths share nothing beyond the rank routines in `linalg`,
-which makes silent homology bugs detectable by comparing them.
+The two routes build their complexes independently, so comparing them
+detects silent bugs in either construction.  They are not fully
+independent: besides the rank routines in `linalg`, both take homology
+through `_profile_from_masks`, so a bug there can hit both alike.
 
 Conventions: the empty complex {emptyset} has homology of rank one in
 dimension -1 and the void complex (no faces at all) has none anywhere.
@@ -25,7 +27,8 @@ from typing import Iterable
 
 from .graphs import Graph, canonical_key
 from .linalg import matrix_rank, rank_gf2
-from .monomials import MonomialIdeal, edge_ideal, polarize, power
+from .monomials import (LANE, MonomialIdeal, edge_ideal, lane_masks, packed_degree,
+                        polarize, power)
 
 DEFAULT_FACE_BUDGET = 1 << 20
 DEFAULT_VAR_BUDGET = 22
@@ -194,60 +197,18 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
     return profile
 
 
-# Exponent vectors in the Betti hot loops are packed into integers with one
-# 5-bit lane per variable (4 value bits plus a guard bit), so componentwise
-# comparisons and maxima become a handful of integer operations.
-
-LANE = 5
-LANE_MAX = 15
-
-
-def _lane_masks(nv: int) -> tuple[int, int, int]:
-    hi = sum(1 << (LANE * k + LANE - 1) for k in range(nv))
-    val = sum(LANE_MAX << (LANE * k) for k in range(nv))
-    ones = sum(1 << (LANE * k) for k in range(nv))
-    return hi, val, ones
-
-
-def _pack(row: tuple[int, ...]) -> int:
-    out = 0
-    for k, e in enumerate(row):
-        if e > LANE_MAX:
-            raise BudgetError(f"exponent {e} exceeds the packed-lane maximum {LANE_MAX}")
-        out |= e << (LANE * k)
-    return out
-
-
-def _packed_divides(g: int, b: int, hi: int) -> bool:
-    # no lane of b - g borrows  <=>  g <= b componentwise
-    return ((b | hi) - g) & hi == hi
-
-
-def _packed_lcm(a: int, b: int, hi: int, val: int) -> int:
-    ge = ((a | hi) - b) & hi          # guard bit per lane with a >= b
-    sel = ge - (ge >> (LANE - 1))     # value mask per lane with a >= b
-    return (a & sel) | (b & val & ~sel)
-
-
 def _packed_excess_mask(b: int, g: int, hi: int, ones: int, nv: int) -> int:
     # vertex bitmask of the lanes where b - g >= 1 (the squarefree support
-    # of the upper-Koszul facet attached to generator g at multidegree b)
+    # of the upper-Koszul facet attached to generator g at multidegree b);
+    # bit k is variable k, which sits in lane nv - 1 - k
     strict = ((b | hi) - g - ones) & hi
     mask = 0
-    probe = LANE - 1
+    probe = LANE * nv - 1
     for k in range(nv):
         if strict >> probe & 1:
             mask |= 1 << k
-        probe += LANE
+        probe -= LANE
     return mask
-
-
-def _packed_degree(b: int, nv: int) -> int:
-    total = 0
-    for _ in range(nv):
-        total += b & LANE_MAX
-        b >>= LANE
-    return total
 
 
 def _lcm_lattice(gens: list[int], hi: int, val: int, cap: int) -> set[int]:
@@ -309,8 +270,8 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
     nv = len(i.vars)
-    hi, val, ones = _lane_masks(nv)
-    gens = [_pack(row) for row in i.gens]
+    hi, val, ones = lane_masks(nv)
+    gens = list(i.gens)
     entries: dict[tuple[int, int], int] = {}
     for b in _lcm_lattice(gens, hi, val, lattice_budget):
         b_hi = b | hi
@@ -326,12 +287,12 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
             # a single facet is a full simplex: contractible unless it is
             # just the empty face, in which case b is a minimal generator
             if maximal[0] == 0:
-                deg = _packed_degree(b, nv)
+                deg = packed_degree(b)
                 entries[(0, deg)] = entries.get((0, deg), 0) + 1
             continue
         profile = _profile_from_masks(_closure(maximal, face_budget),
                                       field.characteristic)
-        deg = _packed_degree(b, nv)
+        deg = packed_degree(b)
         for d, r in profile.items():
             key = (d + 1, deg)
             entries[key] = entries.get(key, 0) + r
@@ -359,14 +320,18 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
     p, _ = polarize(i)
-    used = sorted({k for row in p.gens for k, e in enumerate(row) if e})
+    nv = len(p.vars)
+    hi, _, ones = lane_masks(nv)
+    # variable support of each generator: the lanes where g - 0 >= 1
+    supports_in_p = [_packed_excess_mask(g, 0, hi, ones, nv) for g in p.gens]
+    used = sorted({k for m in supports_in_p for k in _mask_bits(m)})
     n = len(used)
     if n > var_budget:
         raise BudgetError(f"variable budget {var_budget} exceeded: {n} polarized variables")
     if (1 << n) > face_budget:
         raise BudgetError(f"face budget {face_budget} exceeded")
     remap = {orig: idx for idx, orig in enumerate(used)}
-    supports = sorted({sum(1 << remap[k] for k, e in enumerate(row) if e) for row in p.gens})
+    supports = sorted({sum(1 << remap[k] for k in _mask_bits(m)) for m in supports_in_p})
     faces = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
     entries: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << n):

@@ -78,18 +78,10 @@ def rank_bareiss(rows: list[list[int]]) -> int:
 
 
 def matrix_rank(rows: list[list[int]], characteristic: int) -> int:
-    """Dispatch on the coefficient field characteristic (0, 2 or odd prime)."""
+    """Dispatch on the coefficient field characteristic (0 or a prime); rows
+    already packed into bitmasks go to `rank_gf2` directly."""
     if not rows or not rows[0]:
         return 0
     if characteristic == 0:
         return rank_bareiss(rows)
-    if characteristic == 2:
-        packed = []
-        for row in rows:
-            bits = 0
-            for i, x in enumerate(row):
-                if x & 1:
-                    bits |= 1 << i
-            packed.append(bits)
-        return rank_gf2(packed)
     return rank_mod_p(rows, characteristic)

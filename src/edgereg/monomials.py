@@ -2,20 +2,26 @@
 
 A monomial is a finitely supported exponent map on string variables.  A
 monomial ideal stores an explicit ordered variable universe plus its
-minimal generating antichain as dense exponent tuples, sorted in graded
-lexicographic order so that serialized output is reproducible.
+minimal generating antichain, sorted in graded lexicographic order so that
+serialized output is reproducible.
 
-All the degrees in this project stay tiny (a handful of variables, degrees
-bounded by a few times the power being taken), so everything below is
-plain integer tuple arithmetic with no cleverness beyond minimalization.
+Inside an ideal every exponent vector is one packed integer with a 5-bit
+lane per variable (4 value bits plus a guard bit), the first variable of
+the universe in the highest lane.  Componentwise sums, truncated
+differences, maxima and divisibility tests are then a handful of integer
+operations, a divisor never exceeds its multiple as an integer, and
+descending integer order is lexicographic order.  The price is an exponent
+cap of LANE_MAX = 15: `ideal` and `power` raise ValueError above it.
+`Monomial` and strings appear only at the input/output boundary.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -103,83 +109,130 @@ class Monomial:
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
 
-def _dense(m: Monomial, index: Mapping[str, int], nvars: int) -> tuple[int, ...]:
-    row = [0] * nvars
-    for v, e in m.exps:
-        if v in index:
-            row[index[v]] = e
-        elif e:
-            raise ValueError(f"variable {v} outside universe")
-    return tuple(row)
+# ---------------------------------------------------------------------------
+# packed exponent vectors
+
+LANE = 5
+LANE_MAX = 15
 
 
-def _sparse(row: tuple[int, ...], vars: tuple[str, ...]) -> Monomial:
-    return Monomial(tuple(sorted((vars[i], e) for i, e in enumerate(row) if e)))
+@lru_cache(maxsize=None)
+def lane_masks(nv: int) -> tuple[int, int, int]:
+    """(guard bits, value bits, lowest bit) of every lane, for nv lanes."""
+    ones = sum(1 << (LANE * k) for k in range(nv))
+    return ones << (LANE - 1), ones * LANE_MAX, ones
 
 
-def _divides_row(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def pack(exps: Iterable[int]) -> int:
+    """Exponent vector -> packed integer, first exponent in the highest lane."""
+    out = 0
+    for e in exps:
+        if not 0 <= e <= LANE_MAX:
+            raise ValueError(f"exponent {e} outside the packed-lane range 0..{LANE_MAX}")
+        out = out << LANE | e
+    return out
 
 
-def _minimal_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Divisibility antichain.  Candidates are scanned by degree, so a kept
-    generator can only be divided by an earlier (lower-degree) kept one."""
-    uniq = sorted(set(rows), key=lambda r: (sum(r), r))
-    kept: list[tuple[int, ...]] = []
-    by_degree: list[tuple[int, tuple[int, ...]]] = []
-    for row in uniq:
-        deg = sum(row)
-        if any(_divides_row(k, row) for d, k in by_degree if d < deg):
-            continue
-        kept.append(row)
-        by_degree.append((deg, row))
-    return sorted(kept, key=lambda r: (sum(r), tuple(-e for e in r)))
+def unpack(g: int, nv: int) -> tuple[int, ...]:
+    return tuple(g >> (LANE * k) & LANE_MAX for k in range(nv - 1, -1, -1))
+
+
+def packed_degree(g: int) -> int:
+    total = 0
+    while g:
+        total += g & LANE_MAX
+        g >>= LANE
+    return total
+
+
+def packed_divides(a: int, b: int, hi: int) -> bool:
+    # no lane of b - a borrows  <=>  a <= b componentwise
+    return ((b | hi) - a) & hi == hi
+
+
+def packed_lcm(a: int, b: int, hi: int, val: int) -> int:
+    ge = ((a | hi) - b) & hi          # guard bit per lane with a >= b
+    sel = ge - (ge >> (LANE - 1))     # value mask per lane with a >= b
+    return (a & sel) | (b & val & ~sel)
+
+
+def _squarefree(verts: Iterable[int], nv: int) -> int:
+    return sum(1 << (LANE * (nv - 1 - v)) for v in verts)
+
+
+def _pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
+    # variables outside the universe are dropped and exponents capped at
+    # LANE_MAX: neither changes divisibility by (or colons of) generators
+    d = m.as_dict()
+    return pack(min(d.get(v, 0), LANE_MAX) for v in vars)
+
+
+def _minimal(gens: Iterable[int], nv: int) -> tuple[int, ...]:
+    """Divisibility antichain in graded, then lexicographically descending
+    order.  A divisor never exceeds its multiple as an integer, so one
+    ascending pass only tests candidates against generators already kept."""
+    hi = lane_masks(nv)[0]
+    kept: list[int] = []
+    for g in sorted(set(gens)):
+        g_hi = g | hi
+        if not any((g_hi - k) & hi == hi for k in kept):
+            kept.append(g)
+    kept.sort(key=lambda g: (packed_degree(g), -g))
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal generators (dense exponent rows) over an ordered universe."""
+    """Minimal generators over an ordered universe, each a packed integer
+    with the first variable of `vars` in the highest lane and every
+    exponent at most LANE_MAX = 15."""
 
     vars: tuple[str, ...]
-    gens: tuple[tuple[int, ...], ...]
+    gens: tuple[int, ...]
 
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variables in universe")
-        for row in self.gens:
-            if len(row) != len(self.vars) or any(e < 0 for e in row):
-                raise ValueError("malformed generator row")
+        hi = lane_masks(len(self.vars))[0]
+        top = 1 << (LANE * len(self.vars))
+        if any(not 0 <= g < top or g & hi for g in self.gens):
+            raise ValueError("malformed packed generator")
 
     @property
     def is_zero(self) -> bool:
         return not self.gens
 
     def generators(self) -> list[Monomial]:
-        return [_sparse(row, self.vars) for row in self.gens]
+        nv = len(self.vars)
+        return [Monomial(tuple(sorted((v, e) for v, e in zip(self.vars, unpack(g, nv)) if e)))
+                for g in self.gens]
 
     def generator_degrees(self) -> list[int]:
-        return [sum(row) for row in self.gens]
+        return [packed_degree(g) for g in self.gens]
 
     def contains(self, m: Monomial) -> bool:
-        # variables of m outside the universe never hurt divisibility
-        md = m.as_dict()
-        return any(all(e <= md.get(v, 0) for v, e in zip(self.vars, row) if e)
-                   for row in self.gens)
+        hi = lane_masks(len(self.vars))[0]
+        b = _pack_capped(m, self.vars)
+        return any(packed_divides(g, b, hi) for g in self.gens)
 
     def same_ideal_as(self, other: "MonomialIdeal") -> bool:
         """Equality of generating sets irrespective of universe order or of
         unused variables."""
-        mine = {frozenset(m.exps) for m in self.generators()}
-        theirs = {frozenset(m.exps) for m in other.generators()}
-        return mine == theirs
+        return self._named_gens() == other._named_gens()
+
+    def _named_gens(self) -> set[frozenset[tuple[str, int]]]:
+        nv = len(self.vars)
+        return {frozenset((v, e) for v, e in zip(self.vars, unpack(g, nv)) if e)
+                for g in self.gens}
 
     def to_json_dict(self) -> dict:
-        return {"vars": list(self.vars), "gens": [list(r) for r in self.gens]}
+        nv = len(self.vars)
+        return {"vars": list(self.vars), "gens": [list(unpack(g, nv)) for g in self.gens]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MonomialIdeal":
         vars = tuple(d["vars"])
-        return ideal([_sparse(tuple(r), vars) for r in d["gens"]], vars=vars)
+        return ideal([dict(zip(vars, r)) for r in d["gens"]], vars=vars)
 
     def __str__(self):
         return "(" + ", ".join(str(m) for m in self.generators()) + ")" if self.gens else "(0)"
@@ -194,15 +247,18 @@ def ideal(gens: Iterable[Monomial | Mapping[str, int]],
         universe = tuple(sorted(set().union(*(m.support() for m in monos)) if monos else set()))
     else:
         universe = tuple(vars)
-    index = {v: i for i, v in enumerate(universe)}
-    rows = [_dense(m, index, len(universe)) for m in monos]
-    if any(sum(r) == 0 for r in rows):
+    index = {v: k for k, v in enumerate(universe)}
+    packed = []
+    for m in monos:
+        exps = [0] * len(universe)
+        for v, e in m.exps:
+            if v not in index:
+                raise ValueError(f"variable {v} outside universe")
+            exps[index[v]] = e
+        packed.append(pack(exps))
+    if 0 in packed:
         raise ValueError("unit generator: the unit ideal is out of scope")
-    return MonomialIdeal(universe, tuple(_minimal_rows(rows)))
-
-
-def minimalize(gens: Iterable[Monomial], vars: Iterable[str] | None = None) -> MonomialIdeal:
-    return ideal(gens, vars=vars)
+    return MonomialIdeal(universe, _minimal(packed, len(universe)))
 
 
 def zero_ideal(vars: Iterable[str] = ()) -> MonomialIdeal:
@@ -215,45 +271,51 @@ def zero_ideal(vars: Iterable[str] = ()) -> MonomialIdeal:
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """I(G), generated by x_u x_v over the edges; the universe is every
     vertex label, including isolated vertices."""
-    gens = []
-    for u, v in g.edges():
-        row = [0] * g.n
-        row[u] = row[v] = 1
-        gens.append(tuple(row))
-    return MonomialIdeal(g.labels, tuple(_minimal_rows(gens)))
+    return MonomialIdeal(g.labels, _minimal((_squarefree(e, g.n) for e in g.edges()), g.n))
 
 
 def power(i: MonomialIdeal, s: int) -> MonomialIdeal:
-    """Minimal generators of i^s (s >= 1)."""
+    """Minimal generators of i^s (s >= 1).  Raises ValueError when a product
+    of s generators has an exponent above LANE_MAX."""
     if s < 1:
         raise ValueError("power requires s >= 1 (the unit ideal is out of scope)")
     if i.is_zero:
         return i
-    rows = set(i.gens)
+    hi = lane_masks(len(i.vars))[0]
+    gens = set(i.gens)
     for _ in range(s - 1):
-        rows = {tuple(a + b for a, b in zip(r, g)) for r in rows for g in i.gens}
-    return MonomialIdeal(i.vars, tuple(_minimal_rows(rows)))
+        # lanes hold at most 15 + 15, so a sum never carries into the next
+        # lane and any exponent above 15 shows up as a guard bit
+        gens = {a + b for a in gens for b in i.gens}
+        if any(g & hi for g in gens):
+            raise ValueError(f"an exponent of the power exceeds the packed-lane maximum {LANE_MAX}")
+    return MonomialIdeal(i.vars, _minimal(gens, len(i.vars)))
 
 
 def colon_by_monomial(i: MonomialIdeal, m: Monomial | str) -> MonomialIdeal:
-    """(i : m) = minimalized { g / gcd(g, m) }."""
+    """(i : m) = minimalized { g / gcd(g, m) }, a lane-wise difference
+    truncated at zero."""
     if isinstance(m, str):
         m = Monomial.parse(m)
-    md = m.as_dict()
+    hi = lane_masks(len(i.vars))[0]
+    mp = _pack_capped(m, i.vars)
     quotients = set()
-    for row in i.gens:
-        quotients.add(tuple(max(e - md.get(v, 0), 0) for v, e in zip(i.vars, row)))
-    if any(sum(r) == 0 for r in quotients):
+    for g in i.gens:
+        diff = (g | hi) - mp      # no lane borrows; a guard bit survives where g >= m
+        ge = diff & hi
+        quotients.add(diff & (ge - (ge >> (LANE - 1))))
+    if 0 in quotients:
         raise ValueError("colon contains the unit: m lies in the ideal")
-    return MonomialIdeal(i.vars, tuple(_minimal_rows(quotients)))
+    return MonomialIdeal(i.vars, _minimal(quotients, len(i.vars)))
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """Pairwise lcm of generators, minimalized; requires a shared universe."""
     if i.vars != j.vars:
         raise ValueError("intersection needs a common variable universe")
-    rows = {tuple(max(a, b) for a, b in zip(r, s)) for r in i.gens for s in j.gens}
-    return MonomialIdeal(i.vars, tuple(_minimal_rows(rows)))
+    hi, val, _ = lane_masks(len(i.vars))
+    gens = {packed_lcm(a, b, hi, val) for a in i.gens for b in j.gens}
+    return MonomialIdeal(i.vars, _minimal(gens, len(i.vars)))
 
 
 def sum_ideals(*ideals: MonomialIdeal) -> MonomialIdeal:
@@ -263,16 +325,13 @@ def sum_ideals(*ideals: MonomialIdeal) -> MonomialIdeal:
         for v in i.vars:
             if v not in universe:
                 universe.append(v)
-    index = {v: k for k, v in enumerate(universe)}
-    rows = []
+    nv = len(universe)
+    gens = []
     for i in ideals:
-        for m in i.generators():
-            rows.append(_dense(m, index, len(universe)))
-    return MonomialIdeal(tuple(universe), tuple(_minimal_rows(rows)))
-
-
-def membership(i: MonomialIdeal, m: Monomial) -> bool:
-    return i.contains(m)
+        shifts = [LANE * (nv - 1 - universe.index(v)) for v in i.vars]
+        for g in i.gens:
+            gens.append(sum(e << sh for e, sh in zip(unpack(g, len(i.vars)), shifts)))
+    return MonomialIdeal(tuple(universe), _minimal(gens, nv))
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +346,19 @@ def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, str]]:
     """Squarefree polarization.  x_v^e becomes x_{v,1} ... x_{v,e} with the
     first copy identified with x_v; copies are inserted right after their
     original in the universe order.  Returns (ideal, new var -> original)."""
-    peak = {v: 1 for v in i.vars}
-    for row in i.gens:
-        for v, e in zip(i.vars, row):
-            peak[v] = max(peak[v], e)
-    universe: list[str] = []
-    vmap: dict[str, str] = {}
-    for v in i.vars:
-        for k in range(1, peak[v] + 1):
-            name = polar_name(v, k)
-            universe.append(name)
-            vmap[name] = v
-    index = {v: k for k, v in enumerate(universe)}
-    rows = []
-    for row in i.gens:
-        out = [0] * len(universe)
-        for v, e in zip(i.vars, row):
-            for k in range(1, e + 1):
-                out[index[polar_name(v, k)]] = 1
-        rows.append(tuple(out))
-    return MonomialIdeal(tuple(universe), tuple(_minimal_rows(rows))), vmap
+    nv = len(i.vars)
+    hi, val, _ = lane_masks(nv)
+    top = 0
+    for g in i.gens:
+        top = packed_lcm(top, g, hi, val)
+    peak = [max(e, 1) for e in unpack(top, nv)]
+    vmap = {polar_name(v, k): v for v, p in zip(i.vars, peak) for k in range(1, p + 1)}
+    starts = list(itertools.accumulate([0] + peak[:-1]))  # position of each copy 1
+    gens = []
+    for g in i.gens:
+        copies = [s + k for s, e in zip(starts, unpack(g, nv)) for k in range(e)]
+        gens.append(_squarefree(copies, len(vmap)))
+    return MonomialIdeal(tuple(vmap), _minimal(gens, len(vmap))), vmap
 
 
 def colon_graph_of(i: MonomialIdeal) -> Graph:
@@ -315,17 +367,13 @@ def colon_graph_of(i: MonomialIdeal) -> Graph:
     gives the whisker edge {x, x.2}.  Generators of degree != 2 are
     rejected, which signals that the input is not a colon of the expected
     shape."""
-    for row in i.gens:
-        if sum(row) != 2:
-            raise ValueError(f"generator of degree {sum(row)} != 2")
+    for d in i.generator_degrees():
+        if d != 2:
+            raise ValueError(f"generator of degree {d} != 2")
     p, _ = polarize(i)
-    index = {v: k for k, v in enumerate(p.vars)}
-    edges = []
-    for m in p.generators():
-        support = sorted(m.support(), key=index.__getitem__)
-        edges.append((index[support[0]], index[support[1]]))
-    from .graphs import from_edge_list
-    return from_edge_list(len(p.vars), edges, labels=p.vars)
+    nv = len(p.vars)
+    edges = [tuple(k for k, e in enumerate(unpack(g, nv)) if e) for g in p.gens]
+    return from_edge_list(nv, edges, labels=p.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +399,9 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 def symbolic_square(g: Graph) -> MonomialIdeal:
     """I(G)^2 plus one cubic generator per triangle of G."""
-    rows = set(power(edge_ideal(g), 2).gens)
-    for a, b, c in triangles(g):
-        row = [0] * g.n
-        row[a] = row[b] = row[c] = 1
-        rows.add(tuple(row))
-    return MonomialIdeal(g.labels, tuple(_minimal_rows(rows)))
+    gens = list(power(edge_ideal(g), 2).gens)
+    gens += [_squarefree(t, g.n) for t in triangles(g)]
+    return MonomialIdeal(g.labels, _minimal(gens, g.n))
 
 
 def cover_square_intersection(g: Graph) -> MonomialIdeal:
@@ -367,12 +412,7 @@ def cover_square_intersection(g: Graph) -> MonomialIdeal:
         return zero_ideal(g.labels)
     result: MonomialIdeal | None = None
     for cover in covers:
-        gens = []
-        for u in cover:
-            row = [0] * g.n
-            row[u] = 1
-            gens.append(tuple(row))
-        p = MonomialIdeal(g.labels, tuple(_minimal_rows(gens)))
+        p = MonomialIdeal(g.labels, _minimal((_squarefree((u,), g.n) for u in cover), g.n))
         p2 = power(p, 2)
         result = p2 if result is None else intersect(result, p2)
     assert result is not None

@@ -18,6 +18,7 @@ EDGEREG_CACHE_DIR environment variable.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -194,17 +195,16 @@ def _check_colon_induction(g: Graph, spec: SuiteSpec) -> list[dict]:
     out = []
     field = _field(spec)
     i = edge_ideal(g)
-    for s in range(1, spec.s_max):
-        if s + 1 > 2 and g.n > 5:
-            continue
+    for t in _s_values(g, spec.s_max, start=2):
+        s = t - 1
         current = power(i, s)
-        nxt = power(i, s + 1)
-        lhs = homology.regularity_of_power(g, s + 1, field)
+        nxt = power(i, t)
+        lhs = homology.regularity_of_power(g, t, field)
         colon_regs = [homology.regularity(colon_by_monomial(nxt, m), field) + 2 * s
                       for m in current.generators()]
         rhs = max(colon_regs + [homology.regularity_of_power(g, s, field)])
         if lhs > rhs:
-            out.append(_viol(g, s + 1, lhs, rhs,
+            out.append(_viol(g, t, lhs, rhs,
                              "reg I^{s+1} > max(reg(I^{s+1}:m_l) + 2s, reg I^s)"))
     return out
 
@@ -425,18 +425,28 @@ def _load_disk_cache() -> None:
         return
     try:
         with open(path, encoding="ascii") as fh:
-            homology.cache_restore(json.load(fh))
+            payload = json.load(fh)
     except (OSError, ValueError):
-        pass  # a broken cache must never break a run
+        return  # a broken cache must never break a run
+    # all or nothing: one malformed entry discards the whole file
+    if isinstance(payload, list) and all(
+            isinstance(entry, list) and len(entry) == 5
+            and all(type(x) is int for x in entry) for entry in payload):
+        homology.cache_restore(payload)
 
 
 def _save_disk_cache() -> None:
     path = _cache_path()
     if not path:
         return
+    # write a sibling file and rename it over the cache, so a failed write
+    # leaves the previous cache intact
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="ascii") as fh:
+        with open(tmp, "w", encoding="ascii") as fh:
             json.dump(homology.cache_snapshot(), fh)
+        os.replace(tmp, path)
     except OSError:
-        pass
+        with contextlib.suppress(OSError):
+            os.remove(tmp)

@@ -120,3 +120,41 @@ def fraction_rank(rows: list[list[int]]) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+# Dense-tuple reference for the packed monomial kernels: exponent vectors
+# are plain tuples, and generators come out graded, then lexicographically
+# descending.
+
+def _divides_row(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_minimal(rows) -> list[tuple[int, ...]]:
+    """Divisibility antichain; candidates are scanned by degree, so a kept
+    row can only be divided by an earlier (lower-degree) kept one."""
+    uniq = sorted(set(rows), key=lambda r: (sum(r), r))
+    kept: list[tuple[int, ...]] = []
+    by_degree: list[tuple[int, tuple[int, ...]]] = []
+    for row in uniq:
+        deg = sum(row)
+        if any(_divides_row(k, row) for d, k in by_degree if d < deg):
+            continue
+        kept.append(row)
+        by_degree.append((deg, row))
+    return sorted(kept, key=lambda r: (sum(r), tuple(-e for e in r)))
+
+
+def tuple_power(rows, s: int) -> list[tuple[int, ...]]:
+    out = set(rows)
+    for _ in range(s - 1):
+        out = {tuple(a + b for a, b in zip(r, g)) for r in out for g in rows}
+    return tuple_minimal(out)
+
+
+def tuple_colon(rows, m: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return tuple_minimal({tuple(max(e - x, 0) for e, x in zip(row, m)) for row in rows})
+
+
+def tuple_intersect(rows_a, rows_b) -> list[tuple[int, ...]]:
+    return tuple_minimal({tuple(max(a, b) for a, b in zip(r, s)) for r in rows_a for s in rows_b})

@@ -11,7 +11,7 @@ from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
 from edgereg.homology import regularity
 from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,
-                               edge_ideal, membership, polarize, power)
+                               edge_ideal, polarize, power)
 
 
 def _pairs_beyond_graph(g, pairs):
@@ -151,7 +151,7 @@ def test_neighbor_variables_enter_vertex_colon():
                 jw = colon_by_monomial(j, Monomial.variable(g.labels[w]))
                 for u in gp.neighbors(w):
                     if u < g.n:
-                        assert membership(jw, Monomial.variable(g.labels[u]))
+                        assert jw.contains(Monomial.variable(g.labels[u]))
 
 
 # the isolated-reduction lemma ------------------------------------------------

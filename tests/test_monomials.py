@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 import oracles
 from edgereg.graphs import (complete_graph, cycle_graph, enumerate_graphs,
                             from_edge_list, path_graph, relabel)
-from edgereg.monomials import (EdgeMultiset, Monomial, MonomialIdeal,
+from edgereg.monomials import (LANE_MAX, EdgeMultiset, Monomial, MonomialIdeal,
                                colon_by_monomial, colon_graph_of,
                                cover_square_intersection, edge_ideal, ideal,
-                               intersect, membership, minimal_vertex_covers,
-                               minimalize, polar_name, polarize, power,
-                               sum_ideals, symbolic_square, zero_ideal)
+                               intersect, lane_masks, minimal_vertex_covers,
+                               pack, packed_degree, packed_divides, packed_lcm,
+                               polar_name, polarize, power, sum_ideals,
+                               symbolic_square, unpack, zero_ideal)
 
 M = Monomial.parse
 
@@ -62,10 +63,10 @@ def test_edge_ideal_single_edge_and_edgeless():
 
 
 def test_minimalize():
-    assert [str(m) for m in minimalize([M("x*y"), M("x*y*z")]).generators()] == ["x*y"]
-    i = minimalize([M("x^2"), M("x*y"), M("y^2")])
+    assert [str(m) for m in ideal([M("x*y"), M("x*y*z")]).generators()] == ["x*y"]
+    i = ideal([M("x^2"), M("x*y"), M("y^2")])
     assert {str(m) for m in i.generators()} == {"x^2", "x*y", "y^2"}
-    assert minimalize([]).is_zero
+    assert ideal([]).is_zero
 
 
 def test_power_principal():
@@ -95,7 +96,7 @@ def test_colon_path_square_witness():
     # the even-connection witness: x0 x3 enters (I(P5)^2 : x1 x2)
     i2 = power(edge_ideal(path_graph(5)), 2)
     colon = colon_by_monomial(i2, "x1*x2")
-    assert membership(colon, M("x0*x3"))
+    assert colon.contains(M("x0*x3"))
 
 
 def test_colon_by_one():
@@ -105,9 +106,9 @@ def test_colon_by_one():
 
 def test_membership_trivia():
     i = ideal([M("x*y")])
-    assert membership(i, M("x^2*y"))
-    assert not membership(i, M("x*z"))
-    assert not membership(zero_ideal(("x",)), M("x"))
+    assert i.contains(M("x^2*y"))
+    assert not i.contains(M("x*z"))
+    assert not zero_ideal(("x",)).contains(M("x"))
 
 
 @st.composite
@@ -136,18 +137,72 @@ def small_monomials(draw, max_exp=3):
 @settings(max_examples=300)
 def test_colon_membership_duality(i, m, u):
     # u in (I : m)  <=>  u*m in I
-    if membership(i, m):
+    if i.contains(m):
         return  # the colon would be the unit ideal, which is out of scope
     colon = colon_by_monomial(i, m)
-    assert membership(colon, u) == membership(i, u.times(m))
+    assert colon.contains(u) == i.contains(u.times(m))
 
 
 @given(small_ideals(), st.integers(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_power_consistency(i, s):
-    stepped = minimalize([a.times(b) for a in power(i, s).generators()
+    stepped = ideal([a.times(b) for a in power(i, s).generators()
                           for b in i.generators()], vars=i.vars)
     assert power(i, s + 1) == stepped
+
+
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
+                min_size=1, max_size=12))
+def test_packed_lane_arithmetic_matches_tuples(pairs):
+    # the 5-bit-lane encodings must reproduce componentwise comparisons
+    a = tuple(x for x, _ in pairs)
+    b = tuple(y for _, y in pairs)
+    nv = len(pairs)
+    hi, val, _ = lane_masks(nv)
+    pa, pb = pack(a), pack(b)
+    assert unpack(pa, nv) == a
+    assert (pa < pb) == (a < b)  # the first variable sits in the highest lane
+    assert packed_divides(pa, pb, hi) == all(x <= y for x, y in zip(a, b))
+    assert packed_lcm(pa, pb, hi, val) == pack(tuple(map(max, a, b)))
+    assert packed_degree(pa) == sum(a)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_kernels_match_tuple_reference(data):
+    nv = data.draw(st.integers(1, 6))
+    row = st.tuples(*[st.integers(0, 3)] * nv)
+    rows = data.draw(st.lists(row.filter(any), min_size=1, max_size=5))
+    other = data.draw(st.lists(row.filter(any), min_size=1, max_size=5))
+    m = data.draw(row)
+    s = data.draw(st.integers(1, 3))
+    vars = tuple(f"x{k}" for k in range(nv))
+
+    def packed(gens):
+        return ideal([dict(zip(vars, r)) for r in gens], vars=vars)
+
+    def dense(j):
+        return [tuple(r) for r in j.to_json_dict()["gens"]]
+
+    i = packed(rows)
+    assert dense(i) == oracles.tuple_minimal(rows)
+    assert dense(power(i, s)) == oracles.tuple_power(rows, s)
+    assert dense(intersect(i, packed(other))) == oracles.tuple_intersect(rows, other)
+    expected = oracles.tuple_colon(rows, m)
+    mono = Monomial.from_dict(dict(zip(vars, m)))
+    if expected[0] == (0,) * nv:
+        with pytest.raises(ValueError):
+            colon_by_monomial(i, mono)
+    else:
+        assert dense(colon_by_monomial(i, mono)) == expected
+
+
+def test_exponent_above_lane_max_is_rejected():
+    with pytest.raises(ValueError):
+        ideal([M(f"x^{LANE_MAX + 1}")])
+    with pytest.raises(ValueError):
+        power(ideal([M("x^8*y")]), 2)
+    assert str(power(ideal([M("x^5*y")]), 3)) == f"(x^{LANE_MAX}*y^3)"
 
 
 # polarization ---------------------------------------------------------------
@@ -218,7 +273,7 @@ def test_symbolic_square_triangle():
     sym = symbolic_square(k3)
     direct = sum_ideals(power(edge_ideal(k3), 2), ideal([M("x*y*z")]))
     assert sym.same_ideal_as(direct)
-    assert membership(sym, M("x*y*z"))
+    assert sym.contains(M("x*y*z"))
 
 
 def test_symbolic_square_triangle_free_collapses():
@@ -237,7 +292,7 @@ def test_symbolic_square_contained_in_edge_ideal():
         if g.is_edgeless():
             continue
         i = edge_ideal(g)
-        assert all(membership(i, m) for m in symbolic_square(g).generators())
+        assert all(i.contains(m) for m in symbolic_square(g).generators())
 
 
 def test_intersect_idempotent():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from edgereg import homology, invariants, suites
+from edgereg import evenconn, homology, invariants, monomials, suites
 from edgereg.graphs import (disjoint_edges, emit_graph6, enumerate_graphs,
                             parse_graph6, star)
 from edgereg.reports import MAX_STORED_VIOLATIONS, SuiteReport
@@ -130,6 +130,31 @@ def test_mutated_homology_rank_is_caught(monkeypatch):
     assert any(failed)
 
 
+def test_mutated_minimalization_is_caught(monkeypatch):
+    suites.clear_all_caches()
+
+    def unfiltered(gens, nv):  # keeps generators that a smaller one divides
+        return tuple(sorted(set(gens), key=lambda g: (monomials.packed_degree(g), -g)))
+
+    monkeypatch.setattr(monomials, "_minimal", unfiltered)
+    assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
+
+
+def test_mutated_colon_truncation_is_caught(monkeypatch):
+    suites.clear_all_caches()
+
+    def untruncated(i, m):  # a lane where g < m wraps around instead of reading 0
+        hi, val, _ = monomials.lane_masks(len(i.vars))
+        mp = monomials._pack_capped(m, i.vars)
+        quotients = {((g | hi) - mp) & val for g in i.gens}
+        return monomials.MonomialIdeal(i.vars, monomials._minimal(quotients, len(i.vars)))
+
+    for module in (monomials, suites, evenconn, invariants):
+        monkeypatch.setattr(module, "colon_by_monomial", untruncated)
+    # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
+    assert not run_suite(SuiteSpec("colon-structure", n_max=4, s_max=2)).passed
+
+
 def test_clean_rerun_after_mutations():
     report = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=1))
     assert report.passed
@@ -174,3 +199,32 @@ def test_corrupt_disk_cache_is_ignored(tmp_path, monkeypatch):
     (tmp_path / suites.CACHE_FILE).write_text("not json")
     reports, code = run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
     assert code == 0
+
+
+@pytest.mark.parametrize("payload", [[1], [[3, 0, 1, 2, 2], None]])
+def test_malformed_disk_cache_is_ignored_whole(tmp_path, monkeypatch, payload):
+    monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
+    suites.clear_all_caches()
+    (tmp_path / suites.CACHE_FILE).write_text(json.dumps(payload))
+    suites._load_disk_cache()
+    assert homology.cache_snapshot() == []
+    reports, code = run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    assert code == 0 and reports[0].passed
+
+
+def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
+    monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
+    suites.clear_all_caches()
+    run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    path = tmp_path / suites.CACHE_FILE
+    before = path.read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write("[[0, ")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(suites.json, "dump", dump_then_fail)
+    reports, code = run([SuiteSpec("matching-bound", n_max=4, s_max=1)])
+    assert code == 0
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
