@@ -103,10 +103,13 @@ def _cmd_verify(args) -> int:
         names = list(suites.THEOREM_SUITES)
     else:
         names = [args.suite]
-    specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
-                              characteristic=args.char, graphs_file=args.graphs,
-                              jobs=args.jobs)
-             for name in names]
+    try:
+        specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
+                                  characteristic=args.char, graphs_file=args.graphs,
+                                  jobs=args.jobs)
+                 for name in names]
+    except ValueError as exc:  # SuiteSpec rejects the flags
+        args.usage_error(str(exc))
     reports, code = suites.run(specs)
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", help="graph6 file to sweep instead of enumerating")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the full JSON reports here")
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, usage_error=p.error)
 
     return parser
 

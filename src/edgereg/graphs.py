@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_BOUND = 8
@@ -72,9 +72,6 @@ class Graph:
 
     def is_edgeless(self) -> bool:
         return not any(self.adj)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -286,7 +283,7 @@ def _encode(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
     return code
 
 
-@lru_cache(maxsize=None)
+@cache
 def _canonical_key(n: int, adj: tuple[int, ...]) -> tuple[int, int]:
     classes = _refinement_classes(n, adj)
     best = None
@@ -307,27 +304,20 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-_REPS_CACHE: dict[int, list[Graph]] = {}
-
-
+@cache
 def _canonical_reps(n: int) -> list[Graph]:
-    if n in _REPS_CACHE:
-        return _REPS_CACHE[n]
     if n == 0:
-        reps = [Graph(0, (), ())]
-    else:
-        found: dict[tuple[int, int], Graph] = {}
-        for h in _canonical_reps(n - 1):
-            for mask in range(1 << (n - 1)):
-                adj = tuple(h.adj[v] | ((mask >> v & 1) << (n - 1))
-                            for v in range(n - 1)) + (mask,)
-                g = Graph(n, adj, _default_labels(n))
-                key = canonical_key(g)
-                if key not in found:
-                    found[key] = g
-        reps = [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
-    _REPS_CACHE[n] = reps
-    return reps
+        return [Graph(0, (), ())]
+    found: dict[tuple[int, int], Graph] = {}
+    for h in _canonical_reps(n - 1):
+        for mask in range(1 << (n - 1)):
+            adj = tuple(h.adj[v] | ((mask >> v & 1) << (n - 1))
+                        for v in range(n - 1)) + (mask,)
+            g = Graph(n, adj, _default_labels(n))
+            key = canonical_key(g)
+            if key not in found:
+                found[key] = g
+    return [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False,

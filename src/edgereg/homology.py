@@ -23,7 +23,7 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import Graph, canonical_key
 from .linalg import matrix_rank, rank_gf2
@@ -352,37 +352,55 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
 
 
 # ---------------------------------------------------------------------------
-# regularity
+# regularity and the memo of derived values
+
+# One process-wide memo for every derived value the harness asks for more
+# than once.  The first element of a key names the kind of value:
+# ("reg^s", n, code, s, char) is reg I(G)^s for the graphs with canonical
+# key (n, code), ("reg", ideal, char) is any other regularity, and
+# `invariants` stores each invariant under (name, n, code, ...).
+_MEMO: dict[tuple, object] = {}
+
+
+def memo(key: tuple, compute: Callable[[], object]):
+    """The value stored under key, computed by compute() on first use."""
+    if key not in _MEMO:
+        _MEMO[key] = compute()
+    return _MEMO[key]
+
 
 def regularity(i: MonomialIdeal, field: FieldSpec = GF2) -> int:
-    """max { j - i : beta_{i,j} != 0 }; rejects the zero ideal."""
-    return graded_betti(i, field).regularity()
-
-
-_REG_POWER_CACHE: dict[tuple, int] = {}
+    """max { j - i : beta_{i,j} != 0 }; rejects the zero ideal.  Memoized
+    on the exact ideal (universe and generators) and the characteristic."""
+    return memo(("reg", i, field.characteristic),
+                lambda: graded_betti(i, field).regularity())
 
 
 def regularity_of_power(g: Graph, s: int = 1, field: FieldSpec = GF2) -> int:
     """Regularity of I(G)^s, memoized on the isomorphism class of g."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    key = (canonical_key(g), s, field.characteristic)
-    if key not in _REG_POWER_CACHE:
-        _REG_POWER_CACHE[key] = regularity(power(edge_ideal(g), s), field)
-    return _REG_POWER_CACHE[key]
+    return memo(("reg^s", *canonical_key(g), s, field.characteristic),
+                lambda: regularity(power(edge_ideal(g), s), field))
 
 
 def clear_caches() -> None:
-    _REG_POWER_CACHE.clear()
+    """Forget every memoized value: regularities and graph invariants."""
+    _MEMO.clear()
 
 
 def cache_snapshot() -> list[list]:
-    """JSON-ready dump of the regularity cache (used by the harness's
-    on-disk cache)."""
-    return [[n, code, s, char, reg]
-            for ((n, code), s, char), reg in _REG_POWER_CACHE.items()]
+    """JSON-ready [n, code, s, char, reg] entries of the memoized
+    regularities of powers, the only values persisted on disk."""
+    return [[*key[1:], reg] for key, reg in _MEMO.items() if key[0] == "reg^s"]
 
 
-def cache_restore(items: Iterable[Iterable]) -> None:
-    for n, code, s, char, reg in items:
-        _REG_POWER_CACHE[((int(n), int(code)), int(s), int(char))] = int(reg)
+def cache_restore(payload: object) -> None:
+    """Load entries written by `cache_snapshot`, all or nothing: unless the
+    payload is a list of five-int lists, nothing is restored."""
+    if not isinstance(payload, list) or not all(
+            isinstance(entry, list) and len(entry) == 5
+            and all(type(x) is int for x in entry) for entry in payload):
+        return
+    for entry in payload:
+        _MEMO[("reg^s", *entry[:4])] = entry[4]

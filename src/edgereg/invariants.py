@@ -23,18 +23,10 @@ from .graphs import (Graph, canonical_key, claw, complement, cricket,
 from .monomials import Monomial, colon_by_monomial, edge_ideal
 from .reports import SuiteReport
 
-_CACHE: dict[tuple, object] = {}
 
-
-def clear_caches() -> None:
-    _CACHE.clear()
-
-
-def _cached(g: Graph, name, fn: Callable[[], object]):
-    key = (canonical_key(g), name)
-    if key not in _CACHE:
-        _CACHE[key] = fn()
-    return _CACHE[key]
+def _cached(g: Graph, name: str, fn: Callable[[], object], *extra):
+    # invariants are memoized per isomorphism class in the homology memo
+    return homology.memo((name, *canonical_key(g), *extra), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +178,11 @@ def local_regularity_max(g: Graph, field: homology.FieldSpec = homology.GF2) -> 
     graphs.  Isolated vertices are excluded: for such x the colon is I(G)
     itself, which says nothing local (adding an isolated vertex never
     changes the edge ideal, so it must not change this invariant either)."""
-    return int(_cached(g, ("lrm", field.characteristic),
+    return int(_cached(g, "lrm",
                        lambda: max((local_regularity(g, x, field)
                                     for x in range(g.n) if g.degree(x) > 0),
-                                   default=0)))
+                                   default=0),
+                       field.characteristic))
 
 
 def is_locally_of_regularity_at_most(g: Graph, r: int,

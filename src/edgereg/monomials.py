@@ -71,36 +71,10 @@ class Monomial:
     def support(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.exps)
 
-    def exponent(self, v: str) -> int:
-        return dict(self.exps).get(v, 0)
-
-    def divides(self, other: "Monomial") -> bool:
-        o = other.as_dict()
-        return all(o.get(v, 0) >= e for v, e in self.exps)
-
     def times(self, other: "Monomial") -> "Monomial":
         d = self.as_dict()
         for v, e in other.exps:
             d[v] = d.get(v, 0) + e
-        return Monomial.from_dict(d)
-
-    def over(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises if `other` does not divide self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] -= e
-        return Monomial.from_dict(d)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        o = other.as_dict()
-        return Monomial.from_dict({v: min(e, o[v]) for v, e in self.exps if v in o})
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] = max(d.get(v, 0), e)
         return Monomial.from_dict(d)
 
     def __str__(self):

@@ -3,8 +3,7 @@
 A violation is a small dict {graph6, s, lhs, rhs, context} that is enough
 to replay the failing check; only the first MAX_STORED_VIOLATIONS are kept
 verbatim, the rest are counted.  A report passes exactly when its total
-violation count is zero, and merging reports is associative and
-commutative so sweeps can be parallelized freely.
+violation count is zero.
 """
 from __future__ import annotations
 
@@ -32,17 +31,6 @@ class SuiteReport:
         if len(self.violations) < MAX_STORED_VIOLATIONS:
             self.violations.append(
                 {"graph6": graph6, "s": s, "lhs": lhs, "rhs": rhs, "context": context})
-
-    def merge(self, other: "SuiteReport") -> "SuiteReport":
-        if other.suite != self.suite:
-            raise ValueError("cannot merge reports from different suites")
-        out = SuiteReport(self.suite, conjecture=self.conjecture or other.conjecture)
-        out.graphs_tested = self.graphs_tested + other.graphs_tested
-        out.violations = (self.violations + other.violations)[:MAX_STORED_VIOLATIONS]
-        out.violations_total = self.violations_total + other.violations_total
-        out.wall_time = self.wall_time + other.wall_time
-        out.notes = self.notes + other.notes
-        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,9 +12,12 @@ uniformly.  The two conjecture suites are falsification searches: they
 are excluded from `--suite all` and from the process exit code, since a
 counterexample there would be a finding, not a failure.
 
-Regularity and invariant values are memoized on canonical forms, and the
-memo can persist across runs in the directory named by the
-EDGEREG_CACHE_DIR environment variable.
+Derived values live in one process-wide memo owned by `homology`: graph
+invariants and regularities of powers per isomorphism class, every other
+regularity (colons, symbolic squares) per exact ideal.  One call to
+`clear_all_caches()` forgets all of them.  Only the regularities of powers
+persist across runs, in the directory named by the EDGEREG_CACHE_DIR
+environment variable.
 """
 from __future__ import annotations
 
@@ -408,7 +411,6 @@ def run(specs: list[SuiteSpec]) -> tuple[list[SuiteReport], int]:
 
 
 def clear_all_caches() -> None:
-    invariants.clear_caches()
     homology.clear_caches()
 
 
@@ -428,11 +430,7 @@ def _load_disk_cache() -> None:
             payload = json.load(fh)
     except (OSError, ValueError):
         return  # a broken cache must never break a run
-    # all or nothing: one malformed entry discards the whole file
-    if isinstance(payload, list) and all(
-            isinstance(entry, list) and len(entry) == 5
-            and all(type(x) is int for x in entry) for entry in payload):
-        homology.cache_restore(payload)
+    homology.cache_restore(payload)  # ignores a malformed payload whole
 
 
 def _save_disk_cache() -> None:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from edgereg.cli import main
 from edgereg.graphs import cycle_graph, emit_graph6, enumerate_graphs, path_graph
 
@@ -103,3 +105,14 @@ def test_verify_accepts_graphs_file(tmp_path, capsys):
     code = main(["verify", "--suite", "lower-bound", "--graphs", str(path), "--s", "1"])
     assert code == 0
     assert _lines(capsys)[1].startswith("lower-bound\t11\t0")
+
+
+@pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
+                                   ["--suite", "nope"]])
+def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("edgereg verify: error: ")

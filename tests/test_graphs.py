@@ -209,6 +209,15 @@ def test_enumeration_matches_brute_force_dedup():
         assert len(list(enumerate_graphs(n))) == len(brute)
 
 
+def test_enumeration_matches_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()  # every graph on at most 7 vertices, once each
+    keys = [canonical_key(from_edge_list(h.number_of_nodes(), list(h.edges())))
+            for h in atlas]
+    assert len(keys) == len(set(keys)) == 1253
+    assert set(keys) == {canonical_key(g) for n in range(8) for g in enumerate_graphs(n)}
+
+
 def test_enumeration_yields_pairwise_nonisomorphic():
     graphs = list(enumerate_graphs(4))
     for i, g in enumerate(graphs):

@@ -33,21 +33,7 @@ def test_monomial_parse_and_str():
 
 def test_monomial_arithmetic():
     a, b = M("x*y"), M("y*z")
-    assert a.lcm(b) == M("x*y*z")
-    assert a.gcd(b) == M("y")
     assert a.times(b) == M("x*y^2*z")
-    assert M("x*y^2").over(M("y")) == M("x*y")
-    assert M("x").divides(M("x^3*z"))
-    assert not M("x^2").divides(M("x*y"))
-    with pytest.raises(ValueError):
-        M("x").over(M("y"))
-
-
-@given(st.dictionaries(st.sampled_from("abcde"), st.integers(0, 4), max_size=5),
-       st.dictionaries(st.sampled_from("abcde"), st.integers(0, 4), max_size=5))
-def test_monomial_lcm_gcd_product_identity(d1, d2):
-    a, b = Monomial.from_dict(d1), Monomial.from_dict(d2)
-    assert a.lcm(b).times(a.gcd(b)) == a.times(b)
 
 
 # ideals --------------------------------------------------------------------

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from edgereg import evenconn, homology, invariants, monomials, suites
-from edgereg.graphs import (disjoint_edges, emit_graph6, enumerate_graphs,
-                            parse_graph6, star)
+from edgereg.graphs import (canonical_key, cycle_graph, disjoint_edges, emit_graph6,
+                            enumerate_graphs, parse_graph6, star)
+from edgereg.monomials import edge_ideal
 from edgereg.reports import MAX_STORED_VIOLATIONS, SuiteReport
 from edgereg.suites import (CONJECTURE_SUITES, THEOREM_SUITES, SuiteSpec, run,
                             run_suite)
@@ -68,22 +69,6 @@ def test_parallel_jobs_match_serial():
     parallel = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=2, jobs=2))
     assert serial.graphs_tested == parallel.graphs_tested
     assert serial.violations == parallel.violations
-
-
-def test_report_merge_is_associative_and_commutative():
-    def rep(count, viols):
-        r = SuiteReport("lower-bound", graphs_tested=count)
-        for k in range(viols):
-            r.add_violation(f"g{k}", 1, k, k + 1, "ctx")
-        return r
-
-    a, b, c = rep(1, 2), rep(2, 0), rep(3, 1)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left.to_json_dict() == right.to_json_dict()
-    ab, ba = a.merge(b), b.merge(a)
-    assert ab.violations_total == ba.violations_total
-    assert ab.graphs_tested == ba.graphs_tested
 
 
 def test_violation_storage_is_capped():
@@ -177,6 +162,64 @@ def test_conjecture_failures_do_not_affect_exit_code(monkeypatch):
     reports, code = run([SuiteSpec("conjecture-a", n_max=3, s_max=1)])
     assert not reports[0].passed
     assert code == 0
+
+
+# the memo ------------------------------------------------------------------------
+
+def test_regularity_is_memoized_per_ideal_until_cleared(monkeypatch):
+    suites.clear_all_caches()
+    betti_calls = []
+    true_betti = homology.graded_betti
+
+    def counting(i, field=homology.GF2):
+        betti_calls.append(i)
+        return true_betti(i, field)
+
+    monkeypatch.setattr(homology, "graded_betti", counting)
+    assert homology.regularity(edge_ideal(cycle_graph(5))) == 3
+    assert homology.regularity(edge_ideal(cycle_graph(5))) == 3  # an equal ideal
+    assert len(betti_calls) == 1
+    assert homology.regularity(edge_ideal(cycle_graph(5)), homology.QQ) == 3
+    assert len(betti_calls) == 2  # the characteristic is part of the key
+    suites.clear_all_caches()
+    assert homology.regularity(edge_ideal(cycle_graph(5))) == 3
+    assert len(betti_calls) == 3
+
+
+def test_one_clear_forgets_memoized_invariants(monkeypatch):
+    homology.clear_caches()
+    spec = SuiteSpec("lower-bound", n_max=4, s_max=1)
+    assert run_suite(spec).passed
+    true_rec = invariants._nu_rec
+
+    def inflated(g, alive, memo):
+        return true_rec(g, alive, memo) + 1
+
+    monkeypatch.setattr(invariants, "_nu_rec", inflated)
+    assert run_suite(spec).passed  # nu(G) still comes from the memo
+    homology.clear_caches()
+    assert not run_suite(spec).passed
+
+
+def test_memo_persists_only_regularities_of_powers(tmp_path, monkeypatch):
+    monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
+    suites.clear_all_caches()
+    keys = set()
+    true_reg_power = homology.regularity_of_power
+
+    def recording(g, s=1, field=homology.GF2):
+        keys.add((*canonical_key(g), s, field.characteristic))
+        return true_reg_power(g, s, field)
+
+    monkeypatch.setattr(homology, "regularity_of_power", recording)
+    reports, code = run([SuiteSpec(name, n_max=4, s_max=2) for name in THEOREM_SUITES])
+    assert code == 0
+    snapshot = homology.cache_snapshot()
+    assert all(len(e) == 5 and all(type(x) is int for x in e) for e in snapshot)
+    assert len(snapshot) == len(keys)
+    assert {tuple(e[:4]) for e in snapshot} == keys
+    disk = json.loads((tmp_path / suites.CACHE_FILE).read_text())
+    assert sorted(disk) == sorted(snapshot)
 
 
 # disk cache ----------------------------------------------------------------------
