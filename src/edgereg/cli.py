@@ -65,7 +65,10 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_reg(args) -> int:
-    field = homology.FieldSpec(args.char)
+    try:
+        field = homology.FieldSpec(args.char)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     for g in _read_graphs(args.input):
         i = power(edge_ideal(g), args.power)
         table = homology.graded_betti(i, field)
@@ -121,6 +124,13 @@ def _cmd_verify(args) -> int:
     return code
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgereg",
@@ -134,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideal", help="edge-ideal pipelines: power, colon, polarize, symbolic square")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--power", type=int, default=1, metavar="S")
+    p.add_argument("--power", type=_positive_int, default=1, metavar="S")
     p.add_argument("--colon", metavar="MONOMIAL", help='e.g. "x0*x1"')
     p.add_argument("--polarize", action="store_true")
     p.add_argument("--symbolic-square", action="store_true",
@@ -143,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reg", help="graded Betti table and regularity of I(G)^s")
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--power", type=int, default=1, metavar="S")
+    p.add_argument("--power", type=_positive_int, default=1, metavar="S")
     p.add_argument("--char", type=int, default=2, help="field characteristic (0 or prime)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the independent oracle and compare")
-    p.set_defaults(fn=_cmd_reg)
+    p.set_defaults(fn=_cmd_reg, usage_error=p.error)
 
     p = sub.add_parser("colon-graph",
                        help="graph of (I^{s+1} : e_1...e_s) with certificates")

@@ -23,6 +23,7 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, canonical_key
@@ -49,7 +50,7 @@ class FieldSpec:
         c = self.characteristic
         if c == 0:
             return
-        if c < 2 or any(c % d == 0 for d in range(2, int(c ** 0.5) + 1)):
+        if c < 2 or any(c % d == 0 for d in range(2, isqrt(c) + 1)):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
 
@@ -181,13 +182,8 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
                 rows.append(row)
             boundary_rank[d] = rank_gf2(rows)
         else:
-            ncols = len(by_dim[d - 1])
-            rows = []
-            for f in by_dim[d]:
-                row = [0] * ncols
-                for pos, v in enumerate(_mask_bits(f)):
-                    row[target[f ^ (1 << v)]] = -1 if pos % 2 else 1
-                rows.append(row)
+            rows = [{target[f ^ (1 << v)]: -1 if pos % 2 else 1
+                     for pos, v in enumerate(_mask_bits(f))} for f in by_dim[d]]
             boundary_rank[d] = matrix_rank(rows, characteristic)
     profile: dict[int, int] = {}
     for d in dims:

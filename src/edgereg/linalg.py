@@ -1,11 +1,19 @@
-"""Exact matrix ranks over GF(2), GF(p) and the rationals.
+"""Exact matrix ranks: xor on bitmask rows over GF(2), sparse integer rows
+over the rationals and every odd prime field.
 
-Floats are banned everywhere in this project: the GF(2) path packs rows
-into Python integers and eliminates with xor, the odd-prime path reduces
-modulo p, and the characteristic-zero path runs fraction-free (Bareiss)
-elimination on arbitrary-precision integers.
+Floats are banned everywhere in this project.  Both routines keep one
+pivot row per leading column and reduce each incoming row against the
+pivots until it vanishes or owns a new leading column.  Over GF(2) a row
+is a Python integer and the update is xor.  Otherwise a row is a dict
+{column: nonzero int} and the update is the integer combination
+a*row - b*pivot, which cancels the leading entry; entries are then
+reduced modulo p, or, over the rationals, divided by their gcd so that
+they stay small.
 """
 from __future__ import annotations
+
+from math import gcd
+from typing import Iterable
 
 
 def rank_gf2(rows: list[int]) -> int:
@@ -24,64 +32,28 @@ def rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by straightforward elimination."""
-    mat = [[x % p for x in row] for row in rows if any(x % p for x in row)]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
+    if p:
+        return {c: x % p for c, x in row.items() if x % p}
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items() if x}
 
 
-def rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank over the rationals via fraction-free integer elimination.
-
-    The two-term Bareiss update keeps every intermediate entry an exact
-    integer (it is a minor of the input), so no precision is ever lost.
-    """
-    mat = [list(row) for row in rows if any(row)]
-    if not mat:
-        return 0
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            fr = mat[r][col]
-            row = mat[r]
-            top = mat[rank]
-            for c in range(col, ncols):
-                row[c] = (pv * row[c] - fr * top[c]) // prev
-        prev = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def matrix_rank(rows: list[list[int]], characteristic: int) -> int:
-    """Dispatch on the coefficient field characteristic (0 or a prime); rows
-    already packed into bitmasks go to `rank_gf2` directly."""
-    if not rows or not rows[0]:
-        return 0
-    if characteristic == 0:
-        return rank_bareiss(rows)
-    return rank_mod_p(rows, characteristic)
+def matrix_rank(rows: Iterable[dict[int, int]], characteristic: int) -> int:
+    """Rank of a matrix of sparse rows {column: int} over the rationals
+    (characteristic 0) or GF(p) for an odd prime p."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _normalized(row, characteristic)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            row = {c: a * x for c, x in row.items()}
+            for c, y in pivot.items():
+                row[c] = row.get(c, 0) - b * y
+            row = _normalized(row, characteristic)
+    return len(pivots)

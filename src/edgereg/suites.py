@@ -59,6 +59,8 @@ class SuiteSpec:
             raise ValueError("s_max must be between 1 and 3")
         if self.n_max > 8:
             raise ValueError("n_max above the enumeration bound 8")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         homology.FieldSpec(self.characteristic)  # validates
 
 
@@ -387,8 +389,10 @@ def run_suite(spec: SuiteSpec) -> SuiteReport:
     graphs = _graph_source(spec)
     report = SuiteReport(spec.suite, conjecture=spec.suite in CONJECTURE_SUITES)
     if spec.jobs > 1 and len(graphs) > 1:
-        chunk = max(1, len(graphs) // (4 * spec.jobs))
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # a forking pool starts all its workers at the first submit
+        workers = min(spec.jobs, os.cpu_count() or 1, len(graphs))
+        chunk = max(1, len(graphs) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(partial(_run_one, spec), graphs, chunksize=chunk))
     else:
         batches = [_run_one(spec, g) for g in graphs]

@@ -3,7 +3,7 @@
 These deliberately share no code with the package internals they check:
 isomorphism by raw permutation search, matchings by subset enumeration,
 chordality by induced-cycle search, ranks by Gaussian elimination over
-`fractions.Fraction`.  Slow on purpose; only run at tiny sizes.
+`fractions.Fraction` or modulo p.  Slow on purpose; only run at tiny sizes.
 """
 from __future__ import annotations
 
@@ -98,9 +98,14 @@ def brute_minimal_vertex_covers(g: Graph) -> set[frozenset[int]]:
     return {c for c in covers if not any(d < c for d in covers)}
 
 
-def fraction_rank(rows: list[list[int]]) -> int:
-    """Textbook Gaussian elimination over exact rationals."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
+def fraction_rank(rows: list[list[int]], p: int = 0) -> int:
+    """Textbook Gauss-Jordan elimination over exact rationals, or over
+    GF(p) when a prime p is given."""
+    if p:
+        mat = [[x % p for x in row] for row in rows]
+    else:
+        mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [row for row in mat if any(row)]
     if not mat:
         return 0
     ncols = len(mat[0])
@@ -110,12 +115,13 @@ def fraction_rank(rows: list[list[int]]) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        inv = pow(mat[rank][col], -1, p) if p else 1 / mat[rank][col]
+        mat[rank] = [x * inv % p if p else x * inv for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+                mat[r] = [(a - f * b) % p if p else a - f * b
+                          for a, b in zip(mat[r], mat[rank])]
         rank += 1
         if rank == len(mat):
             break

@@ -108,7 +108,7 @@ def test_verify_accepts_graphs_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
-                                   ["--suite", "nope"]])
+                                   ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"]])
 def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *flags])
@@ -116,3 +116,16 @@ def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("edgereg verify: error: ")
+
+
+@pytest.mark.parametrize("argv", [["ideal", "--power", "0"], ["ideal", "--power", "-3"],
+                                  ["reg", "--power", "0"], ["reg", "--char", "4"]])
+def test_ideal_and_reg_reject_invalid_flags_as_usage_errors(argv, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(emit_graph6(cycle_graph(4)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(f"edgereg {argv[0]}: error: ")

@@ -13,7 +13,7 @@ from edgereg.homology import (GF2, QQ, BudgetError, FieldSpec,
                               SimplicialComplex, graded_betti, hochster_oracle,
                               independence_complex, reduced_homology, regularity,
                               regularity_of_power)
-from edgereg.linalg import rank_bareiss, rank_gf2, rank_mod_p
+from edgereg.linalg import matrix_rank, rank_gf2
 from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal,
                                lane_masks, pack, polarize, power, sum_ideals,
                                zero_ideal)
@@ -29,29 +29,46 @@ def test_rank_gf2_known():
     assert rank_gf2([0, 0]) == 0
 
 
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
 def test_rank_bareiss_known():
-    assert rank_bareiss([[1, 2], [2, 4]]) == 1
-    assert rank_bareiss([[1, 0, 1], [0, 1, 1], [1, 1, 0]]) == 3
-    assert rank_bareiss([[2, 4], [1, 3]]) == 2
+    # characteristic 0: rank over the rationals
+    assert matrix_rank(_sparse([[1, 2], [2, 4]]), 0) == 1
+    assert matrix_rank(_sparse([[1, 0, 1], [0, 1, 1], [1, 1, 0]]), 0) == 3
+    assert matrix_rank(_sparse([[2, 4], [1, 3]]), 0) == 2
+    assert matrix_rank(_sparse([[6, 4], [9, 6]]), 0) == 1
+    assert matrix_rank(_sparse([[1, 1], [1, -2]]), 0) == 2
+    assert matrix_rank([{}, {}], 0) == 0
 
 
 def test_rank_mod_p():
-    # [[1,1],[1,-1]] is singular exactly in characteristic 2
-    assert rank_mod_p([[1, 1], [1, -1]], 2) == 1
-    assert rank_mod_p([[1, 1], [1, -1]], 3) == 2
+    # det [[1, 1], [1, -2]] = -3: singular exactly in characteristic 3
+    assert matrix_rank(_sparse([[1, 1], [1, -2]]), 3) == 1
+    assert matrix_rank(_sparse([[1, 1], [1, -2]]), 5) == 2
+    assert matrix_rank(_sparse([[1, 1], [1, -1]]), 3) == 2
+    assert matrix_rank([{0: 3}, {1: -6}], 3) == 0
+    assert matrix_rank([], 7) == 0
 
 
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                min_size=1, max_size=6))
+_int_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=6))
+
+
+@given(_int_matrices)
 @settings(max_examples=300)
 def test_rank_bareiss_matches_fraction_elimination(rows):
-    assert rank_bareiss(rows) == oracles.fraction_rank(rows)
+    assert matrix_rank(_sparse(rows), 0) == oracles.fraction_rank(rows)
 
 
-@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
-                min_size=1, max_size=6), st.sampled_from([3, 5, 7]))
+@given(_int_matrices, st.sampled_from([3, 5, 7]))
+@settings(max_examples=300)
 def test_rank_mod_p_bounded_by_rational_rank(rows, p):
-    assert rank_mod_p(rows, p) <= oracles.fraction_rank(rows)
+    rank = matrix_rank(_sparse(rows), p)
+    assert rank == oracles.fraction_rank(rows, p)
+    assert rank <= oracles.fraction_rank(rows)
 
 
 def test_field_spec_validation():

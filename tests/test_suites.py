@@ -71,6 +71,30 @@ def test_parallel_jobs_match_serial():
     assert serial.violations == parallel.violations
 
 
+def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
+    sizes = []
+
+    class FakePool:  # records the pool size and runs in-process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
+    two = (cycle_graph(4), star(3))
+    assert run_suite(SuiteSpec("lower-bound", graphs=two, s_max=1, jobs=64)).passed
+    assert run_suite(SuiteSpec("lower-bound", n_max=4, s_max=1, jobs=64)).passed
+    assert sizes == [2, 4]
+
+
 def test_violation_storage_is_capped():
     r = SuiteReport("lower-bound")
     for k in range(MAX_STORED_VIOLATIONS + 20):
@@ -99,17 +123,20 @@ def test_mutated_induced_matching_is_caught(monkeypatch):
     assert replay.violations[0]["graph6"] == report.violations[0]["graph6"]
 
 
-def test_mutated_homology_rank_is_caught(monkeypatch):
+@pytest.mark.parametrize("rank_name, characteristic",
+                         [("rank_gf2", 2), ("matrix_rank", 0), ("matrix_rank", 3)])
+def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic):
     suites.clear_all_caches()
-    true_rank = homology.rank_gf2
+    true_rank = getattr(homology, rank_name)
 
-    def deflated(rows):
-        return max(0, true_rank(rows) - 1)
+    def deflated(*args):
+        return max(0, true_rank(*args) - 1)
 
-    monkeypatch.setattr(homology, "rank_gf2", deflated)
+    monkeypatch.setattr(homology, rank_name, deflated)
     failed = []
     for name in ("matching-bound", "lower-bound"):
-        report = run_suite(SuiteSpec(name, n_max=4, s_max=1))
+        report = run_suite(SuiteSpec(name, n_max=4, s_max=1,
+                                     characteristic=characteristic))
         failed.append(not report.passed)
         suites.clear_all_caches()
     assert any(failed)
