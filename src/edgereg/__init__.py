@@ -19,7 +19,6 @@ from .invariants import (InvariantRecord, induced_matching_number, invariant_rec
 from .monomials import (EdgeMultiset, Monomial, MonomialIdeal, colon_by_monomial,
                         edge_ideal, minimal_vertex_covers, polarize, power,
                         symbolic_square)
-from .reports import SuiteReport
-from .suites import SuiteSpec, run, run_suite
+from .suites import SuiteReport, SuiteSpec, run, run_suite
 
 __version__ = "0.1.0"

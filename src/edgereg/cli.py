@@ -106,10 +106,15 @@ def _cmd_verify(args) -> int:
         names = list(suites.THEOREM_SUITES)
     else:
         names = [args.suite]
+    graphs = None
+    if args.graphs is not None:
+        try:
+            graphs = tuple(_read_graphs(args.graphs))
+        except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad line
+            args.usage_error(f"--graphs {args.graphs}: {exc}")
     try:
         specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
-                                  characteristic=args.char, graphs_file=args.graphs,
-                                  jobs=args.jobs)
+                                  characteristic=args.char, graphs=graphs, jobs=args.jobs)
                  for name in names]
     except ValueError as exc:  # SuiteSpec rejects the flags
         args.usage_error(str(exc))
@@ -173,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=6, help="enumerate graphs up to this size")
     p.add_argument("--s", type=int, default=2, help="largest power to test")
     p.add_argument("--char", type=int, default=2)
-    p.add_argument("--graphs", help="graph6 file to sweep instead of enumerating")
+    p.add_argument("--graphs", help="graph6/JSON lines file (or - for stdin) to sweep "
+                                    "instead of enumerating")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the full JSON reports here")
     p.set_defaults(fn=_cmd_verify, usage_error=p.error)

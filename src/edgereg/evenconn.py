@@ -20,17 +20,20 @@ alternate; "longest possible" therefore means "maximal usage total".
 Everything returned is certified: each pair carries an explicit walk and
 edge assignment of maximal length, with ties broken by lexicographic path
 order for determinism.
+
+The module also answers the reduction-to-isolated-vertices lemma for one
+colon graph, a removed set W and an endpoint u of a longest walk avoiding
+W.  Everything here returns plain values; the sweeps that compare the
+colon graph against monomial arithmetic and record violations live in
+`suites`.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, closed_neighborhood, emit_graph6, from_edge_list
-from .monomials import (EdgeMultiset, colon_by_monomial, edge_ideal, polar_name,
-                        polarize, power)
-from .reports import SuiteReport
+from .graphs import Graph, closed_neighborhood, from_edge_list
+from .monomials import EdgeMultiset, polar_name
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,18 @@ class EvenConnectionCertificate:
 class ColonGraphResult:
     """The graph presenting (I^{s+1} : e_1...e_s): the original edges plus
     one certified edge per even-connected pair, with whisker vertices for
-    self-connections."""
+    self-connections.  `pairs` holds every certified pair, `new_pairs`
+    those that are not already edges of G."""
 
     graph: Graph
-    new_pairs: tuple[tuple[int, int, EvenConnectionCertificate], ...]
+    pairs: tuple[tuple[int, int, EvenConnectionCertificate], ...]
     origin: tuple[Graph, EdgeMultiset]
+
+    @property
+    def new_pairs(self) -> tuple[tuple[int, int, EvenConnectionCertificate], ...]:
+        g = self.origin[0]
+        return tuple((u, v, c) for u, v, c in self.pairs
+                     if u == v or not g.has_edge(u, v))
 
 
 def _reachable_states(g: Graph, m: EdgeMultiset, start: int):
@@ -155,74 +165,42 @@ def colon_graph(g: Graph, m: EdgeMultiset) -> ColonGraphResult:
     """The polarized graph of (I^{s+1} : e_1...e_s): E(G) plus the certified
     even-connected pairs, self-connections becoming whisker edges u-u'."""
     pairs = even_connected_pairs(g, m)
-    new_pairs = tuple((u, v, c) for u, v, c in pairs
-                      if u == v or not g.has_edge(u, v))
-    selfs = sorted({u for u, v, _ in new_pairs if u == v})
+    selfs = [u for u, v, _ in pairs if u == v]
     labels = list(g.labels) + [polar_name(g.labels[u], 2) for u in selfs]
-    whisker = {u: g.n + i for i, u in enumerate(selfs)}
     edges = g.edges()
-    edges += [(u, v) for u, v, _ in new_pairs if u != v]
-    edges += [(u, whisker[u]) for u in selfs]
+    edges += [(u, v) for u, v, _ in pairs if u != v and not g.has_edge(u, v)]
+    edges += [(u, g.n + i) for i, u in enumerate(selfs)]
     graph = from_edge_list(g.n + len(selfs), edges, tuple(labels))
-    return ColonGraphResult(graph, new_pairs, (g, m))
+    return ColonGraphResult(graph, tuple(pairs), (g, m))
 
 
-def check_even_connection_theorem(g: Graph, s: int) -> SuiteReport:
-    """For every multiset m of s edges, compare the combinatorial colon
-    graph against the monomial-arithmetic colon of I^{s+1} by the product:
-    all minimal generators must be quadratic and the two edge sets must
-    agree after polarization."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    report = SuiteReport("even-connection")
-    report.graphs_tested = 1
-    i = edge_ideal(g)
-    if i.is_zero:
-        return report
-    big = power(i, s + 1)
-    g6 = emit_graph6(g)
-    for combo in itertools.combinations_with_replacement(g.edges(), s):
-        m = EdgeMultiset.of(combo)
-        colon = colon_by_monomial(big, m.product_monomial(g.labels))
-        bad = [d for d in colon.generator_degrees() if d != 2]
-        if bad:
-            report.add_violation(g6, s, sorted(set(bad)), 2,
-                                 f"non-quadratic colon generators for m={list(m.edges)}")
-            continue
-        combinatorial = edge_ideal(colon_graph(g, m).graph)
-        algebraic, _ = polarize(colon)
-        if not combinatorial.same_ideal_as(algebraic):
-            report.add_violation(
-                g6, s,
-                sorted(str(x) for x in combinatorial.generators()),
-                sorted(str(x) for x in algebraic.generators()),
-                f"colon graph does not match the direct colon for m={list(m.edges)}")
-    return report
+def longest_walk_endpoints(colon: ColonGraphResult, w) -> set[int]:
+    """Endpoints of the longest even-connected walks whose endpoints avoid
+    W; empty when no even-connected pair avoids W."""
+    eligible = [(a, b, c) for a, b, c in colon.pairs if a not in w and b not in w]
+    if not eligible:
+        return set()
+    kmax = max(c.k for _, _, c in eligible)
+    return {x for a, b, c in eligible if c.k == kmax for x in (a, b)}
 
 
-def isolated_reduction_check(g: Graph, m: EdgeMultiset, w, u: int, *,
-                             pairs=None, colon: ColonGraphResult | None = None) -> bool:
+def isolated_reduction_check(colon: ColonGraphResult, w, u: int) -> bool:
     """With G' the colon graph of (I^{s+1} : m) and u an endpoint of a
     longest even-connected walk whose endpoints avoid W, check that every
     edge of G' - W - N_{G'}[u] is an edge of G - N_G[u] under the copy-1
     embedding (the remaining new vertices must all be isolated).
 
     Returns True vacuously when no even-connected pair avoids W; raises if
-    u is not an endpoint of a longest eligible walk.  `pairs` and `colon`
-    allow exhaustive sweeps to reuse work across many W."""
+    u is not an endpoint of a longest eligible walk."""
     w = frozenset(w)
-    if pairs is None:
-        pairs = even_connected_pairs(g, m)
-    eligible = [(a, b, c) for a, b, c in pairs if a not in w and b not in w]
-    if not eligible:
+    endpoints = longest_walk_endpoints(colon, w)
+    if not endpoints:
         return True
-    kmax = max(c.k for _, _, c in eligible)
-    endpoints = {x for a, b, c in eligible if c.k == kmax for x in (a, b)}
     if u not in endpoints:
         raise ValueError("u is not an endpoint of a longest even-connected walk avoiding W")
-    gp = (colon or colon_graph(g, m)).graph
-    removed = set(w) | set(closed_neighborhood(gp, u))
-    blocked = set(closed_neighborhood(g, u))
+    g, gp = colon.origin[0], colon.graph
+    removed = w | closed_neighborhood(gp, u)
+    blocked = closed_neighborhood(g, u)
     for a, b in gp.edges():
         if a in removed or b in removed:
             continue

@@ -153,13 +153,6 @@ def emit_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_graph6(line)
-
-
 def from_json_dict(d: dict) -> Graph:
     """Edge-list schema {"n": int, "edges": [[u, v], ...]}."""
     return from_edge_list(int(d["n"]), [tuple(e) for e in d["edges"]])
@@ -214,8 +207,6 @@ def closed_neighborhood(g: Graph, target) -> frozenset[int]:
 def _target_vertices(g: Graph, target) -> frozenset[int]:
     if isinstance(target, int):
         verts = {target}
-    elif isinstance(target, tuple) and len(target) == 2 and all(isinstance(x, int) for x in target):
-        verts = set(target)
     else:
         verts = set()
         for item in target:

@@ -8,20 +8,20 @@ cleverness is attempted beyond what keeps ten-vertex graphs instant.
 
 Local regularity is the regularity of the colon ideal (I(G) : x), which
 the regularity engine computes directly; it is the quantity the power
-bounds are phrased in.
+bounds are phrased in.  Every function returns a plain value; the checks
+built on these invariants, the hierarchy-function check among them, live
+in `suites`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import homology
 from .graphs import (Graph, canonical_key, claw, complement, cricket,
-                     delete_closed_neighborhood, delete_vertices, emit_graph6,
-                     induced_subgraph)
+                     delete_closed_neighborhood, induced_subgraph)
 from .monomials import Monomial, colon_by_monomial, edge_ideal
-from .reports import SuiteReport
 
 
 def _cached(g: Graph, name: str, fn: Callable[[], object], *extra):
@@ -258,43 +258,3 @@ def invariant_record(g: Graph) -> InvariantRecord:
         locally_linear=is_locally_linear(g),
         local_reg_max=local_regularity_max(g),
     )
-
-
-# ---------------------------------------------------------------------------
-# hierarchy checks
-
-def check_hierarchy_function(family: Sequence[Graph], f: Callable[[Graph], int],
-                             field: homology.FieldSpec = homology.GF2) -> SuiteReport:
-    """Verify that f is a regularity-controlling function on a family that
-    is closed under vertex deletion and closed-neighborhood deletion.
-
-    Violations are reported for: f(G - w) > f(G) or
-    f(G - N[w]) > max(f(G) - 1, 2) at a non-isolated w, and
-    reg I(G) > f(G) (skipped for edgeless members, whose edge ideal is
-    zero).  Closure failures are reported as notes, not violations."""
-    report = SuiteReport("hierarchy-function")
-    members = list(family)
-    keys = {canonical_key(g) for g in members}
-    for g in members:
-        report.graphs_tested += 1
-        fg = f(g)
-        if not g.is_edgeless():
-            reg = homology.regularity(edge_ideal(g), field)
-            if reg > fg:
-                report.add_violation(emit_graph6(g), None, reg, fg, "reg I(G) > f(G)")
-        for w in range(g.n):
-            minus_w, _ = delete_vertices(g, [w])
-            minus_nw, _ = delete_closed_neighborhood(g, w)
-            for h in (minus_w, minus_nw):
-                if canonical_key(h) not in keys:
-                    report.notes.append(
-                        f"family not closed: {emit_graph6(g)} at w={w} leaves the family")
-            if g.degree(w) == 0:
-                continue
-            if f(minus_w) > fg:
-                report.add_violation(emit_graph6(g), None, f(minus_w), fg,
-                                     f"f(G-w) > f(G) at w={w}")
-            if f(minus_nw) > max(fg - 1, 2):
-                report.add_violation(emit_graph6(g), None, f(minus_nw), max(fg - 1, 2),
-                                     f"f(G-N[w]) > max(f(G)-1, 2) at w={w}")
-    return report

@@ -1,10 +1,14 @@
 """Theorem-verification suites over exhaustively enumerated small graphs.
 
-Each suite sweeps a graph source (enumeration up to n_max, an explicit
-list, or a graph6 file) and asserts one statement about regularity of
-edge-ideal powers, reporting violations as replayable {graph6, s, lhs,
-rhs, context} records.  A violation in any theorem suite means a bug in
-this toolkit, not in the mathematics being checked.
+This is the one harness module: every theorem check, the hierarchy-function
+check and the reports live here, while `evenconn`, `invariants` and
+`homology` return plain values.  Each suite sweeps a graph source
+(enumeration up to n_max, or an explicit list) and asserts one statement
+about regularity of edge-ideal powers; a per-graph checker returns its
+violations as replayable {graph6, s, lhs, rhs, context} records.  A report
+keeps the first MAX_STORED_VIOLATIONS verbatim and counts every one; it
+passes exactly when that count is zero.  A violation in any theorem suite
+means a bug in this toolkit, not in the mathematics being checked.
 
 The default sweep follows the budget rule "powers up to 2 for graphs on
 six vertices, power 3 only up to five vertices"; `_s_values` applies it
@@ -28,18 +32,53 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from functools import partial
+from typing import Callable, Sequence
 
 from . import evenconn, homology, invariants
-from .graphs import (Graph, closed_neighborhood, emit_graph6, enumerate_graphs,
-                     read_graph6_lines)
+from .graphs import (Graph, canonical_key, closed_neighborhood, delete_closed_neighborhood,
+                     delete_vertices, emit_graph6, enumerate_graphs)
 from .monomials import (EdgeMultiset, Monomial, MonomialIdeal, colon_by_monomial,
-                        cover_square_intersection, edge_ideal, ideal, power,
+                        cover_square_intersection, edge_ideal, ideal, polarize, power,
                         sum_ideals, symbolic_square)
-from .reports import SuiteReport
 
 CACHE_ENV_VAR = "EDGEREG_CACHE_DIR"
 CACHE_FILE = "regcache.json"
+MAX_STORED_VIOLATIONS = 50
+
+
+@dataclass
+class SuiteReport:
+    suite: str
+    graphs_tested: int = 0
+    violations: list[dict] = dataclass_field(default_factory=list)
+    violations_total: int = 0
+    wall_time: float = 0.0
+    conjecture: bool = False
+    notes: list[str] = dataclass_field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return self.violations_total == 0
+
+    def add_violation(self, graph6: str, s: int | None, lhs, rhs, context: str) -> None:
+        self.violations_total += 1
+        if len(self.violations) < MAX_STORED_VIOLATIONS:
+            self.violations.append(
+                {"graph6": graph6, "s": s, "lhs": lhs, "rhs": rhs, "context": context})
+
+    def to_json_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "graphs_tested": self.graphs_tested,
+            "violations": self.violations,
+            "violations_total": self.violations_total,
+            "wall_time": self.wall_time,
+            "pass": self.passed,
+            "conjecture": self.conjecture,
+            "notes": self.notes,
+        }
 
 
 @dataclass(frozen=True)
@@ -48,7 +87,6 @@ class SuiteSpec:
     n_max: int = 6
     s_max: int = 2
     characteristic: int = 2
-    graphs_file: str | None = None
     graphs: tuple[Graph, ...] | None = None
     jobs: int = 1
 
@@ -269,11 +307,32 @@ def _colon_by_vertex_expected(g: Graph, m: EdgeMultiset, w: int, s: int) -> Mono
 
 
 def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
+    """For every multiset m of s edges, compare the combinatorial colon
+    graph against the monomial-arithmetic colon of I^{s+1} by the product:
+    all minimal generators must be quadratic and the two edge sets must
+    agree after polarization."""
     if g.is_edgeless():
         return []
     out = []
+    i = edge_ideal(g)
     for s in _s_values(g, spec.s_max):
-        out.extend(evenconn.check_even_connection_theorem(g, s).violations)
+        big = power(i, s + 1)
+        for combo in itertools.combinations_with_replacement(g.edges(), s):
+            m = EdgeMultiset.of(combo)
+            colon = colon_by_monomial(big, m.product_monomial(g.labels))
+            bad = [d for d in colon.generator_degrees() if d != 2]
+            if bad:
+                out.append(_viol(g, s, sorted(set(bad)), 2,
+                                 f"non-quadratic colon generators for m={list(m.edges)}"))
+                continue
+            combinatorial = edge_ideal(evenconn.colon_graph(g, m).graph)
+            algebraic, _ = polarize(colon)
+            if not combinatorial.same_ideal_as(algebraic):
+                out.append(_viol(
+                    g, s,
+                    sorted(str(x) for x in combinatorial.generators()),
+                    sorted(str(x) for x in algebraic.generators()),
+                    f"colon graph does not match the direct colon for m={list(m.edges)}"))
     return out
 
 
@@ -281,22 +340,14 @@ def _check_isolated_reduction(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless() or not invariants.is_gap_free(g):
         return []
     out = []
-    sizes = range(1, max(2, spec.s_max))
-    for size in sizes:
+    for size in range(1, max(2, spec.s_max)):
         for combo in itertools.combinations_with_replacement(g.edges(), size):
             m = EdgeMultiset.of(combo)
-            pairs = evenconn.even_connected_pairs(g, m)
             colon = evenconn.colon_graph(g, m)
             for bits in range(1 << g.n):
                 w = frozenset(v for v in range(g.n) if bits >> v & 1)
-                eligible = [(a, b, c) for a, b, c in pairs if a not in w and b not in w]
-                if not eligible:
-                    continue
-                kmax = max(c.k for _, _, c in eligible)
-                endpoints = {x for a, b, c in eligible if c.k == kmax for x in (a, b)}
-                for u in sorted(endpoints):
-                    if not evenconn.isolated_reduction_check(g, m, w, u,
-                                                             pairs=pairs, colon=colon):
+                for u in sorted(evenconn.longest_walk_endpoints(colon, w)):
+                    if not evenconn.isolated_reduction_check(colon, w, u):
                         out.append(_viol(g, size + 1, sorted(w), u,
                                          f"reduction keeps a foreign edge for m={list(m.edges)}"))
     return out
@@ -366,14 +417,51 @@ _CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
+# hierarchy functions
+
+def check_hierarchy_function(family: Sequence[Graph], f: Callable[[Graph], int],
+                             field: homology.FieldSpec = homology.GF2) -> SuiteReport:
+    """Verify that f is a regularity-controlling function on a family that
+    is closed under vertex deletion and closed-neighborhood deletion.
+
+    Violations are reported for: f(G - w) > f(G) or
+    f(G - N[w]) > max(f(G) - 1, 2) at a non-isolated w, and
+    reg I(G) > f(G) (skipped for edgeless members, whose edge ideal is
+    zero).  Closure failures are reported as notes, not violations."""
+    report = SuiteReport("hierarchy-function")
+    members = list(family)
+    keys = {canonical_key(g) for g in members}
+    for g in members:
+        report.graphs_tested += 1
+        fg = f(g)
+        if not g.is_edgeless():
+            reg = homology.regularity(edge_ideal(g), field)
+            if reg > fg:
+                report.add_violation(emit_graph6(g), None, reg, fg, "reg I(G) > f(G)")
+        for w in range(g.n):
+            minus_w, _ = delete_vertices(g, [w])
+            minus_nw, _ = delete_closed_neighborhood(g, w)
+            for h in (minus_w, minus_nw):
+                if canonical_key(h) not in keys:
+                    report.notes.append(
+                        f"family not closed: {emit_graph6(g)} at w={w} leaves the family")
+            if g.degree(w) == 0:
+                continue
+            if f(minus_w) > fg:
+                report.add_violation(emit_graph6(g), None, f(minus_w), fg,
+                                     f"f(G-w) > f(G) at w={w}")
+            if f(minus_nw) > max(fg - 1, 2):
+                report.add_violation(emit_graph6(g), None, f(minus_nw), max(fg - 1, 2),
+                                     f"f(G-N[w]) > max(f(G)-1, 2) at w={w}")
+    return report
+
+
+# ---------------------------------------------------------------------------
 # runner
 
 def _graph_source(spec: SuiteSpec) -> list[Graph]:
     if spec.graphs is not None:
         return list(spec.graphs)
-    if spec.graphs_file is not None:
-        with open(spec.graphs_file, encoding="ascii") as fh:
-            return list(read_graph6_lines(fh))
     out: list[Graph] = []
     for n in range(1, spec.n_max + 1):
         out.extend(enumerate_graphs(n))

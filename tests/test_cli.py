@@ -107,6 +107,19 @@ def test_verify_accepts_graphs_file(tmp_path, capsys):
     assert _lines(capsys)[1].startswith("lower-bound\t11\t0")
 
 
+@pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
+def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lower-bound", "--graphs", str(path), "--s", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("edgereg verify: error: --graphs ")
+
+
 @pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
                                    ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"]])
 def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):

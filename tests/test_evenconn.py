@@ -4,14 +4,15 @@ import itertools
 
 import pytest
 
-from edgereg.evenconn import (check_even_connection_theorem, colon_graph,
-                              even_connected_pairs, isolated_reduction_check)
+from edgereg.evenconn import (colon_graph, even_connected_pairs, isolated_reduction_check,
+                              longest_walk_endpoints)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
 from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,
                                edge_ideal, polarize, power)
+from edgereg.suites import SuiteSpec, run_suite
 
 
 def _pairs_beyond_graph(g, pairs):
@@ -103,7 +104,7 @@ def test_oracle_equality_small_sweep():
 
 def test_check_even_connection_theorem_examples():
     for g, s in ((cycle_graph(5), 1), (cricket(), 1), (path_graph(2), 1)):
-        report = check_even_connection_theorem(g, s)
+        report = run_suite(SuiteSpec("even-connection", graphs=(g,), s_max=s))
         assert report.passed
 
 
@@ -160,7 +161,7 @@ def test_isolated_reduction_vacuous():
     k2 = path_graph(2)
     m = EdgeMultiset.of([(0, 1)])
     # every pair avoiding W = {0, 1} is ruled out, so the check is vacuous
-    assert isolated_reduction_check(k2, m, {0, 1}, 0)
+    assert isolated_reduction_check(colon_graph(k2, m), {0, 1}, 0)
 
 
 def test_isolated_reduction_c5():
@@ -169,8 +170,10 @@ def test_isolated_reduction_c5():
     pairs = even_connected_pairs(c5, m)
     kmax = max(c.k for _, _, c in pairs)
     endpoints = {x for a, b, c in pairs if c.k == kmax for x in (a, b)}
+    colon = colon_graph(c5, m)
+    assert longest_walk_endpoints(colon, frozenset()) == endpoints
     for u in endpoints:
-        assert isolated_reduction_check(c5, m, frozenset(), u)
+        assert isolated_reduction_check(colon, frozenset(), u)
 
 
 def test_isolated_reduction_rejects_bad_endpoint():
@@ -178,7 +181,7 @@ def test_isolated_reduction_rejects_bad_endpoint():
     m = EdgeMultiset.of([(1, 2)])
     # the unique longest walk joins 0 and 3; vertex 4 is not an endpoint
     with pytest.raises(ValueError):
-        isolated_reduction_check(p5, m, frozenset(), 4)
+        isolated_reduction_check(colon_graph(p5, m), frozenset(), 4)
 
 
 def test_isolated_reduction_gap_free_sweep():
@@ -187,17 +190,8 @@ def test_isolated_reduction_gap_free_sweep():
             if g.is_edgeless() or not is_gap_free(g):
                 continue
             for e in g.edges():
-                m = EdgeMultiset.of([e])
-                pairs = even_connected_pairs(g, m)
-                colon = colon_graph(g, m)
+                colon = colon_graph(g, EdgeMultiset.of([e]))
                 for bits in range(1 << g.n):
                     w = frozenset(v for v in range(g.n) if bits >> v & 1)
-                    eligible = [(a, b, c) for a, b, c in pairs
-                                if a not in w and b not in w]
-                    if not eligible:
-                        continue
-                    kmax = max(c.k for _, _, c in eligible)
-                    for u in {x for a, b, c in eligible if c.k == kmax
-                              for x in (a, b)}:
-                        assert isolated_reduction_check(g, m, w, u,
-                                                        pairs=pairs, colon=colon)
+                    for u in longest_walk_endpoints(colon, w):
+                        assert isolated_reduction_check(colon, w, u)

@@ -7,14 +7,14 @@ from edgereg.graphs import (claw, complement, complete_bipartite, complete_graph
                             cricket, cycle_graph, disjoint_edges, edgeless,
                             enumerate_graphs, graph_join, path_graph, star)
 from edgereg.homology import regularity_of_power
-from edgereg.invariants import (check_hierarchy_function, has_induced_pattern,
-                                induced_matching_number, invariant_record,
-                                is_cameron_walker, is_chordal, is_claw_free,
-                                is_co_chordal, is_cricket_free, is_gap_free,
-                                is_locally_linear,
+from edgereg.invariants import (has_induced_pattern, induced_matching_number,
+                                invariant_record, is_cameron_walker, is_chordal,
+                                is_claw_free, is_co_chordal, is_cricket_free,
+                                is_gap_free, is_locally_linear,
                                 is_locally_of_regularity_at_most,
                                 local_regularity, local_regularity_max,
                                 matching_number)
+from edgereg.suites import check_hierarchy_function
 
 
 def test_matching_number_examples():

@@ -5,12 +5,11 @@ import json
 import pytest
 
 from edgereg import evenconn, homology, invariants, monomials, suites
-from edgereg.graphs import (canonical_key, cycle_graph, disjoint_edges, emit_graph6,
-                            enumerate_graphs, parse_graph6, star)
+from edgereg.graphs import (canonical_key, complete_graph, cycle_graph, disjoint_edges,
+                            emit_graph6, enumerate_graphs, parse_graph6, star)
 from edgereg.monomials import edge_ideal
-from edgereg.reports import MAX_STORED_VIOLATIONS, SuiteReport
-from edgereg.suites import (CONJECTURE_SUITES, THEOREM_SUITES, SuiteSpec, run,
-                            run_suite)
+from edgereg.suites import (CONJECTURE_SUITES, MAX_STORED_VIOLATIONS, THEOREM_SUITES,
+                            SuiteReport, SuiteSpec, run, run_suite)
 
 
 @pytest.fixture(autouse=True)
@@ -49,14 +48,11 @@ def test_cameron_walker_star_square():
     assert homology.regularity_of_power(star(3), 2) == 4
 
 
-def test_explicit_graph_list_and_file(tmp_path):
-    lines = [emit_graph6(g) for g in enumerate_graphs(4)]
-    path = tmp_path / "four.g6"
-    path.write_text("\n".join(lines) + "\n")
-    by_file = run_suite(SuiteSpec("matching-bound", graphs_file=str(path)))
+def test_explicit_graph_list_and_file():
+    # reading a file is the CLI's job (test_cli.py::test_verify_accepts_graphs_file)
     by_list = run_suite(SuiteSpec("matching-bound", graphs=tuple(enumerate_graphs(4))))
-    assert by_file.graphs_tested == by_list.graphs_tested == 11
-    assert by_file.passed and by_list.passed
+    assert by_list.graphs_tested == 11
+    assert by_list.passed
 
 
 def test_empty_run():
@@ -161,10 +157,40 @@ def test_mutated_colon_truncation_is_caught(monkeypatch):
         quotients = {((g | hi) - mp) & val for g in i.gens}
         return monomials.MonomialIdeal(i.vars, monomials._minimal(quotients, len(i.vars)))
 
-    for module in (monomials, suites, evenconn, invariants):
+    for module in (monomials, suites, invariants):
         monkeypatch.setattr(module, "colon_by_monomial", untruncated)
     # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
     assert not run_suite(SuiteSpec("colon-structure", n_max=4, s_max=2)).passed
+
+
+def test_every_even_connection_violation_is_counted(monkeypatch):
+    true_colon = suites.colon_by_monomial
+
+    def dropped(i, m):  # loses the last minimal generator
+        j = true_colon(i, m)
+        return monomials.MonomialIdeal(j.vars, j.gens[:-1])
+
+    monkeypatch.setattr(suites, "colon_by_monomial", dropped)
+    report = run_suite(SuiteSpec("even-connection", graphs=(complete_graph(5),), s_max=2))
+    # one violation per multiset: 10 of one edge, 55 of two
+    assert report.violations_total == 65
+    assert len(report.violations) == MAX_STORED_VIOLATIONS
+
+
+def test_mutated_even_connected_pairs_is_caught(monkeypatch):
+    true_pairs = evenconn.even_connected_pairs
+
+    def no_self_pairs(g, m):  # loses the whisker of every self-connected vertex
+        return [(u, v, c) for u, v, c in true_pairs(g, m) if u != v]
+
+    monkeypatch.setattr(evenconn, "even_connected_pairs", no_self_pairs)
+    assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
+
+
+def test_mutated_isolated_reduction_is_caught(monkeypatch):
+    # removes W + {u} from the colon graph instead of W + N[u]
+    monkeypatch.setattr(evenconn, "closed_neighborhood", lambda g, u: frozenset({u}))
+    assert not run_suite(SuiteSpec("isolated-reduction", n_max=4, s_max=2)).passed
 
 
 def test_clean_rerun_after_mutations():
