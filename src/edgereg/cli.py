@@ -18,7 +18,7 @@ from .monomials import (EdgeMultiset, Monomial, colon_by_monomial, edge_ideal,
                         polarize, power, symbolic_square)
 
 
-def _read_graphs(path: str) -> Iterator[Graph]:
+def _parse_graphs(path: str) -> Iterator[Graph]:
     fh = sys.stdin if path == "-" else open(path, encoding="utf-8")
     try:
         for line in fh:
@@ -34,6 +34,15 @@ def _read_graphs(path: str) -> Iterator[Graph]:
             fh.close()
 
 
+def _read_graphs(args, path: str, flag: str = "") -> tuple[Graph, ...]:
+    """Every graph of the file (or stdin for "-"), read before any output;
+    a missing file or a line that does not parse is a usage error (exit 2)."""
+    try:
+        return tuple(_parse_graphs(path))
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad line
+        args.usage_error(f"{flag}{path}: {exc}")
+
+
 def _parse_edges(text: str) -> list[tuple[int, int]]:
     """Edge multiset syntax: "0-1,1-2,1-2" (repetition = multiplicity)."""
     out = []
@@ -44,7 +53,7 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_invariants(args) -> int:
-    for g in _read_graphs(args.input):
+    for g in _read_graphs(args, args.input):
         record = {"graph6": emit_graph6(g), "n": g.n}
         record.update(invariants.invariant_record(g).to_json_dict())
         print(json.dumps(record))
@@ -52,7 +61,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    for g in _read_graphs(args.input):
+    for g in _read_graphs(args, args.input):
         i = symbolic_square(g) if args.symbolic_square else edge_ideal(g)
         if args.power > 1:
             i = power(i, args.power)
@@ -69,7 +78,7 @@ def _cmd_reg(args) -> int:
         field = homology.FieldSpec(args.char)
     except ValueError as exc:
         args.usage_error(str(exc))
-    for g in _read_graphs(args.input):
+    for g in _read_graphs(args, args.input):
         i = power(edge_ideal(g), args.power)
         table = homology.graded_betti(i, field)
         out = table.to_json_dict()
@@ -86,7 +95,7 @@ def _cmd_reg(args) -> int:
 
 def _cmd_colon_graph(args) -> int:
     edges = _parse_edges(args.edges)
-    for g in _read_graphs(args.input):
+    for g in _read_graphs(args, args.input):
         m = EdgeMultiset.of(edges)
         result = evenconn.colon_graph(g, m)
         print(json.dumps({
@@ -108,10 +117,7 @@ def _cmd_verify(args) -> int:
         names = [args.suite]
     graphs = None
     if args.graphs is not None:
-        try:
-            graphs = tuple(_read_graphs(args.graphs))
-        except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad line
-            args.usage_error(f"--graphs {args.graphs}: {exc}")
+        graphs = _read_graphs(args, args.graphs, "--graphs ")
     try:
         specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
                                   characteristic=args.char, graphs=graphs, jobs=args.jobs)
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="print one invariant record per input graph")
     p.add_argument("input", nargs="?", default="-", help="graph6/JSON lines file, or - for stdin")
-    p.set_defaults(fn=_cmd_invariants)
+    p.set_defaults(fn=_cmd_invariants, usage_error=p.error)
 
     p = sub.add_parser("ideal", help="edge-ideal pipelines: power, colon, polarize, symbolic square")
     p.add_argument("input", nargs="?", default="-")
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarize", action="store_true")
     p.add_argument("--symbolic-square", action="store_true",
                    help="start from the symbolic square instead of I(G)")
-    p.set_defaults(fn=_cmd_ideal)
+    p.set_defaults(fn=_cmd_ideal, usage_error=p.error)
 
     p = sub.add_parser("reg", help="graded Betti table and regularity of I(G)^s")
     p.add_argument("input", nargs="?", default="-")
@@ -169,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--edges", required=True, metavar="SPEC",
                    help='edge multiset, e.g. "0-1,1-2,1-2"')
-    p.set_defaults(fn=_cmd_colon_graph)
+    p.set_defaults(fn=_cmd_colon_graph, usage_error=p.error)
 
     p = sub.add_parser("verify", help="run theorem-verification suites")
     p.add_argument("--suite", default="all",

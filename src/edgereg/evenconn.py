@@ -184,6 +184,17 @@ def longest_walk_endpoints(colon: ColonGraphResult, w) -> set[int]:
     return {x for a, b, c in eligible if c.k == kmax for x in (a, b)}
 
 
+def _keeps_foreign_edge(g: Graph, edges, removed, blocked) -> bool:
+    for a, b in edges:
+        if a in removed or b in removed:
+            continue
+        if a >= g.n or b >= g.n or not g.has_edge(a, b):
+            return True
+        if a in blocked or b in blocked:  # cannot happen: N_G[u] is inside `removed`
+            return True
+    return False
+
+
 def isolated_reduction_check(colon: ColonGraphResult, w, u: int) -> bool:
     """With G' the colon graph of (I^{s+1} : m) and u an endpoint of a
     longest even-connected walk whose endpoints avoid W, check that every
@@ -199,13 +210,22 @@ def isolated_reduction_check(colon: ColonGraphResult, w, u: int) -> bool:
     if u not in endpoints:
         raise ValueError("u is not an endpoint of a longest even-connected walk avoiding W")
     g, gp = colon.origin[0], colon.graph
-    removed = w | closed_neighborhood(gp, u)
-    blocked = closed_neighborhood(g, u)
-    for a, b in gp.edges():
-        if a in removed or b in removed:
-            continue
-        if a >= g.n or b >= g.n or not g.has_edge(a, b):
-            return False
-        if a in blocked or b in blocked:  # cannot happen: N_G[u] is inside `removed`
-            return False
-    return True
+    return not _keeps_foreign_edge(g, gp.edges(), w | closed_neighborhood(gp, u),
+                                   closed_neighborhood(g, u))
+
+
+def isolated_reduction_failures(colon: ColonGraphResult) -> list[tuple[frozenset[int], int]]:
+    """Every (W, u) at which `isolated_reduction_check` fails, for W over
+    all vertex sets of G (in bitmask order) and u over the endpoints of the
+    longest walks avoiding W (ascending).  The edge list of G' and each
+    N[u] are computed once per colon graph, the edges avoiding W once per W."""
+    g, gp = colon.origin[0], colon.graph
+    edges = gp.edges()
+    hoods = [(closed_neighborhood(gp, u), closed_neighborhood(g, u)) for u in range(g.n)]
+    out = []
+    for bits in range(1 << g.n):
+        w = frozenset(v for v in range(g.n) if bits >> v & 1)
+        kept = [(a, b) for a, b in edges if a not in w and b not in w]
+        out += [(w, u) for u in sorted(longest_walk_endpoints(colon, w))
+                if _keeps_foreign_edge(g, kept, *hoods[u])]
+    return out

@@ -2,10 +2,12 @@
 
 Two independent routes compute the same Betti table:
 
-* the primary route walks the lcm lattice of the minimal generators and
-  takes reduced simplicial homology of the upper Koszul subcomplex at each
-  multidegree (the complex of squarefree vectors t with x^(b-t) still in
-  the ideal);
+* the primary route takes reduced simplicial homology of the upper Koszul
+  subcomplex (the complex of squarefree vectors t with x^(b-t) still in
+  the ideal) at each point b of the lcm lattice of the minimal generators.
+  One pass builds the lattice and reads each point's facets off the
+  guard bits of the packed differences b - g, and each distinct set of
+  maximal facets is ranked once per call;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets.
@@ -207,27 +209,6 @@ def _packed_excess_mask(b: int, g: int, hi: int, ones: int, nv: int) -> int:
     return mask
 
 
-def _lcm_lattice(gens: list[int], hi: int, val: int, cap: int) -> set[int]:
-    lattice = set(gens)
-    frontier = list(lattice)
-    shift = LANE - 1
-    while frontier:
-        fresh = []
-        for a in frontier:
-            a_hi = a | hi
-            for g in gens:
-                ge = (a_hi - g) & hi
-                sel = ge - (ge >> shift)
-                m = (a & sel) | (g & val & ~sel)
-                if m not in lattice:
-                    lattice.add(m)
-                    fresh.append(m)
-                    if len(lattice) > cap:
-                        raise BudgetError(f"lcm lattice budget {cap} exceeded")
-        frontier = fresh
-    return lattice
-
-
 # ---------------------------------------------------------------------------
 # Betti tables
 
@@ -262,23 +243,45 @@ class BettiTable:
 def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
                  face_budget: int = DEFAULT_FACE_BUDGET,
                  lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
-    """Betti table via upper Koszul homology at every lcm-lattice point."""
+    """Betti table via upper Koszul homology at every lcm-lattice point.
+
+    One pass builds the lcm lattice and reads each point's complex off it.
+    Expanding a point b against a generator g either finds that g divides
+    b (no lane of b - g borrows) or adds lcm(b, g) to the lattice.  A
+    divisor's facet is the guard-bit word of the lanes where b - g >= 1,
+    so faces are words of guard bits rather than vertex bitmasks; the
+    homology is the same.  No vertex lies in every facet (each lane of b
+    is attained by some divisor, whose facet misses it), so no complex is
+    a cone that could be skipped.  Each distinct set of maximal facets is
+    closed and ranked once per call; the memo dies with the call.
+    """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
-    nv = len(i.vars)
-    hi, val, ones = lane_masks(nv)
-    gens = list(i.gens)
+    hi, val, ones = lane_masks(len(i.vars))
+    gens = i.gens
+    shift = LANE - 1
+    lattice = set(gens)
+    todo = list(gens)
+    profiles: dict[frozenset[int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for b in _lcm_lattice(gens, hi, val, lattice_budget):
+    while todo:
+        b = todo.pop()
         b_hi = b | hi
-        masks = {_packed_excess_mask(b, g, hi, ones, nv)
-                 for g in gens if (b_hi - g) & hi == hi}
-        common = ~0
-        for m in masks:
-            common &= m
-        if common:
-            continue  # a vertex lies in every facet: the complex is a cone
-        maximal = _maximal_masks(masks)
+        facets = set()
+        for g in gens:
+            diff = b_hi - g
+            ge = diff & hi
+            if ge == hi:
+                facets.add((diff - ones) & hi)
+                continue
+            sel = ge - (ge >> shift)
+            m = (b & sel) | (g & val & ~sel)
+            if m not in lattice:
+                lattice.add(m)
+                todo.append(m)
+                if len(lattice) > lattice_budget:
+                    raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
+        maximal = _maximal_masks(facets)
         if len(maximal) == 1:
             # a single facet is a full simplex: contractible unless it is
             # just the empty face, in which case b is a minimal generator
@@ -286,19 +289,24 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
                 deg = packed_degree(b)
                 entries[(0, deg)] = entries.get((0, deg), 0) + 1
             continue
-        profile = _profile_from_masks(_closure(maximal, face_budget),
-                                      field.characteristic)
+        key = frozenset(maximal)
+        profile = profiles.get(key)
+        if profile is None:
+            profile = profiles[key] = _profile_from_masks(
+                _closure(maximal, face_budget), field.characteristic)
         deg = packed_degree(b)
         for d, r in profile.items():
-            key = (d + 1, deg)
-            entries[key] = entries.get(key, 0) + r
+            entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r
     return BettiTable.from_dict(field, entries)
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:
     out = []
-    for m in sorted(masks, key=lambda x: -x.bit_count()):
-        if not any(m & k == m for k in out):
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in out:
+            if m & k == m:
+                break
+        else:
             out.append(m)
     return out
 

@@ -343,13 +343,9 @@ def _check_isolated_reduction(g: Graph, spec: SuiteSpec) -> list[dict]:
     for size in range(1, max(2, spec.s_max)):
         for combo in itertools.combinations_with_replacement(g.edges(), size):
             m = EdgeMultiset.of(combo)
-            colon = evenconn.colon_graph(g, m)
-            for bits in range(1 << g.n):
-                w = frozenset(v for v in range(g.n) if bits >> v & 1)
-                for u in sorted(evenconn.longest_walk_endpoints(colon, w)):
-                    if not evenconn.isolated_reduction_check(colon, w, u):
-                        out.append(_viol(g, size + 1, sorted(w), u,
-                                         f"reduction keeps a foreign edge for m={list(m.edges)}"))
+            for w, u in evenconn.isolated_reduction_failures(evenconn.colon_graph(g, m)):
+                out.append(_viol(g, size + 1, sorted(w), u,
+                                 f"reduction keeps a foreign edge for m={list(m.edges)}"))
     return out
 
 

@@ -4,6 +4,9 @@ These deliberately share no code with the package internals they check:
 isomorphism by raw permutation search, matchings by subset enumeration,
 chordality by induced-cycle search, ranks by Gaussian elimination over
 `fractions.Fraction` or modulo p.  Slow on purpose; only run at tiny sizes.
+The one exception is `lattice_rescan_betti`, an earlier form of the Betti
+kernel kept as a reference for the lattice and facet steps only: it shares
+face closure and homology ranks with `homology`.
 """
 from __future__ import annotations
 
@@ -11,6 +14,10 @@ import itertools
 from fractions import Fraction
 
 from edgereg.graphs import Graph, induced_subgraph
+from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
+                              BudgetError, FieldSpec, _closure, _packed_excess_mask,
+                              _profile_from_masks)
+from edgereg.monomials import LANE, MonomialIdeal, lane_masks, packed_degree
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -164,3 +171,67 @@ def tuple_colon(rows, m: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def tuple_intersect(rows_a, rows_b) -> list[tuple[int, ...]]:
     return tuple_minimal({tuple(max(a, b) for a, b in zip(r, s)) for r in rows_a for s in rows_b})
+
+
+# Reference for `homology.graded_betti`: build the whole lcm lattice first,
+# then rescan every generator at every point, read each facet lane by lane
+# as a vertex bitmask, skip cones, and close and rank every complex afresh.
+
+def _lcm_lattice(gens: list[int], hi: int, val: int, cap: int) -> set[int]:
+    lattice = set(gens)
+    frontier = list(lattice)
+    shift = LANE - 1
+    while frontier:
+        fresh = []
+        for a in frontier:
+            a_hi = a | hi
+            for g in gens:
+                ge = (a_hi - g) & hi
+                sel = ge - (ge >> shift)
+                m = (a & sel) | (g & val & ~sel)
+                if m not in lattice:
+                    lattice.add(m)
+                    fresh.append(m)
+                    if len(lattice) > cap:
+                        raise BudgetError(f"lcm lattice budget {cap} exceeded")
+        frontier = fresh
+    return lattice
+
+
+def _maximal_masks(masks: set[int]) -> list[int]:
+    out = []
+    for m in sorted(masks, key=lambda x: -x.bit_count()):
+        if not any(m & k == m for k in out):
+            out.append(m)
+    return out
+
+
+def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
+                         face_budget: int = DEFAULT_FACE_BUDGET,
+                         lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
+    nv = len(i.vars)
+    hi, val, ones = lane_masks(nv)
+    gens = list(i.gens)
+    entries: dict[tuple[int, int], int] = {}
+    for b in _lcm_lattice(gens, hi, val, lattice_budget):
+        b_hi = b | hi
+        masks = {_packed_excess_mask(b, g, hi, ones, nv)
+                 for g in gens if (b_hi - g) & hi == hi}
+        common = ~0
+        for m in masks:
+            common &= m
+        if common:
+            continue  # a vertex lies in every facet: the complex is a cone
+        maximal = _maximal_masks(masks)
+        if len(maximal) == 1:
+            if maximal[0] == 0:
+                deg = packed_degree(b)
+                entries[(0, deg)] = entries.get((0, deg), 0) + 1
+            continue
+        profile = _profile_from_masks(_closure(maximal, face_budget),
+                                      field.characteristic)
+        deg = packed_degree(b)
+        for d, r in profile.items():
+            key = (d + 1, deg)
+            entries[key] = entries.get(key, 0) + r
+    return BettiTable.from_dict(field, entries)

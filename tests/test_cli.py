@@ -142,3 +142,20 @@ def test_ideal_and_reg_reject_invalid_flags_as_usage_errors(argv, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith(f"edgereg {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
+@pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],
+                                  ["colon-graph", "--edges", "0-1"]],
+                         ids=["invariants", "ideal", "reg", "colon-graph"])
+def test_unreadable_input_is_a_usage_error(argv, content, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    if content is not None:
+        # a good first line: nothing may be printed before the bad one is read
+        path.write_text(emit_graph6(path_graph(2)) + "\n" + content)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(f"edgereg {argv[0]}: error: {path}: ")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from edgereg import homology
 from edgereg.graphs import (complete_graph, cycle_graph, disjoint_edges,
                             enumerate_graphs, induced_subgraph, path_graph)
 from edgereg.homology import (GF2, QQ, BudgetError, FieldSpec,
@@ -239,6 +241,79 @@ def test_hochster_variable_budget():
 def test_lattice_budget():
     with pytest.raises(BudgetError):
         graded_betti(edge_ideal(cycle_graph(5)), lattice_budget=3)
+
+
+def _raises_budget(kernel, i, **budget) -> bool:
+    try:
+        kernel(i, GF2, **budget)
+    except BudgetError:
+        return True
+    return False
+
+
+def test_graded_betti_face_budget():
+    # the one-pass kernel runs out of faces exactly where the reference does
+    i = power(edge_ideal(cycle_graph(5)), 2)
+    passing = [b for b in range(1, 129)
+               if not _raises_budget(oracles.lattice_rescan_betti, i, face_budget=b)]
+    threshold = passing[0]
+    assert threshold > 2
+    assert _raises_budget(graded_betti, i, face_budget=threshold - 1)
+    assert graded_betti(i, face_budget=threshold) == graded_betti(i)
+
+
+def test_graded_betti_lattice_budget_threshold():
+    i = power(edge_ideal(cycle_graph(5)), 2)
+    size = len(oracles._lcm_lattice(list(i.gens), *lane_masks(len(i.vars))[:2], 1 << 20))
+    assert _raises_budget(graded_betti, i, lattice_budget=size - 1)
+    assert not _raises_budget(graded_betti, i, lattice_budget=size)
+
+
+@st.composite
+def random_ideals(draw):
+    nv = draw(st.integers(1, 6))
+    names = tuple(f"x{k}" for k in range(nv))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=nv, max_size=nv).filter(any),
+                         min_size=1, max_size=6))
+    return ideal([Monomial.from_dict(dict(zip(names, r))) for r in rows], vars=names)
+
+
+@given(random_ideals(), st.sampled_from([GF2, QQ, FieldSpec(3)]))
+@settings(max_examples=200, deadline=None)
+def test_graded_betti_matches_lattice_rescan_reference(i, field):
+    assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+def _mutant_kernel(old: str, new: str):
+    """graded_betti with one source fragment replaced, compiled against the
+    homology module's namespace."""
+    src = inspect.getsource(homology.graded_betti)
+    assert src.count(old) == 1
+    namespace = dict(vars(homology))
+    exec(compile(src.replace(old, new), homology.__file__, "exec"), namespace)
+    return namespace["graded_betti"]
+
+
+def _dual_oracle_mismatches(kernel) -> int:
+    bad = 0
+    for n in range(2, 5):
+        for g in enumerate_graphs(n):
+            if g.is_edgeless():
+                continue
+            for s in (1, 2):
+                i = power(edge_ideal(g), s)
+                for field in (GF2, QQ):
+                    bad += kernel(i, field) != hochster_oracle(i, field)
+    return bad
+
+
+@pytest.mark.parametrize("old, new", [
+    ("key = frozenset(maximal)", "key = len(maximal)"),
+    ("facets.add((diff - ones) & hi)", "facets.add(diff & hi)"),
+], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one"])
+def test_mutated_betti_kernel_is_caught(old, new):
+    assert _dual_oracle_mismatches(_mutant_kernel(old, old)) == 0
+    assert _dual_oracle_mismatches(_mutant_kernel(old, new)) > 0
 
 
 # classical cross-checks ----------------------------------------------------------
