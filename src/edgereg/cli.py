@@ -45,9 +45,13 @@ def _read_graphs(args, path: str, flag: str = "") -> tuple[Graph, ...]:
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
     """Edge multiset syntax: "0-1,1-2,1-2" (repetition = multiplicity)."""
+    if not text.strip():
+        raise ValueError("no edge given")
     out = []
     for tok in text.split(","):
         a, _, b = tok.strip().partition("-")
+        if not (a.isdecimal() and b.isdecimal()):
+            raise ValueError(f"bad edge {tok.strip()!r}, expected u-v")
         out.append((int(a), int(b)))
     return out
 
@@ -94,17 +98,23 @@ def _cmd_reg(args) -> int:
 
 
 def _cmd_colon_graph(args) -> int:
-    edges = _parse_edges(args.edges)
-    for g in _read_graphs(args, args.input):
-        m = EdgeMultiset.of(edges)
+    graphs = _read_graphs(args, args.input)
+    try:  # the multiset must parse and lie in every graph before anything is printed
+        m = EdgeMultiset.of(_parse_edges(args.edges))
+        for g in graphs:
+            m.validate_in(g)
+    except ValueError as exc:  # includes GraphError
+        args.usage_error(f"--edges {args.edges}: {exc}")
+    for g in graphs:
         result = evenconn.colon_graph(g, m)
+        certs = {(u, v): c for u, v, c in evenconn.even_connected_pairs(g, m)}
         print(json.dumps({
             "graph6": emit_graph6(result.graph),
             "labels": list(result.graph.labels),
             "new_pairs": [
-                {"u": u, "v": v, "path": list(c.path),
-                 "assignments": [[pos, list(e)] for pos, e in c.assignments]}
-                for u, v, c in result.new_pairs
+                {"u": u, "v": v, "path": list(certs[u, v].path),
+                 "assignments": [[pos, list(e)] for pos, e in certs[u, v].assignments]}
+                for u, v, _ in result.new_pairs
             ],
         }))
     return 0

@@ -10,16 +10,21 @@ degree two, by the edges of G together with the even-connected pairs; a
 self-connected vertex u contributes the square u^2, which polarizes to a
 whisker edge u-u'.
 
-The search runs over states (current vertex, multiset usage vector,
+Both searches run over states (current vertex, multiset usage vector,
 parity).  Condition (3) bounds usage componentwise, so the state space has
-at most n * prod(multiplicity_i + 1) * 2 elements and breadth-first search
-with memoization is complete.  Any walk reaching an accepting state with
-usage total k has exactly 2k+1 edges, because free and multiset edges
-alternate; "longest possible" therefore means "maximal usage total".
+at most n * prod(multiplicity_i + 1) * 2 elements and an exhaustive search
+is complete.  Any walk reaching an accepting state with usage total k has
+exactly 2k+1 edges, because free and multiset edges alternate; "longest
+possible" therefore means "maximal usage total".
 
-Everything returned is certified: each pair carries an explicit walk and
-edge assignment of maximal length, with ties broken by lexicographic path
-order for determinism.
+`even_connection_lengths` decides: for each start vertex it walks layers
+by usage total, one packed usage integer and one vertex bitmask per state
+class, and returns each pair with its maximal k.  `colon_graph`, the
+longest-walk endpoints and both colon suites use it.  The breadth-first
+search behind `even_connected_pairs` only certifies: each pair carries an
+explicit walk and edge assignment of maximal length, with ties broken by
+lexicographic path order for determinism.  It serves the `colon-graph`
+command and is the independent cross-check of the layer search.
 
 The module also answers the reduction-to-isolated-vertices lemma for one
 colon graph, a removed set W and an endpoint u of a longest walk avoiding
@@ -80,19 +85,77 @@ class EvenConnectionCertificate:
 @dataclass(frozen=True)
 class ColonGraphResult:
     """The graph presenting (I^{s+1} : e_1...e_s): the original edges plus
-    one certified edge per even-connected pair, with whisker vertices for
-    self-connections.  `pairs` holds every certified pair, `new_pairs`
-    those that are not already edges of G."""
+    one edge per even-connected pair, with whisker vertices for
+    self-connections.  `pairs` holds every pair (u, v, k), u <= v, with
+    the maximal k of its walks; `new_pairs` those that are not already
+    edges of G."""
 
     graph: Graph
-    pairs: tuple[tuple[int, int, EvenConnectionCertificate], ...]
+    pairs: tuple[tuple[int, int, int], ...]
     origin: tuple[Graph, EdgeMultiset]
 
     @property
-    def new_pairs(self) -> tuple[tuple[int, int, EvenConnectionCertificate], ...]:
+    def new_pairs(self) -> tuple[tuple[int, int, int], ...]:
         g = self.origin[0]
-        return tuple((u, v, c) for u, v, c in self.pairs
+        return tuple((u, v, k) for u, v, k in self.pairs
                      if u == v or not g.has_edge(u, v))
+
+
+def _check_multiset(g: Graph, m: EdgeMultiset) -> None:
+    m.validate_in(g)
+    if m.size < 1:
+        raise ValueError("the edge multiset must contain at least one edge")
+
+
+def even_connection_lengths(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], int]:
+    """Every even-connected pair (u, v), u <= v and u = v allowed, mapped to
+    the largest k of a walk p_0 ... p_{2k+1} joining them, in sorted order.
+
+    For each start vertex the search walks layers by usage total k.  A
+    layer maps a packed usage integer (one counter per distinct multiset
+    edge) to the bitmask of vertices reached after 2k steps.  The free
+    step from that mask is one lookup of the union of their
+    neighbourhoods, whose every vertex ends a walk of length 2k + 1; a
+    multiset edge (a, b) then carries a to b and b to a while its counter
+    is below its multiplicity."""
+    _check_multiset(g, m)
+    counts = m.counts()
+    width = max(4, max(counts.values()).bit_length())
+    moves = []  # (a, b, counter field, multiplicity, one use), each shifted into place
+    for i, ((a, b), mult) in enumerate(sorted(counts.items())):
+        shift = width * i
+        moves.append((a, b, ((1 << width) - 1) << shift, mult << shift, 1 << shift))
+    adj = g.adj
+    unions = {0: 0}  # vertex bitmask -> union of their neighbourhoods
+    found: dict[tuple[int, int], int] = {}
+    for start in range(g.n):
+        layer, k = {0: 1 << start}, 0
+        while layer:
+            ends_any = 0
+            nxt: dict[int, int] = {}
+            for usage, reached in layer.items():
+                ends = unions.get(reached)
+                if ends is None:
+                    ends, rest = 0, reached
+                    while rest:
+                        low = rest & -rest
+                        ends |= adj[low.bit_length() - 1]
+                        rest ^= low
+                    unions[reached] = ends
+                ends_any |= ends
+                for a, b, field, mult, one in moves:
+                    if usage & field < mult:
+                        step = (ends >> a & 1) << b | (ends >> b & 1) << a
+                        if step:
+                            nxt[usage + one] = nxt.get(usage + one, 0) | step
+            if k:
+                rest = ends_any >> start << start  # endpoints v >= start
+                while rest:
+                    low = rest & -rest
+                    found[(start, low.bit_length() - 1)] = k
+                    rest ^= low
+            layer, k = nxt, k + 1
+    return dict(sorted(found.items()))
 
 
 def _reachable_states(g: Graph, m: EdgeMultiset, start: int):
@@ -143,9 +206,7 @@ def even_connected_pairs(g: Graph, m: EdgeMultiset
                          ) -> list[tuple[int, int, EvenConnectionCertificate]]:
     """All pairs (u, v), u <= v and u = v allowed, that are even-connected
     with respect to m, each with a certificate of maximal length."""
-    m.validate_in(g)
-    if m.size < 1:
-        raise ValueError("the edge multiset must contain at least one edge")
+    _check_multiset(g, m)
     found: dict[tuple[int, int], EvenConnectionCertificate] = {}
     for start in range(g.n):
         pred = _reachable_states(g, m, start)
@@ -162,26 +223,26 @@ def even_connected_pairs(g: Graph, m: EdgeMultiset
 
 
 def colon_graph(g: Graph, m: EdgeMultiset) -> ColonGraphResult:
-    """The polarized graph of (I^{s+1} : e_1...e_s): E(G) plus the certified
+    """The polarized graph of (I^{s+1} : e_1...e_s): E(G) plus the
     even-connected pairs, self-connections becoming whisker edges u-u'."""
-    pairs = even_connected_pairs(g, m)
+    pairs = tuple((u, v, k) for (u, v), k in even_connection_lengths(g, m).items())
     selfs = [u for u, v, _ in pairs if u == v]
     labels = list(g.labels) + [polar_name(g.labels[u], 2) for u in selfs]
     edges = g.edges()
     edges += [(u, v) for u, v, _ in pairs if u != v and not g.has_edge(u, v)]
     edges += [(u, g.n + i) for i, u in enumerate(selfs)]
     graph = from_edge_list(g.n + len(selfs), edges, tuple(labels))
-    return ColonGraphResult(graph, tuple(pairs), (g, m))
+    return ColonGraphResult(graph, pairs, (g, m))
 
 
 def longest_walk_endpoints(colon: ColonGraphResult, w) -> set[int]:
     """Endpoints of the longest even-connected walks whose endpoints avoid
     W; empty when no even-connected pair avoids W."""
-    eligible = [(a, b, c) for a, b, c in colon.pairs if a not in w and b not in w]
+    eligible = [(a, b, k) for a, b, k in colon.pairs if a not in w and b not in w]
     if not eligible:
         return set()
-    kmax = max(c.k for _, _, c in eligible)
-    return {x for a, b, c in eligible if c.k == kmax for x in (a, b)}
+    kmax = max(k for _, _, k in eligible)
+    return {x for a, b, k in eligible if k == kmax for x in (a, b)}
 
 
 def _keeps_foreign_edge(g: Graph, edges, removed, blocked) -> bool:

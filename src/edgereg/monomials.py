@@ -111,12 +111,14 @@ def unpack(g: int, nv: int) -> tuple[int, ...]:
     return tuple(g >> (LANE * k) & LANE_MAX for k in range(nv - 1, -1, -1))
 
 
+def _plane_degree(g: int, ones: int) -> int:
+    # the sum of the lanes, from the popcounts of the four value bit planes
+    return ((g & ones).bit_count() + 2 * (g >> 1 & ones).bit_count()
+            + 4 * (g >> 2 & ones).bit_count() + 8 * (g >> 3 & ones).bit_count())
+
+
 def packed_degree(g: int) -> int:
-    total = 0
-    while g:
-        total += g & LANE_MAX
-        g >>= LANE
-    return total
+    return _plane_degree(g, lane_masks(-(-g.bit_length() // LANE))[2])
 
 
 def packed_divides(a: int, b: int, hi: int) -> bool:
@@ -143,15 +145,24 @@ def _pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
 
 def _minimal(gens: Iterable[int], nv: int) -> tuple[int, ...]:
     """Divisibility antichain in graded, then lexicographically descending
-    order.  A divisor never exceeds its multiple as an integer, so one
-    ascending pass only tests candidates against generators already kept."""
-    hi = lane_masks(nv)[0]
+    order.  A proper divisor has a lower degree, so the candidates are
+    bucketed by degree and each is tested only against the generators
+    kept from lower degrees."""
+    hi, _, ones = lane_masks(nv)
+    buckets: dict[int, list[int]] = {}
+    for g in set(gens):
+        buckets.setdefault(_plane_degree(g, ones), []).append(g)
     kept: list[int] = []
-    for g in sorted(set(gens)):
-        g_hi = g | hi
-        if not any((g_hi - k) & hi == hi for k in kept):
-            kept.append(g)
-    kept.sort(key=lambda g: (packed_degree(g), -g))
+    for d in sorted(buckets):
+        fresh = []
+        for g in sorted(buckets[d], reverse=True):
+            g_hi = g | hi
+            for k in kept:
+                if (g_hi - k) & hi == hi:
+                    break
+            else:
+                fresh.append(g)
+        kept += fresh
     return tuple(kept)
 
 

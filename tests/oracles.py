@@ -6,10 +6,12 @@ chordality by induced-cycle search, ranks by Gaussian elimination over
 `fractions.Fraction` or modulo p.  Slow on purpose; only run at tiny sizes.
 The one exception is `lattice_rescan_betti`, an earlier form of the Betti
 kernel kept as a reference for the lattice and facet steps only: it shares
-face closure and homology ranks with `homology`.
+face closure and homology ranks with `homology`.  `mutant` builds the
+one-fragment mutants that the mutation tests run against these oracles.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -235,3 +237,16 @@ def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
             key = (d + 1, deg)
             entries[key] = entries.get(key, 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+# Mutation tests: a package function with one source fragment replaced.
+
+def mutant(func, old: str, new: str):
+    """`func` recompiled with its one occurrence of `old` replaced by
+    `new`, against its own module's namespace."""
+    module = inspect.getmodule(func)
+    src = inspect.getsource(func)
+    assert src.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[func.__name__]

@@ -159,3 +159,18 @@ def test_unreadable_input_is_a_usage_error(argv, content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith(f"edgereg {argv[0]}: error: {path}: ")
+
+
+@pytest.mark.parametrize("spec", ["0-x", "", "1-1", "3-4"],
+                         ids=["not-a-number", "empty", "loop", "missing-from-second-graph"])
+def test_colon_graph_rejects_bad_edge_spec_as_usage_error(spec, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # 3-4 is an edge of the first graph only: nothing may be printed for it
+    path.write_text(emit_graph6(path_graph(5)) + "\n" + emit_graph6(path_graph(2)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["colon-graph", str(path), "--edges", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"edgereg colon-graph: error: --edges {spec}: ")

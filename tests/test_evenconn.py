@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from edgereg.evenconn import (colon_graph, even_connected_pairs, isolated_reduction_check,
-                              longest_walk_endpoints)
+from edgereg.evenconn import (colon_graph, even_connected_pairs, even_connection_lengths,
+                              isolated_reduction_check, longest_walk_endpoints)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
@@ -65,10 +65,34 @@ def test_certificates_validate_and_reverse():
 
 
 def test_multiset_must_live_in_graph():
-    with pytest.raises(Exception):
-        even_connected_pairs(path_graph(3), EdgeMultiset.of([(0, 2)]))
-    with pytest.raises(ValueError):
-        even_connected_pairs(path_graph(3), EdgeMultiset.of([]))
+    for search in (even_connected_pairs, even_connection_lengths):
+        with pytest.raises(Exception):
+            search(path_graph(3), EdgeMultiset.of([(0, 2)]))
+        with pytest.raises(ValueError):
+            search(path_graph(3), EdgeMultiset.of([]))
+
+
+def _certified_lengths(g, m):
+    return {(u, v): c.k for u, v, c in even_connected_pairs(g, m)}
+
+
+def test_layer_search_matches_certified_bfs():
+    # the two searches share no code: packed layers against tuple states
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for size in (1, 2, 3):
+                for combo in itertools.combinations_with_replacement(g.edges(), size):
+                    m = EdgeMultiset.of(combo)
+                    assert even_connection_lengths(g, m) == _certified_lengths(g, m)
+
+
+def test_layer_search_widens_counters_past_fifteen():
+    c5 = cycle_graph(5)
+    for mult in (15, 16, 17):
+        m = EdgeMultiset.of([(0, 1)] * mult + [(2, 3)])
+        lengths = even_connection_lengths(c5, m)
+        assert lengths == _certified_lengths(c5, m)
+        assert max(lengths.values()) == mult + 1
 
 
 def test_whisker_for_self_connection():

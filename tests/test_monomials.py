@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from edgereg import monomials
 from edgereg.graphs import (complete_graph, cycle_graph, enumerate_graphs,
                             from_edge_list, path_graph, relabel)
 from edgereg.monomials import (LANE_MAX, EdgeMultiset, Monomial, MonomialIdeal,
@@ -181,6 +184,34 @@ def test_packed_kernels_match_tuple_reference(data):
             colon_by_monomial(i, mono)
     else:
         assert dense(colon_by_monomial(i, mono)) == expected
+
+
+def _colon_mismatches(colon) -> int:
+    # (I(G)^s : m) for every graph on at most 4 vertices, s <= 2 and every
+    # m with exponents <= 2 outside the ideal, against the tuple reference
+    bad = 0
+    for n in range(2, 5):
+        for g in enumerate_graphs(n):
+            if g.is_edgeless():
+                continue
+            for s in (1, 2):
+                i = power(edge_ideal(g), s)
+                rows = [tuple(r) for r in i.to_json_dict()["gens"]]
+                for m in itertools.product(range(3), repeat=n):
+                    expected = oracles.tuple_colon(rows, m)
+                    if expected[0] == (0,) * n:
+                        continue
+                    got = colon(i, Monomial.from_dict(dict(zip(i.vars, m))))
+                    bad += [tuple(r) for r in got.to_json_dict()["gens"]] != expected
+    return bad
+
+
+def test_mutated_colon_lane_wrap_is_caught():
+    # a lane with g < m wraps to 16 + g - m instead of reading 0
+    old = "quotients.add(diff & (ge - (ge >> (LANE - 1))))"
+    colon = monomials.colon_by_monomial
+    assert _colon_mismatches(oracles.mutant(colon, old, old)) == 0
+    assert _colon_mismatches(oracles.mutant(colon, old, old.replace("ge", "hi"))) > 0
 
 
 def test_exponent_above_lane_max_is_rejected():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from edgereg import evenconn, homology, invariants, monomials, suites
 from edgereg.graphs import (canonical_key, complete_graph, cycle_graph, disjoint_edges,
                             emit_graph6, enumerate_graphs, parse_graph6, star)
@@ -178,13 +179,24 @@ def test_every_even_connection_violation_is_counted(monkeypatch):
 
 
 def test_mutated_even_connected_pairs_is_caught(monkeypatch):
-    true_pairs = evenconn.even_connected_pairs
+    true_lengths = evenconn.even_connection_lengths
 
     def no_self_pairs(g, m):  # loses the whisker of every self-connected vertex
-        return [(u, v, c) for u, v, c in true_pairs(g, m) if u != v]
+        return {(u, v): k for (u, v), k in true_lengths(g, m).items() if u != v}
 
-    monkeypatch.setattr(evenconn, "even_connected_pairs", no_self_pairs)
+    monkeypatch.setattr(evenconn, "even_connection_lengths", no_self_pairs)
     assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
+
+
+@pytest.mark.parametrize("bound, caught", [("<", False), ("<=", True)],
+                         ids=["unmutated", "one-use-too-many"])
+def test_mutated_usage_bound_is_caught(monkeypatch, bound, caught):
+    old = "if usage & field < mult:"
+    monkeypatch.setattr(evenconn, "even_connection_lengths",
+                        oracles.mutant(evenconn.even_connection_lengths, old,
+                                       old.replace("<", bound)))
+    spec = SuiteSpec("even-connection", n_max=5, s_max=2)
+    assert run_suite(spec).passed is not caught
 
 
 def test_mutated_isolated_reduction_is_caught(monkeypatch):
