@@ -65,15 +65,26 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_ideal(args) -> int:
-    for g in _read_graphs(args, args.input):
+    graphs = _read_graphs(args, args.input)
+    try:
+        m = Monomial.parse(args.colon) if args.colon else None
+    except ValueError as exc:
+        args.usage_error(f"--colon {args.colon}: {exc}")
+    records = []  # every record is computed before anything is printed
+    for g in graphs:
         i = symbolic_square(g) if args.symbolic_square else edge_ideal(g)
         if args.power > 1:
             i = power(i, args.power)
-        if args.colon:
-            i = colon_by_monomial(i, Monomial.parse(args.colon))
+        if m is not None:
+            try:
+                i = colon_by_monomial(i, m)
+            except ValueError as exc:  # m lies in the ideal: the colon is the unit ideal
+                args.usage_error(f"--colon {args.colon}: {exc} (graph {emit_graph6(g)})")
         if args.polarize:
             i, _ = polarize(i)
-        print(json.dumps(i.to_json_dict()))
+        records.append(i.to_json_dict())
+    for record in records:
+        print(json.dumps(record))
     return 0
 
 
@@ -128,6 +139,8 @@ def _cmd_verify(args) -> int:
     graphs = None
     if args.graphs is not None:
         graphs = _read_graphs(args, args.graphs, "--graphs ")
+        if not graphs:
+            args.usage_error(f"--graphs {args.graphs}: no graph")
     try:
         specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
                                   characteristic=args.char, graphs=graphs, jobs=args.jobs)

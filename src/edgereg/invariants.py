@@ -15,7 +15,7 @@ in `suites`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import homology
@@ -231,18 +231,7 @@ class InvariantRecord:
     local_reg_max: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "nu": self.nu,
-            "gap_free": self.gap_free,
-            "claw_free": self.claw_free,
-            "cricket_free": self.cricket_free,
-            "chordal": self.chordal,
-            "co_chordal": self.co_chordal,
-            "cameron_walker": self.cameron_walker,
-            "locally_linear": self.locally_linear,
-            "local_reg_max": self.local_reg_max,
-        }
+        return asdict(self)
 
 
 def invariant_record(g: Graph) -> InvariantRecord:

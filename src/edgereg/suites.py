@@ -10,6 +10,10 @@ keeps the first MAX_STORED_VIOLATIONS verbatim and counts every one; it
 passes exactly when that count is zero.  A violation in any theorem suite
 means a bug in this toolkit, not in the mathematics being checked.
 
+A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
+`_power_bound` call; a colon suite iterates `_edge_colons`, the pairs
+(m, I(G)^{k+1} : m).  `_CHECKERS` is the one ordered registry of suites.
+
 The default sweep follows the budget rule "powers up to 2 for graphs on
 six vertices, power 3 only up to five vertices"; `_s_values` applies it
 uniformly.  The two conjecture suites are falsification searches: they
@@ -28,13 +32,14 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import evenconn, homology, invariants
 from .graphs import (Graph, canonical_key, closed_neighborhood, delete_closed_neighborhood,
@@ -95,8 +100,8 @@ class SuiteSpec:
             raise ValueError(f"unknown suite {self.suite!r}; known: {sorted(_CHECKERS)}")
         if not 1 <= self.s_max <= 3:
             raise ValueError("s_max must be between 1 and 3")
-        if self.n_max > 8:
-            raise ValueError("n_max above the enumeration bound 8")
+        if not 1 <= self.n_max <= 8:
+            raise ValueError("n_max must be between 1 and the enumeration bound 8")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         homology.FieldSpec(self.characteristic)  # validates
@@ -118,41 +123,36 @@ def _viol(g: Graph, s: int | None, lhs, rhs, context: str) -> dict:
 # ---------------------------------------------------------------------------
 # per-graph checkers (each returns a list of violation dicts)
 
+def _power_bound(g: Graph, spec: SuiteSpec, offset: int, fails: Callable[[int, int], bool],
+                 context: str, start: int = 1) -> list[dict]:
+    """One record per power s at which fails(reg I^s, 2s + offset) holds."""
+    out = []
+    for s in _s_values(g, spec.s_max, start):
+        reg = homology.regularity_of_power(g, s, _field(spec))
+        if fails(reg, 2 * s + offset):
+            out.append(_viol(g, s, reg, 2 * s + offset, context))
+    return out
+
+
 def _check_lower_bound(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
-    out = []
-    nu = invariants.induced_matching_number(g)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg < 2 * s + nu - 1:
-            out.append(_viol(g, s, reg, 2 * s + nu - 1, "reg I^s < 2s + nu(G) - 1"))
-    return out
+    return _power_bound(g, spec, invariants.induced_matching_number(g) - 1, operator.lt,
+                        "reg I^s < 2s + nu(G) - 1")
 
 
 def _check_matching_bound(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
-    out = []
-    beta = invariants.matching_number(g)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg > 2 * s + beta - 1:
-            out.append(_viol(g, s, reg, 2 * s + beta - 1, "reg I^s > 2s + beta(G) - 1"))
-    return out
+    return _power_bound(g, spec, invariants.matching_number(g) - 1, operator.gt,
+                        "reg I^s > 2s + beta(G) - 1")
 
 
 def _check_cameron_walker(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless() or not invariants.is_cameron_walker(g):
         return []
-    out = []
-    nu = invariants.induced_matching_number(g)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg != 2 * s + nu - 1:
-            out.append(_viol(g, s, reg, 2 * s + nu - 1,
-                             "reg I^s != 2s + nu(G) - 1 on a graph with nu = beta"))
-    return out
+    return _power_bound(g, spec, invariants.induced_matching_number(g) - 1, operator.ne,
+                        "reg I^s != 2s + nu(G) - 1 on a graph with nu = beta")
 
 
 def _check_locally_linear(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -162,37 +162,31 @@ def _check_locally_linear(g: Graph, spec: SuiteSpec) -> list[dict]:
     reg1 = homology.regularity_of_power(g, 1, _field(spec))
     if reg1 > 3:
         out.append(_viol(g, 1, reg1, 3, "locally linear graph with reg I > 3"))
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg > 2 * s + reg1 - 2:
-            out.append(_viol(g, s, reg, 2 * s + reg1 - 2,
-                             "locally linear: reg I^s > 2s + reg I - 2"))
-    return out
+    return out + _power_bound(g, spec, reg1 - 2, operator.gt,
+                              "locally linear: reg I^s > 2s + reg I - 2")
 
 
 def _check_gapfree_local(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless() or not invariants.is_gap_free(g):
         return []
-    out = []
     r = max(invariants.local_regularity_max(g, _field(spec)) + 1, 3)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg > 2 * s + r - 2:
-            out.append(_viol(g, s, reg, 2 * s + r - 2,
-                             f"gap-free, locally of regularity <= {r - 1}: reg I^s > 2s + r - 2"))
-    return out
+    return _power_bound(g, spec, r - 2, operator.gt,
+                        f"gap-free, locally of regularity <= {r - 1}: reg I^s > 2s + r - 2")
 
 
 def _check_gapfree_locallinear(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless() or not invariants.is_gap_free(g) or not invariants.is_locally_linear(g):
         return []
-    out = []
-    for s in _s_values(g, spec.s_max, start=2):
-        reg = homology.regularity_of_power(g, s, _field(spec))
-        if reg != 2 * s:
-            out.append(_viol(g, s, reg, 2 * s,
-                             "gap-free locally linear: reg I^s != 2s"))
-    return out
+    return _power_bound(g, spec, 0, operator.ne, "gap-free locally linear: reg I^s != 2s",
+                        start=2)
+
+
+def _edge_colons(g: Graph, k: int) -> Iterator[tuple[EdgeMultiset, MonomialIdeal]]:
+    """(m, I(G)^{k+1} : m) for every multiset m of k edges of g."""
+    big = power(edge_ideal(g), k + 1)
+    for combo in itertools.combinations_with_replacement(g.edges(), k):
+        m = EdgeMultiset.of(combo)
+        yield m, colon_by_monomial(big, m.product_monomial(g.labels))
 
 
 def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -201,13 +195,10 @@ def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
     out = []
     field = _field(spec)
     r = invariants.local_regularity_max(g, field) + 1
-    square = power(edge_ideal(g), 2)
-    for u, v in g.edges():
-        colon = colon_by_monomial(square, Monomial.parse(f"{g.labels[u]}*{g.labels[v]}"))
+    for m, colon in _edge_colons(g, 1):
         reg_colon = homology.regularity(colon, field)
         if reg_colon > r:
-            out.append(_viol(g, 2, reg_colon, r,
-                             f"reg (I^2 : e) > r for e={(u, v)}"))
+            out.append(_viol(g, 2, reg_colon, r, f"reg (I^2 : e) > r for e={m.edges[0]}"))
     reg2 = homology.regularity_of_power(g, 2, field)
     if reg2 > r + 2:
         out.append(_viol(g, 2, reg2, r + 2, "reg I^2 > r + 2"))
@@ -263,11 +254,8 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
     i = edge_ideal(g)
     leaves = _leaf_edges(g)
     for s in _s_values(g, spec.s_max, start=2):
-        big = power(i, s)
         smaller = power(i, s - 1)
-        for combo in itertools.combinations_with_replacement(g.edges(), s - 1):
-            m = EdgeMultiset.of(combo)
-            j = colon_by_monomial(big, m.product_monomial(g.labels))
+        for m, j in _edge_colons(g, s - 1):
             for e in set(m.edges) & leaves:
                 reduced = m.without(e)
                 rhs = colon_by_monomial(smaller, reduced.product_monomial(g.labels))
@@ -317,14 +305,10 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
     out = []
-    i = edge_ideal(g)
     var = [1 << LANE * (g.n - 1 - v) for v in range(g.n)]
     edge_gens = {var[u] + var[v] for u, v in g.edges()}
     for s in _s_values(g, spec.s_max):
-        big = power(i, s + 1)
-        for combo in itertools.combinations_with_replacement(g.edges(), s):
-            m = EdgeMultiset.of(combo)
-            colon = colon_by_monomial(big, m.product_monomial(g.labels))
+        for m, colon in _edge_colons(g, s):
             bad = [d for d in colon.generator_degrees() if d != 2]
             if bad:
                 out.append(_viol(g, s, sorted(set(bad)), 2,
@@ -358,48 +342,21 @@ def _check_isolated_reduction(g: Graph, spec: SuiteSpec) -> list[dict]:
 def _check_conjecture_a(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
-    out = []
-    field = _field(spec)
-    reg1 = homology.regularity_of_power(g, 1, field)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, field)
-        if reg > 2 * s + reg1 - 2:
-            out.append(_viol(g, s, reg, 2 * s + reg1 - 2,
-                             "counterexample candidate: reg I^s > 2s + reg I - 2"))
-    return out
+    return _power_bound(g, spec, homology.regularity_of_power(g, 1, _field(spec)) - 2,
+                        operator.gt, "counterexample candidate: reg I^s > 2s + reg I - 2")
 
 
 def _check_conjecture_a_prime(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
-    out = []
-    field = _field(spec)
-    r = max(invariants.local_regularity_max(g, field) + 1, 2)
-    for s in _s_values(g, spec.s_max):
-        reg = homology.regularity_of_power(g, s, field)
-        if reg > 2 * s + r - 2:
-            out.append(_viol(g, s, reg, 2 * s + r - 2,
-                             "counterexample candidate: reg I^s > 2s + r - 2"))
-    return out
+    r = max(invariants.local_regularity_max(g, _field(spec)) + 1, 2)
+    return _power_bound(g, spec, r - 2, operator.gt,
+                        "counterexample candidate: reg I^s > 2s + r - 2")
 
-
-THEOREM_SUITES = (
-    "lower-bound",
-    "matching-bound",
-    "cameron-walker",
-    "locally-linear",
-    "gapfree-local",
-    "gapfree-locallinear",
-    "square",
-    "symbolic-square",
-    "colon-induction",
-    "colon-structure",
-    "even-connection",
-    "isolated-reduction",
-)
 
 CONJECTURE_SUITES = ("conjecture-a", "conjecture-a-prime")
 
+# the one ordered registry: the theorem suites, then the conjecture suites
 _CHECKERS = {
     "lower-bound": _check_lower_bound,
     "matching-bound": _check_matching_bound,
@@ -413,9 +370,10 @@ _CHECKERS = {
     "colon-structure": _check_colon_structure,
     "even-connection": _check_even_connection,
     "isolated-reduction": _check_isolated_reduction,
-    "conjecture-a": _check_conjecture_a,
-    "conjecture-a-prime": _check_conjecture_a_prime,
+    **dict(zip(CONJECTURE_SUITES, (_check_conjecture_a, _check_conjecture_a_prime))),
 }
+
+THEOREM_SUITES = tuple(name for name in _CHECKERS if name not in CONJECTURE_SUITES)
 
 
 # ---------------------------------------------------------------------------

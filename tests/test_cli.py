@@ -107,7 +107,8 @@ def test_verify_accepts_graphs_file(tmp_path, capsys):
     assert _lines(capsys)[1].startswith("lower-bound\t11\t0")
 
 
-@pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
+@pytest.mark.parametrize("content", [None, "!!\n", ""],
+                         ids=["missing-file", "bad-line", "empty"])
 def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path, capsys):
     path = tmp_path / "graphs.g6"
     if content is not None:
@@ -121,7 +122,8 @@ def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path,
 
 
 @pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
-                                   ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"]])
+                                   ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"],
+                                   ["--n", "0"], ["--n", "-3"]])
 def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *flags])
@@ -174,3 +176,19 @@ def test_colon_graph_rejects_bad_edge_spec_as_usage_error(spec, tmp_path, capsys
     assert captured.out == "" and "Traceback" not in captured.err
     last = captured.err.splitlines()[-1]
     assert last.startswith(f"edgereg colon-graph: error: --edges {spec}: ")
+
+
+@pytest.mark.parametrize("monomial", ["*", "x0^-1", "x0*x2"],
+                         ids=["not-a-monomial", "negative-exponent",
+                              "in-the-ideal-of-second-graph"])
+def test_ideal_rejects_bad_colon_as_usage_error(monomial, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # x0*x2 lies in the ideal of the triangle only: nothing may be printed for the path
+    path.write_text(emit_graph6(path_graph(5)) + "\n" + emit_graph6(cycle_graph(3)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ideal", str(path), "--colon", monomial])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"edgereg ideal: error: --colon {monomial}: ")

@@ -27,6 +27,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SuiteSpec("lower-bound", n_max=9)
     with pytest.raises(ValueError):
+        SuiteSpec("lower-bound", n_max=0)
+    with pytest.raises(ValueError):
         SuiteSpec("lower-bound", characteristic=6)
 
 
@@ -203,6 +205,45 @@ def test_mutated_isolated_reduction_is_caught(monkeypatch):
     # removes W + {u} from the colon graph instead of W + N[u]
     monkeypatch.setattr(evenconn, "closed_neighborhood", lambda g, u: frozenset({u}))
     assert not run_suite(SuiteSpec("isolated-reduction", n_max=4, s_max=2)).passed
+
+
+BOUND_SUITES = ("lower-bound", "matching-bound", "cameron-walker", "locally-linear",
+                "gapfree-local", "gapfree-locallinear", "conjecture-a", "conjecture-a-prime")
+
+# suite -> (violations_total, first stored record) with reg I^s off by d, n <= 5, s <= 3;
+# a suite not named finds nothing
+SHIFTED_REG_VIOLATIONS = {
+    1: {"matching-bound": (61, ("A_", 1, 3, 2, "reg I^s > 2s + beta(G) - 1")),
+        "cameron-walker": (60, ("A_", 1, 3, 2,
+                                "reg I^s != 2s + nu(G) - 1 on a graph with nu = beta")),
+        "locally-linear": (8, ("CQ", 1, 4, 3, "locally linear graph with reg I > 3")),
+        "gapfree-local": (1, ("DUW", 1, 4, 3, "gap-free, locally of regularity <= 2: "
+                                              "reg I^s > 2s + r - 2")),
+        "gapfree-locallinear": (80, ("A_", 2, 5, 4, "gap-free locally linear: reg I^s != 2s")),
+        "conjecture-a-prime": (94, ("A_", 1, 3, 2,
+                                    "counterexample candidate: reg I^s > 2s + r - 2"))},
+    -1: {"lower-bound": (140, ("A_", 1, 1, 2, "reg I^s < 2s + nu(G) - 1")),
+         "cameron-walker": (60, ("A_", 1, 1, 2,
+                                 "reg I^s != 2s + nu(G) - 1 on a graph with nu = beta")),
+         "gapfree-locallinear": (80, ("A_", 2, 3, 4, "gap-free locally linear: reg I^s != 2s"))},
+    0: {},
+}
+
+
+@pytest.mark.parametrize("d", sorted(SHIFTED_REG_VIOLATIONS), ids=lambda d: f"reg{d:+d}")
+def test_shifted_power_regularity_matrix(monkeypatch, d):
+    true_reg_power = homology.regularity_of_power
+
+    def shifted(g, s=1, field=homology.GF2):
+        return true_reg_power(g, s, field) + d
+
+    monkeypatch.setattr(homology, "regularity_of_power", shifted)
+    for name in BOUND_SUITES:
+        report = run_suite(SuiteSpec(name, n_max=5, s_max=3))
+        total, first = SHIFTED_REG_VIOLATIONS[d].get(name, (0, None))
+        assert report.violations_total == total, name
+        stored = tuple(report.violations[0].values()) if report.violations else None
+        assert stored == first, name
 
 
 def test_clean_rerun_after_mutations():
