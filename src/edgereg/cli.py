@@ -15,7 +15,7 @@ from typing import Iterator
 from . import evenconn, homology, invariants, suites
 from .graphs import Graph, emit_graph6, from_json_dict, parse_graph6
 from .monomials import (EdgeMultiset, Monomial, colon_by_monomial, edge_ideal,
-                        polarize, power, symbolic_square)
+                        pack_capped, polarize, power, symbolic_square)
 
 
 def _parse_graphs(path: str) -> Iterator[Graph]:
@@ -64,6 +64,14 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _power(args, i, g):
+    """i^s for s = --power; an exponent above the lane maximum is a usage error."""
+    try:
+        return power(i, args.power)
+    except ValueError as exc:
+        args.usage_error(f"--power {args.power}: {exc} (graph {emit_graph6(g)})")
+
+
 def _cmd_ideal(args) -> int:
     graphs = _read_graphs(args, args.input)
     try:
@@ -72,12 +80,10 @@ def _cmd_ideal(args) -> int:
         args.usage_error(f"--colon {args.colon}: {exc}")
     records = []  # every record is computed before anything is printed
     for g in graphs:
-        i = symbolic_square(g) if args.symbolic_square else edge_ideal(g)
-        if args.power > 1:
-            i = power(i, args.power)
+        i = _power(args, symbolic_square(g) if args.symbolic_square else edge_ideal(g), g)
         if m is not None:
             try:
-                i = colon_by_monomial(i, m)
+                i = colon_by_monomial(i, pack_capped(m, i.vars))
             except ValueError as exc:  # m lies in the ideal: the colon is the unit ideal
                 args.usage_error(f"--colon {args.colon}: {exc} (graph {emit_graph6(g)})")
         if args.polarize:
@@ -93,8 +99,9 @@ def _cmd_reg(args) -> int:
         field = homology.FieldSpec(args.char)
     except ValueError as exc:
         args.usage_error(str(exc))
-    for g in _read_graphs(args, args.input):
-        i = power(edge_ideal(g), args.power)
+    # every power is built before the first record is printed
+    powers = [(g, _power(args, edge_ideal(g), g)) for g in _read_graphs(args, args.input)]
+    for g, i in powers:
         table = homology.graded_betti(i, field)
         out = table.to_json_dict()
         out["graph6"] = emit_graph6(g)
@@ -147,6 +154,11 @@ def _cmd_verify(args) -> int:
                  for name in names]
     except ValueError as exc:  # SuiteSpec rejects the flags
         args.usage_error(str(exc))
+    if args.out:
+        try:  # an unwritable --out fails before the sweep, leaving any old report intact
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            args.usage_error(f"--out {args.out}: {exc}")
     reports, code = suites.run(specs)
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:

@@ -26,9 +26,10 @@ explicit walk and edge assignment of maximal length, with ties broken by
 lexicographic path order for determinism.  It serves the `colon-graph`
 command and is the independent cross-check of the layer search.
 
-The module also answers the reduction-to-isolated-vertices lemma for one
-colon graph, a removed set W and an endpoint u of a longest walk avoiding
-W.  Everything here returns plain values; the sweeps that compare the
+The module also lists, for one colon graph, every removed set W and
+endpoint u of a longest walk avoiding W at which the
+reduction-to-isolated-vertices lemma fails.  Everything here returns
+plain values; the sweeps that compare the
 colon graph against monomial arithmetic and record violations live in
 `suites`.
 """
@@ -245,41 +246,15 @@ def longest_walk_endpoints(colon: ColonGraphResult, w) -> set[int]:
     return {x for a, b, k in eligible if k == kmax for x in (a, b)}
 
 
-def _keeps_foreign_edge(g: Graph, edges, removed, blocked) -> bool:
-    for a, b in edges:
-        if a in removed or b in removed:
-            continue
-        if a >= g.n or b >= g.n or not g.has_edge(a, b):
-            return True
-        if a in blocked or b in blocked:  # cannot happen: N_G[u] is inside `removed`
-            return True
-    return False
-
-
-def isolated_reduction_check(colon: ColonGraphResult, w, u: int) -> bool:
-    """With G' the colon graph of (I^{s+1} : m) and u an endpoint of a
-    longest even-connected walk whose endpoints avoid W, check that every
-    edge of G' - W - N_{G'}[u] is an edge of G - N_G[u] under the copy-1
-    embedding (the remaining new vertices must all be isolated).
-
-    Returns True vacuously when no even-connected pair avoids W; raises if
-    u is not an endpoint of a longest eligible walk."""
-    w = frozenset(w)
-    endpoints = longest_walk_endpoints(colon, w)
-    if not endpoints:
-        return True
-    if u not in endpoints:
-        raise ValueError("u is not an endpoint of a longest even-connected walk avoiding W")
-    g, gp = colon.origin[0], colon.graph
-    return not _keeps_foreign_edge(g, gp.edges(), w | closed_neighborhood(gp, u),
-                                   closed_neighborhood(g, u))
-
-
 def isolated_reduction_failures(colon: ColonGraphResult) -> list[tuple[frozenset[int], int]]:
-    """Every (W, u) at which `isolated_reduction_check` fails, for W over
-    all vertex sets of G (in bitmask order) and u over the endpoints of the
-    longest walks avoiding W (ascending).  The edge list of G' and each
-    N[u] are computed once per colon graph, the edges avoiding W once per W."""
+    """With G' the colon graph of (I^{s+1} : m), every (W, u) at which some
+    edge of G' - W - N_{G'}[u] is not an edge of G - N_G[u] under the
+    copy-1 embedding (the remaining new vertices must all be isolated).
+    W runs over all vertex sets of G (in bitmask order) and u over the
+    endpoints of the longest even-connected walks avoiding W (ascending);
+    a W that no even-connected pair avoids contributes nothing.  The edge
+    list of G' and each N[u] are computed once per colon graph, the edges
+    avoiding W once per W."""
     g, gp = colon.origin[0], colon.graph
     edges = gp.edges()
     hoods = [(closed_neighborhood(gp, u), closed_neighborhood(g, u)) for u in range(g.n)]
@@ -287,6 +262,10 @@ def isolated_reduction_failures(colon: ColonGraphResult) -> list[tuple[frozenset
     for bits in range(1 << g.n):
         w = frozenset(v for v in range(g.n) if bits >> v & 1)
         kept = [(a, b) for a, b in edges if a not in w and b not in w]
-        out += [(w, u) for u in sorted(longest_walk_endpoints(colon, w))
-                if _keeps_foreign_edge(g, kept, *hoods[u])]
+        for u in sorted(longest_walk_endpoints(colon, w)):
+            removed, blocked = hoods[u]
+            # blocked <= removed unless G' lost an edge of G
+            if any(a >= g.n or b >= g.n or not g.has_edge(a, b) or a in blocked or b in blocked
+                   for a, b in kept if a not in removed and b not in removed):
+                out.append((w, u))
     return out

@@ -21,7 +21,7 @@ from typing import Callable
 from . import homology
 from .graphs import (Graph, canonical_key, claw, complement, cricket,
                      delete_closed_neighborhood, induced_subgraph)
-from .monomials import Monomial, colon_by_monomial, edge_ideal
+from .monomials import colon_by_monomial, edge_ideal, squarefree
 
 
 def _cached(g: Graph, name: str, fn: Callable[[], object], *extra):
@@ -169,7 +169,7 @@ def local_regularity(g: Graph, x: int, field: homology.FieldSpec = homology.GF2)
     i = edge_ideal(g)
     if i.is_zero:
         return 0
-    colon = colon_by_monomial(i, Monomial.variable(g.labels[x]))
+    colon = colon_by_monomial(i, squarefree((x,), g.n))
     return homology.regularity(colon, field)
 
 

@@ -5,14 +5,18 @@ monomial ideal stores an explicit ordered variable universe plus its
 minimal generating antichain, sorted in graded lexicographic order so that
 serialized output is reproducible.
 
-Inside an ideal every exponent vector is one packed integer with a 5-bit
-lane per variable (4 value bits plus a guard bit), the first variable of
-the universe in the highest lane.  Componentwise sums, truncated
-differences, maxima and divisibility tests are then a handful of integer
-operations, a divisor never exceeds its multiple as an integer, and
-descending integer order is lexicographic order.  The price is an exponent
-cap of LANE_MAX = 15: `ideal` and `power` raise ValueError above it.
-`Monomial` and strings appear only at the input/output boundary.
+Below the input/output boundary every exponent vector is one packed
+integer, a word, with a 5-bit lane per variable (4 value bits plus a guard
+bit), the first variable of the universe in the highest lane.
+Componentwise sums, truncated differences, maxima and divisibility tests
+are then a handful of integer operations, a divisor never exceeds its
+multiple as an integer, and descending integer order is lexicographic
+order.  The price is an exponent cap of LANE_MAX = 15: `ideal` and `power`
+raise ValueError above it.  Words are made here alone (`squarefree`,
+`packed_ideal`, `EdgeMultiset.packed_product`), and `colon_by_monomial`
+takes a word.  `Monomial` and strings remain only where text enters or
+leaves: `pack_capped` for the CLI's `--colon` and `contains`, and
+`generators()` for printed ideals and violation records.
 """
 from __future__ import annotations
 
@@ -43,10 +47,6 @@ class Monomial:
     @classmethod
     def one(cls) -> "Monomial":
         return cls(())
-
-    @classmethod
-    def variable(cls, v: str, exp: int = 1) -> "Monomial":
-        return cls.from_dict({v: exp})
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
@@ -132,15 +132,25 @@ def packed_lcm(a: int, b: int, hi: int, val: int) -> int:
     return (a & sel) | (b & val & ~sel)
 
 
-def _squarefree(verts: Iterable[int], nv: int) -> int:
+def squarefree(verts: Iterable[int], nv: int) -> int:
+    """The word of the product of the variables at the distinct positions
+    `verts` of an nv-variable universe."""
     return sum(1 << (LANE * (nv - 1 - v)) for v in verts)
 
 
-def _pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
-    # variables outside the universe are dropped and exponents capped at
-    # LANE_MAX: neither changes divisibility by (or colons of) generators
+def pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
+    """`m` as a word over `vars`.  Variables outside the universe are
+    dropped and exponents capped at LANE_MAX: neither changes divisibility
+    by (or colons of) generators."""
     d = m.as_dict()
     return pack(min(d.get(v, 0), LANE_MAX) for v in vars)
+
+
+def _check_words(words: Iterable[int], nv: int, what: str) -> None:
+    # every lane in range and no guard bit set
+    hi, top = lane_masks(nv)[0], 1 << (LANE * nv)
+    if any(not 0 <= g < top or g & hi for g in words):
+        raise ValueError(f"malformed packed {what}")
 
 
 def _minimal(gens: Iterable[int], nv: int) -> tuple[int, ...]:
@@ -178,10 +188,7 @@ class MonomialIdeal:
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variables in universe")
-        hi = lane_masks(len(self.vars))[0]
-        top = 1 << (LANE * len(self.vars))
-        if any(not 0 <= g < top or g & hi for g in self.gens):
-            raise ValueError("malformed packed generator")
+        _check_words(self.gens, len(self.vars), "generator")
 
     @property
     def is_zero(self) -> bool:
@@ -197,7 +204,7 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         hi = lane_masks(len(self.vars))[0]
-        b = _pack_capped(m, self.vars)
+        b = pack_capped(m, self.vars)
         return any(packed_divides(g, b, hi) for g in self.gens)
 
     def same_ideal_as(self, other: "MonomialIdeal") -> bool:
@@ -243,7 +250,12 @@ def ideal(gens: Iterable[Monomial | Mapping[str, int]],
         packed.append(pack(exps))
     if 0 in packed:
         raise ValueError("unit generator: the unit ideal is out of scope")
-    return MonomialIdeal(universe, _minimal(packed, len(universe)))
+    return packed_ideal(universe, packed)
+
+
+def packed_ideal(vars: tuple[str, ...], words: Iterable[int]) -> MonomialIdeal:
+    """Minimalize words over `vars` into a MonomialIdeal."""
+    return MonomialIdeal(vars, _minimal(words, len(vars)))
 
 
 def zero_ideal(vars: Iterable[str] = ()) -> MonomialIdeal:
@@ -256,7 +268,7 @@ def zero_ideal(vars: Iterable[str] = ()) -> MonomialIdeal:
 def edge_ideal(g: Graph) -> MonomialIdeal:
     """I(G), generated by x_u x_v over the edges; the universe is every
     vertex label, including isolated vertices."""
-    return MonomialIdeal(g.labels, _minimal((_squarefree(e, g.n) for e in g.edges()), g.n))
+    return packed_ideal(g.labels, (squarefree(e, g.n) for e in g.edges()))
 
 
 def power(i: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -274,24 +286,23 @@ def power(i: MonomialIdeal, s: int) -> MonomialIdeal:
         gens = {a + b for a in gens for b in i.gens}
         if any(g & hi for g in gens):
             raise ValueError(f"an exponent of the power exceeds the packed-lane maximum {LANE_MAX}")
-    return MonomialIdeal(i.vars, _minimal(gens, len(i.vars)))
+    return packed_ideal(i.vars, gens)
 
 
-def colon_by_monomial(i: MonomialIdeal, m: Monomial | str) -> MonomialIdeal:
+def colon_by_monomial(i: MonomialIdeal, m: int) -> MonomialIdeal:
     """(i : m) = minimalized { g / gcd(g, m) }, a lane-wise difference
-    truncated at zero."""
-    if isinstance(m, str):
-        m = Monomial.parse(m)
+    truncated at zero.  `m` is a word over `i.vars`; a word out of range or
+    with a guard bit set raises ValueError."""
+    _check_words((m,), len(i.vars), "monomial")
     hi = lane_masks(len(i.vars))[0]
-    mp = _pack_capped(m, i.vars)
     quotients = set()
     for g in i.gens:
-        diff = (g | hi) - mp      # no lane borrows; a guard bit survives where g >= m
+        diff = (g | hi) - m       # no lane borrows; a guard bit survives where g >= m
         ge = diff & hi
         quotients.add(diff & (ge - (ge >> (LANE - 1))))
     if 0 in quotients:
         raise ValueError("colon contains the unit: m lies in the ideal")
-    return MonomialIdeal(i.vars, _minimal(quotients, len(i.vars)))
+    return packed_ideal(i.vars, quotients)
 
 
 def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -300,7 +311,7 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
         raise ValueError("intersection needs a common variable universe")
     hi, val, _ = lane_masks(len(i.vars))
     gens = {packed_lcm(a, b, hi, val) for a in i.gens for b in j.gens}
-    return MonomialIdeal(i.vars, _minimal(gens, len(i.vars)))
+    return packed_ideal(i.vars, gens)
 
 
 def sum_ideals(*ideals: MonomialIdeal) -> MonomialIdeal:
@@ -316,7 +327,7 @@ def sum_ideals(*ideals: MonomialIdeal) -> MonomialIdeal:
         shifts = [LANE * (nv - 1 - universe.index(v)) for v in i.vars]
         for g in i.gens:
             gens.append(sum(e << sh for e, sh in zip(unpack(g, len(i.vars)), shifts)))
-    return MonomialIdeal(tuple(universe), _minimal(gens, nv))
+    return packed_ideal(tuple(universe), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +353,8 @@ def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, str]]:
     gens = []
     for g in i.gens:
         copies = [s + k for s, e in zip(starts, unpack(g, nv)) for k in range(e)]
-        gens.append(_squarefree(copies, len(vmap)))
-    return MonomialIdeal(tuple(vmap), _minimal(gens, len(vmap))), vmap
+        gens.append(squarefree(copies, len(vmap)))
+    return packed_ideal(tuple(vmap), gens), vmap
 
 
 def colon_graph_of(i: MonomialIdeal) -> Graph:
@@ -385,8 +396,8 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
 def symbolic_square(g: Graph) -> MonomialIdeal:
     """I(G)^2 plus one cubic generator per triangle of G."""
     gens = list(power(edge_ideal(g), 2).gens)
-    gens += [_squarefree(t, g.n) for t in triangles(g)]
-    return MonomialIdeal(g.labels, _minimal(gens, g.n))
+    gens += [squarefree(t, g.n) for t in triangles(g)]
+    return packed_ideal(g.labels, gens)
 
 
 def cover_square_intersection(g: Graph) -> MonomialIdeal:
@@ -397,7 +408,7 @@ def cover_square_intersection(g: Graph) -> MonomialIdeal:
         return zero_ideal(g.labels)
     result: MonomialIdeal | None = None
     for cover in covers:
-        p = MonomialIdeal(g.labels, _minimal((_squarefree((u,), g.n) for u in cover), g.n))
+        p = packed_ideal(g.labels, (squarefree((u,), g.n) for u in cover))
         p2 = power(p, 2)
         result = p2 if result is None else intersect(result, p2)
     assert result is not None
@@ -446,9 +457,6 @@ class EdgeMultiset:
             if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
                 raise GraphError(f"multiset edge {(u, v)} not in the graph")
 
-    def product_monomial(self, labels: tuple[str, ...]) -> Monomial:
-        d: dict[str, int] = {}
-        for u, v in self.edges:
-            d[labels[u]] = d.get(labels[u], 0) + 1
-            d[labels[v]] = d.get(labels[v], 0) + 1
-        return Monomial.from_dict(d)
+    def packed_product(self, nv: int) -> int:
+        """The word of e_1 ... e_s over nv variables, vertex v as variable v."""
+        return pack(sum(v in e for e in self.edges) for v in range(nv))

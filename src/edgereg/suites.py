@@ -44,9 +44,9 @@ from typing import Callable, Iterator, Sequence
 from . import evenconn, homology, invariants
 from .graphs import (Graph, canonical_key, closed_neighborhood, delete_closed_neighborhood,
                      delete_vertices, emit_graph6, enumerate_graphs)
-from .monomials import (LANE, EdgeMultiset, Monomial, MonomialIdeal, colon_by_monomial,
-                        cover_square_intersection, edge_ideal, ideal, polarize, power,
-                        sum_ideals, symbolic_square)
+from .monomials import (EdgeMultiset, MonomialIdeal, colon_by_monomial,
+                        cover_square_intersection, edge_ideal, packed_ideal, polarize, power,
+                        squarefree, sum_ideals, symbolic_square)
 
 CACHE_ENV_VAR = "EDGEREG_CACHE_DIR"
 CACHE_FILE = "regcache.json"
@@ -186,7 +186,7 @@ def _edge_colons(g: Graph, k: int) -> Iterator[tuple[EdgeMultiset, MonomialIdeal
     big = power(edge_ideal(g), k + 1)
     for combo in itertools.combinations_with_replacement(g.edges(), k):
         m = EdgeMultiset.of(combo)
-        yield m, colon_by_monomial(big, m.product_monomial(g.labels))
+        yield m, colon_by_monomial(big, m.packed_product(g.n))
 
 
 def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -235,7 +235,7 @@ def _check_colon_induction(g: Graph, spec: SuiteSpec) -> list[dict]:
         nxt = power(i, t)
         lhs = homology.regularity_of_power(g, t, field)
         colon_regs = [homology.regularity(colon_by_monomial(nxt, m), field) + 2 * s
-                      for m in current.generators()]
+                      for m in current.gens]
         rhs = max(colon_regs + [homology.regularity_of_power(g, s, field)])
         if lhs > rhs:
             out.append(_viol(g, t, lhs, rhs,
@@ -258,7 +258,7 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
         for m, j in _edge_colons(g, s - 1):
             for e in set(m.edges) & leaves:
                 reduced = m.without(e)
-                rhs = colon_by_monomial(smaller, reduced.product_monomial(g.labels))
+                rhs = colon_by_monomial(smaller, reduced.packed_product(g.n))
                 if not j.same_ideal_as(rhs):
                     out.append(_viol(g, s,
                                      sorted(str(x) for x in j.generators()),
@@ -268,7 +268,7 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
             for w in range(g.n):
                 if w in shielded:
                     continue
-                lhs = colon_by_monomial(j, Monomial.variable(g.labels[w]))
+                lhs = colon_by_monomial(j, squarefree((w,), g.n))
                 rhs = _colon_by_vertex_expected(g, m, w, s)
                 if not lhs.same_ideal_as(rhs):
                     out.append(_viol(g, s,
@@ -282,15 +282,13 @@ def _colon_by_vertex_expected(g: Graph, m: EdgeMultiset, w: int, s: int) -> Mono
     """I(G - N[w])^s : e_1...e_{s-1} plus the variables of the open
     neighborhood N(w), everything over the full variable universe."""
     blocked = closed_neighborhood(g, w)
-    sub = ideal([Monomial.parse(f"{g.labels[u]}*{g.labels[v]}")
-                 for u, v in g.edges() if u not in blocked and v not in blocked],
-                vars=g.labels)
+    sub = packed_ideal(g.labels, (squarefree(e, g.n) for e in g.edges()
+                                  if blocked.isdisjoint(e)))
     if sub.is_zero:
         colon_part = sub
     else:
-        colon_part = colon_by_monomial(power(sub, s), m.product_monomial(g.labels))
-    var_part = ideal([Monomial.variable(g.labels[u]) for u in g.neighbors(w)],
-                     vars=g.labels)
+        colon_part = colon_by_monomial(power(sub, s), m.packed_product(g.n))
+    var_part = packed_ideal(g.labels, (squarefree((u,), g.n) for u in g.neighbors(w)))
     return sum_ideals(colon_part, var_part)
 
 
@@ -305,7 +303,7 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
     out = []
-    var = [1 << LANE * (g.n - 1 - v) for v in range(g.n)]
+    var = [squarefree((v,), g.n) for v in range(g.n)]
     edge_gens = {var[u] + var[v] for u, v in g.edges()}
     for s in _s_values(g, spec.s_max):
         for m, colon in _edge_colons(g, s):

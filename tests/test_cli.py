@@ -121,6 +121,22 @@ def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path,
     assert captured.err.splitlines()[-1].startswith("edgereg verify: error: --graphs ")
 
 
+def test_verify_rejects_unwritable_out_as_usage_error(tmp_path, capsys, monkeypatch):
+    from edgereg import suites
+
+    def no_sweep(specs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(suites, "run", no_sweep)
+    out_file = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lower-bound", "--n", "3", "--out", str(out_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith(f"edgereg verify: error: --out {out_file}: ")
+
+
 @pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
                                    ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"],
                                    ["--n", "0"], ["--n", "-3"]])
@@ -134,7 +150,9 @@ def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
 
 
 @pytest.mark.parametrize("argv", [["ideal", "--power", "0"], ["ideal", "--power", "-3"],
-                                  ["reg", "--power", "0"], ["reg", "--char", "4"]])
+                                  ["reg", "--power", "0"], ["reg", "--char", "4"],
+                                  ["ideal", "--power", "16"], ["reg", "--power", "16"],
+                                  ["ideal", "--symbolic-square", "--power", "8"]])
 def test_ideal_and_reg_reject_invalid_flags_as_usage_errors(argv, tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text(emit_graph6(cycle_graph(4)) + "\n")
@@ -145,6 +163,23 @@ def test_ideal_and_reg_reject_invalid_flags_as_usage_errors(argv, tmp_path, caps
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1].startswith(f"edgereg {argv[0]}: error: ")
 
+
+@pytest.mark.parametrize("argv, graph6", [(["ideal", "--power", "16"], "A_"),
+                                          (["reg", "--power", "16"], "A_"),
+                                          (["ideal", "--symbolic-square", "--power", "8"], "Bw")],
+                         ids=["ideal", "reg", "symbolic-square"])
+def test_power_overflow_names_the_graph(argv, graph6, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # the edgeless first graph has every power: nothing may be printed for it
+    path.write_text(f"@\n{graph6}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"edgereg {argv[0]}: error: --power {argv[-1]}: ")
+    assert last.endswith(f"(graph {graph6})")
 
 @pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
 @pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],

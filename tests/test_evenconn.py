@@ -5,13 +5,13 @@ import itertools
 import pytest
 
 from edgereg.evenconn import (colon_graph, even_connected_pairs, even_connection_lengths,
-                              isolated_reduction_check, longest_walk_endpoints)
+                              isolated_reduction_failures, longest_walk_endpoints)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
 from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,
-                               edge_ideal, polarize, power)
+                               edge_ideal, polarize, power, squarefree)
 from edgereg.suites import SuiteSpec, run_suite
 
 
@@ -120,7 +120,7 @@ def test_oracle_equality_small_sweep():
                 big = power(i, size + 1)
                 for combo in itertools.combinations_with_replacement(edges, size):
                     m = EdgeMultiset.of(combo)
-                    colon = colon_by_monomial(big, m.product_monomial(g.labels))
+                    colon = colon_by_monomial(big, m.packed_product(g.n))
                     assert all(d == 2 for d in colon.generator_degrees())
                     pol, _ = polarize(colon)
                     assert edge_ideal(colon_graph(g, m).graph).same_ideal_as(pol)
@@ -149,7 +149,7 @@ def test_leaf_edge_reduction():
     assert edge_ideal(with_leaf.graph).same_ideal_as(edge_ideal(without.graph))
     # and at the ideal level: (I^2 : e_iso) = I
     i = edge_ideal(g)
-    assert colon_by_monomial(power(i, 2), "x0*x1").same_ideal_as(i)
+    assert colon_by_monomial(power(i, 2), squarefree(iso, g.n)).same_ideal_as(i)
 
 
 def test_gap_freeness_preserved():
@@ -170,22 +170,23 @@ def test_neighbor_variables_enter_vertex_colon():
         i = edge_ideal(g)
         for e in g.edges():
             m = EdgeMultiset.of([e])
-            j = colon_by_monomial(power(i, 2), m.product_monomial(g.labels))
+            j = colon_by_monomial(power(i, 2), m.packed_product(g.n))
             gp = colon_graph(g, m).graph
             for w in e:
-                jw = colon_by_monomial(j, Monomial.variable(g.labels[w]))
+                jw = colon_by_monomial(j, squarefree((w,), g.n))
                 for u in gp.neighbors(w):
                     if u < g.n:
-                        assert jw.contains(Monomial.variable(g.labels[u]))
+                        assert jw.contains(Monomial.parse(g.labels[u]))
 
 
 # the isolated-reduction lemma ------------------------------------------------
 
 def test_isolated_reduction_vacuous():
     k2 = path_graph(2)
-    m = EdgeMultiset.of([(0, 1)])
-    # every pair avoiding W = {0, 1} is ruled out, so the check is vacuous
-    assert isolated_reduction_check(colon_graph(k2, m), {0, 1}, 0)
+    colon = colon_graph(k2, EdgeMultiset.of([(0, 1)]))
+    # every pair avoiding W = {0, 1} is ruled out, so the lemma holds vacuously
+    assert longest_walk_endpoints(colon, {0, 1}) == set()
+    assert all(w != {0, 1} for w, _ in isolated_reduction_failures(colon))
 
 
 def test_isolated_reduction_c5():
@@ -196,16 +197,16 @@ def test_isolated_reduction_c5():
     endpoints = {x for a, b, c in pairs if c.k == kmax for x in (a, b)}
     colon = colon_graph(c5, m)
     assert longest_walk_endpoints(colon, frozenset()) == endpoints
-    for u in endpoints:
-        assert isolated_reduction_check(colon, frozenset(), u)
+    assert all(w != frozenset() for w, _ in isolated_reduction_failures(colon))
 
 
 def test_isolated_reduction_rejects_bad_endpoint():
     p5 = path_graph(5)
     m = EdgeMultiset.of([(1, 2)])
-    # the unique longest walk joins 0 and 3; vertex 4 is not an endpoint
-    with pytest.raises(ValueError):
-        isolated_reduction_check(colon_graph(p5, m), frozenset(), 4)
+    # every walk uses 1-2 once, so k = 1 throughout: 0-1-2-3 and the walks
+    # doubling back along 1-2 end in {0, 1, 2, 3}, never at vertex 4
+    endpoints = longest_walk_endpoints(colon_graph(p5, m), frozenset())
+    assert endpoints == {0, 1, 2, 3}
 
 
 def test_isolated_reduction_gap_free_sweep():
@@ -214,8 +215,4 @@ def test_isolated_reduction_gap_free_sweep():
             if g.is_edgeless() or not is_gap_free(g):
                 continue
             for e in g.edges():
-                colon = colon_graph(g, EdgeMultiset.of([e]))
-                for bits in range(1 << g.n):
-                    w = frozenset(v for v in range(g.n) if bits >> v & 1)
-                    for u in longest_walk_endpoints(colon, w):
-                        assert isolated_reduction_check(colon, w, u)
+                assert isolated_reduction_failures(colon_graph(g, EdgeMultiset.of([e]))) == []

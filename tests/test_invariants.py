@@ -131,20 +131,21 @@ def test_local_regularity_edgeless():
 def test_local_regularity_matches_colon_formula():
     # (I : x) = I(G - N[x]) + (variables of N(x)); spot-verify the engine
     # input equals the direct colon on every small graph
-    from edgereg.monomials import Monomial, colon_by_monomial, edge_ideal, ideal, sum_ideals
+    from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal, squarefree,
+                                   sum_ideals)
     from edgereg.graphs import closed_neighborhood
     for g in enumerate_graphs(4):
         if g.is_edgeless():
             continue
         i = edge_ideal(g)
         for x in range(g.n):
-            colon = colon_by_monomial(i, Monomial.variable(g.labels[x]))
+            colon = colon_by_monomial(i, squarefree((x,), g.n))
             blocked = closed_neighborhood(g, x)
             expected = sum_ideals(
                 ideal([Monomial.parse(f"{g.labels[u]}*{g.labels[v]}")
                        for u, v in g.edges() if u not in blocked and v not in blocked],
                       vars=g.labels),
-                ideal([Monomial.variable(g.labels[u]) for u in g.neighbors(x)],
+                ideal([Monomial.parse(g.labels[u]) for u in g.neighbors(x)],
                       vars=g.labels))
             assert colon.same_ideal_as(expected)
 

@@ -14,9 +14,9 @@ from edgereg.monomials import (LANE_MAX, EdgeMultiset, Monomial, MonomialIdeal,
                                colon_by_monomial, colon_graph_of,
                                cover_square_intersection, edge_ideal, ideal,
                                intersect, lane_masks, minimal_vertex_covers,
-                               pack, packed_degree, packed_divides, packed_lcm,
-                               polar_name, polarize, power, sum_ideals,
-                               symbolic_square, unpack, zero_ideal)
+                               pack, pack_capped, packed_degree, packed_divides,
+                               packed_lcm, polar_name, polarize, power, squarefree,
+                               sum_ideals, symbolic_square, unpack, zero_ideal)
 
 M = Monomial.parse
 
@@ -78,19 +78,27 @@ def test_power_identity_and_errors():
 
 def test_colon_simple():
     i = ideal([M("x*y"), M("y*z")])
-    assert {str(m) for m in colon_by_monomial(i, "y").generators()} == {"x", "z"}
+    assert {str(m) for m in colon_by_monomial(i, pack((0, 1, 0))).generators()} == {"x", "z"}
 
 
 def test_colon_path_square_witness():
     # the even-connection witness: x0 x3 enters (I(P5)^2 : x1 x2)
     i2 = power(edge_ideal(path_graph(5)), 2)
-    colon = colon_by_monomial(i2, "x1*x2")
+    colon = colon_by_monomial(i2, squarefree((1, 2), 5))
     assert colon.contains(M("x0*x3"))
 
 
 def test_colon_by_one():
     i = edge_ideal(cycle_graph(5))
-    assert colon_by_monomial(i, Monomial.one()) == i
+    assert colon_by_monomial(i, 0) == i
+
+
+@pytest.mark.parametrize("word", [-1, pack((1, 0, 0, 0, 0, 0)), pack((0, 1, 0, 0, 0)) | 1 << 4],
+                         ids=["negative", "one-lane-too-many", "guard-bit"])
+def test_colon_rejects_malformed_word(word):
+    # C5 has five variables; bit 4 is the guard bit of the last lane
+    with pytest.raises(ValueError):
+        colon_by_monomial(edge_ideal(cycle_graph(5)), word)
 
 
 def test_membership_trivia():
@@ -111,7 +119,7 @@ def small_ideals(draw):
         if any(exps):
             gens.append(Monomial.from_dict(dict(zip(vars, exps))))
     if not gens:
-        gens = [Monomial.variable(vars[0])]
+        gens = [M(vars[0])]
     return ideal(gens, vars=vars)
 
 
@@ -128,7 +136,7 @@ def test_colon_membership_duality(i, m, u):
     # u in (I : m)  <=>  u*m in I
     if i.contains(m):
         return  # the colon would be the unit ideal, which is out of scope
-    colon = colon_by_monomial(i, m)
+    colon = colon_by_monomial(i, pack_capped(m, i.vars))
     assert colon.contains(u) == i.contains(u.times(m))
 
 
@@ -178,12 +186,11 @@ def test_packed_kernels_match_tuple_reference(data):
     assert dense(power(i, s)) == oracles.tuple_power(rows, s)
     assert dense(intersect(i, packed(other))) == oracles.tuple_intersect(rows, other)
     expected = oracles.tuple_colon(rows, m)
-    mono = Monomial.from_dict(dict(zip(vars, m)))
     if expected[0] == (0,) * nv:
         with pytest.raises(ValueError):
-            colon_by_monomial(i, mono)
+            colon_by_monomial(i, pack(m))
     else:
-        assert dense(colon_by_monomial(i, mono)) == expected
+        assert dense(colon_by_monomial(i, pack(m))) == expected
 
 
 def _colon_mismatches(colon) -> int:
@@ -201,7 +208,7 @@ def _colon_mismatches(colon) -> int:
                     expected = oracles.tuple_colon(rows, m)
                     if expected[0] == (0,) * n:
                         continue
-                    got = colon(i, Monomial.from_dict(dict(zip(i.vars, m))))
+                    got = colon(i, pack(m))
                     bad += [tuple(r) for r in got.to_json_dict()["gens"]] != expected
     return bad
 
@@ -344,7 +351,7 @@ def test_edge_multiset():
     assert m.size == 3
     assert m.counts() == {(0, 1): 1, (1, 2): 2}
     assert m.without((1, 2)).edges == ((0, 1), (1, 2))
-    assert str(m.product_monomial(("x", "y", "z"))) == "x*y^3*z^2"
+    assert unpack(m.packed_product(3), 3) == (1, 3, 2)
     m.validate_in(path_graph(3))  # all entries are edges of the path
 
 

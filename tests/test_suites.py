@@ -156,8 +156,7 @@ def test_mutated_colon_truncation_is_caught(monkeypatch):
 
     def untruncated(i, m):  # a lane where g < m wraps around instead of reading 0
         hi, val, _ = monomials.lane_masks(len(i.vars))
-        mp = monomials._pack_capped(m, i.vars)
-        quotients = {((g | hi) - mp) & val for g in i.gens}
+        quotients = {((g | hi) - m) & val for g in i.gens}
         return monomials.MonomialIdeal(i.vars, monomials._minimal(quotients, len(i.vars)))
 
     for module in (monomials, suites, invariants):
