@@ -99,8 +99,11 @@ def _cmd_reg(args) -> int:
         field = homology.FieldSpec(args.char)
     except ValueError as exc:
         args.usage_error(str(exc))
-    # every power is built before the first record is printed
+    # every power is built and checked before the first record is printed
     powers = [(g, _power(args, edge_ideal(g), g)) for g in _read_graphs(args, args.input)]
+    for g, i in powers:
+        if i.is_zero:
+            args.usage_error(f"the zero ideal has no Betti table (graph {emit_graph6(g)})")
     for g, i in powers:
         table = homology.graded_betti(i, field)
         out = table.to_json_dict()

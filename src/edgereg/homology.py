@@ -7,7 +7,7 @@ Two independent routes compute the same Betti table:
   the ideal) at each point b of the lcm lattice of the minimal generators.
   One pass builds the lattice and reads each point's facets off the
   guard bits of the packed differences b - g, and each distinct set of
-  maximal facets is ranked once per call;
+  maximal facets is closed and ranked once per process, in the memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets.
@@ -253,16 +253,21 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     homology is the same.  No vertex lies in every facet (each lane of b
     is attained by some divisor, whose facet misses it), so no complex is
     a cone that could be skipped.  Each distinct set of maximal facets is
-    closed and ranked once per call; the memo dies with the call.
+    closed and ranked once per process: its profile is kept in the memo,
+    one table per number of variables and characteristic, until
+    `clear_caches()`.  A table hit still checks the face budget, so a call
+    raises `BudgetError` exactly when closing its complexes would.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
-    hi, val, ones = lane_masks(len(i.vars))
+    nv = len(i.vars)
+    hi, val, ones = lane_masks(nv)
+    width = LANE * nv
     gens = i.gens
     shift = LANE - 1
     lattice = set(gens)
     todo = list(gens)
-    profiles: dict[frozenset[int], dict[int, int]] = {}
+    profiles = memo(("complexes", nv, field.characteristic), dict)
     entries: dict[tuple[int, int], int] = {}
     while todo:
         b = todo.pop()
@@ -289,13 +294,20 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
                 deg = packed_degree(b)
                 entries[(0, deg)] = entries.get((0, deg), 0) + 1
             continue
-        key = frozenset(maximal)
+        # two or more facets, none of them empty: concatenating the sorted
+        # words at `width` bits each is injective
+        key = 0
+        for f in sorted(maximal):
+            key = key << width | f
         profile = profiles.get(key)
         if profile is None:
-            profile = profiles[key] = _profile_from_masks(
-                _closure(maximal, face_budget), field.characteristic)
+            ranks = _profile_from_masks(_closure(maximal, face_budget), field.characteristic)
+            ranks = tuple(sorted(ranks.items()))
+            profile = profiles[key] = memo(("profile", ranks), lambda: ranks)
+        elif sum(1 << f.bit_count() for f in maximal) > face_budget:
+            raise BudgetError(f"face budget {face_budget} exceeded")
         deg = packed_degree(b)
-        for d, r in profile.items():
+        for d, r in profile:
             entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r
     return BettiTable.from_dict(field, entries)
 
@@ -363,6 +375,10 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
 # ("reg^s", n, code, s, char) is reg I(G)^s for the graphs with canonical
 # key (n, code), ("reg", ideal, char) is any other regularity, and
 # `invariants` stores each invariant under (name, n, code, ...).
+# `graded_betti` keeps its complexes under ("complexes", nv, char): a dict
+# from the complex's maximal facets (sorted guard-bit words of an nv-variable
+# ideal, concatenated into one int) to its reduced homology ranks, a tuple of
+# (dimension, rank) pairs kept once under ("profile", ranks).
 _MEMO: dict[tuple, object] = {}
 
 
@@ -389,7 +405,8 @@ def regularity_of_power(g: Graph, s: int = 1, field: FieldSpec = GF2) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoized value: regularities and graph invariants."""
+    """Forget every memoized value: regularities, graph invariants and the
+    homology of every complex ranked."""
     _MEMO.clear()
 
 

@@ -22,10 +22,11 @@ counterexample there would be a finding, not a failure.
 
 Derived values live in one process-wide memo owned by `homology`: graph
 invariants and regularities of powers per isomorphism class, every other
-regularity (colons, symbolic squares) per exact ideal.  One call to
-`clear_all_caches()` forgets all of them.  Only the regularities of powers
-persist across runs, in the directory named by the EDGEREG_CACHE_DIR
-environment variable.
+regularity (colons, symbolic squares) per exact ideal, and the homology of
+every complex a Betti table has ranked, so each is ranked once per sweep.
+One call to `clear_all_caches()` forgets all of them.  Only the
+regularities of powers persist across runs, in the directory named by the
+EDGEREG_CACHE_DIR environment variable.
 """
 from __future__ import annotations
 

@@ -102,8 +102,7 @@ def test_criterion_08_isolated_reduction():
     _report("criterion 8: reduction to isolated vertices on gap-free graphs, n <= 6", ok)
 
 
-def test_criterion_09_mutation_sensitivity(monkeypatch):
-    suites.clear_all_caches()
+def test_criterion_09_mutation_sensitivity(monkeypatch, fresh_memo):
     true_nu = invariants.induced_matching_number
     monkeypatch.setattr(invariants, "induced_matching_number",
                         lambda g: true_nu(g) + 1)

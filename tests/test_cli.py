@@ -181,6 +181,20 @@ def test_power_overflow_names_the_graph(argv, graph6, tmp_path, capsys):
     assert last.startswith(f"edgereg {argv[0]}: error: --power {argv[-1]}: ")
     assert last.endswith(f"(graph {graph6})")
 
+
+def test_reg_rejects_edgeless_graph_as_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # a graph with an edge first: nothing may be printed for it
+    path.write_text("A_\n@\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("edgereg reg: error: ") and last.endswith("(graph @)")
+
+
 @pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
 @pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],
                                   ["colon-graph", "--edges", "0-1"]],

@@ -250,8 +250,9 @@ def _raises_budget(kernel, i, **budget) -> bool:
     return False
 
 
-def test_graded_betti_face_budget():
-    # the one-pass kernel runs out of faces exactly where the reference does
+def test_graded_betti_face_budget(fresh_memo):
+    # the one-pass kernel runs out of faces exactly where the reference does,
+    # whether its complexes are ranked afresh or found in the memo
     i = power(edge_ideal(cycle_graph(5)), 2)
     passing = [b for b in range(1, 129)
                if not _raises_budget(oracles.lattice_rescan_betti, i, face_budget=b)]
@@ -259,6 +260,7 @@ def test_graded_betti_face_budget():
     assert threshold > 2
     assert _raises_budget(graded_betti, i, face_budget=threshold - 1)
     assert graded_betti(i, face_budget=threshold) == graded_betti(i)
+    assert _raises_budget(graded_betti, i, face_budget=threshold - 1)
 
 
 def test_graded_betti_lattice_budget_threshold():
@@ -296,13 +298,50 @@ def _dual_oracle_mismatches(kernel) -> int:
     return bad
 
 
-@pytest.mark.parametrize("old, new", [
-    ("key = frozenset(maximal)", "key = len(maximal)"),
-    ("facets.add((diff - ones) & hi)", "facets.add(diff & hi)"),
-], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one"])
-def test_mutated_betti_kernel_is_caught(old, new):
-    assert _dual_oracle_mismatches(oracles.mutant(homology.graded_betti, old, old)) == 0
-    assert _dual_oracle_mismatches(oracles.mutant(homology.graded_betti, old, new)) > 0
+# the Stanley-Reisner ideal of the 6-vertex real projective plane: its ten
+# minimal nonfaces are the triples that are not triangles
+RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
+
+
+def _rp2_ideal():
+    names = tuple(f"x{k}" for k in range(6))
+    return ideal([{names[k]: 1 for k in t}
+                  for t in itertools.combinations(range(6), 3) if t not in RP2_TRIANGLES],
+                 vars=names)
+
+
+RP2_FIELDS = (GF2, QQ, FieldSpec(3))  # in this order, in one process
+
+
+def _field_mismatches(kernel) -> int:
+    i = _rp2_ideal()
+    return sum(kernel(i, field) != hochster_oracle(i, field) for field in RP2_FIELDS)
+
+
+def test_betti_depends_on_field_rp2(fresh_memo):
+    i = _rp2_ideal()
+    assert len(i.gens) == 10
+    tables = [graded_betti(i, field) for field in RP2_FIELDS]
+    assert tables == [hochster_oracle(i, field) for field in RP2_FIELDS]
+    gf2, qq, gf3 = (t.as_dict() for t in tables)
+    # H_1 and H_2 of RP^2 are Z/2 and 0: the torsion shows only over GF(2)
+    diff = {k: gf2.get(k, 0) - qq.get(k, 0) for k in gf2.keys() | qq.keys()}
+    assert {k: d for k, d in diff.items() if d} == {(2, 6): 1, (3, 6): 1}
+    assert qq == gf3
+
+
+@pytest.mark.parametrize("old, new, mismatches", [
+    ("key = key << width | f", "key += 1", _dual_oracle_mismatches),
+    ("facets.add((diff - ones) & hi)", "facets.add(diff & hi)", _dual_oracle_mismatches),
+    ("key = key << width | f", "key = key | f", _dual_oracle_mismatches),
+    ('("complexes", nv, field.characteristic)', '("complexes", nv)', _field_mismatches),
+], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
+        "memo-key-drops-characteristic"])
+def test_mutated_betti_kernel_is_caught(old, new, mismatches, fresh_memo):
+    assert mismatches(oracles.mutant(homology.graded_betti, old, old)) == 0
+    homology.clear_caches()
+    assert mismatches(oracles.mutant(homology.graded_betti, old, new)) > 0
 
 
 # classical cross-checks ----------------------------------------------------------

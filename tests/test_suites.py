@@ -105,8 +105,7 @@ def test_violation_storage_is_capped():
 
 # mutation sensitivity ---------------------------------------------------------
 
-def test_mutated_induced_matching_is_caught(monkeypatch):
-    suites.clear_all_caches()
+def test_mutated_induced_matching_is_caught(monkeypatch, fresh_memo):
     true_nu = invariants.induced_matching_number
 
     def off_by_one(g):
@@ -124,8 +123,7 @@ def test_mutated_induced_matching_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("rank_name, characteristic",
                          [("rank_gf2", 2), ("matrix_rank", 0), ("matrix_rank", 3)])
-def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic):
-    suites.clear_all_caches()
+def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic, fresh_memo):
     true_rank = getattr(homology, rank_name)
 
     def deflated(*args):
@@ -141,9 +139,7 @@ def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic)
     assert any(failed)
 
 
-def test_mutated_minimalization_is_caught(monkeypatch):
-    suites.clear_all_caches()
-
+def test_mutated_minimalization_is_caught(monkeypatch, fresh_memo):
     def unfiltered(gens, nv):  # keeps generators that a smaller one divides
         return tuple(sorted(set(gens), key=lambda g: (monomials.packed_degree(g), -g)))
 
@@ -151,9 +147,7 @@ def test_mutated_minimalization_is_caught(monkeypatch):
     assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
 
 
-def test_mutated_colon_truncation_is_caught(monkeypatch):
-    suites.clear_all_caches()
-
+def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
     def untruncated(i, m):  # a lane where g < m wraps around instead of reading 0
         hi, val, _ = monomials.lane_masks(len(i.vars))
         quotients = {((g | hi) - m) & val for g in i.gens}
@@ -165,7 +159,7 @@ def test_mutated_colon_truncation_is_caught(monkeypatch):
     assert not run_suite(SuiteSpec("colon-structure", n_max=4, s_max=2)).passed
 
 
-def test_every_even_connection_violation_is_counted(monkeypatch):
+def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
     true_colon = suites.colon_by_monomial
 
     def dropped(i, m):  # loses the last minimal generator
@@ -325,6 +319,37 @@ def test_memo_persists_only_regularities_of_powers(tmp_path, monkeypatch):
     assert {tuple(e[:4]) for e in snapshot} == keys
     disk = json.loads((tmp_path / suites.CACHE_FILE).read_text())
     assert sorted(disk) == sorted(snapshot)
+
+
+def test_complex_table_lives_until_clear_and_is_never_persisted(tmp_path, monkeypatch,
+                                                                fresh_memo):
+    monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
+    rank_calls = []
+    true_rank = homology.rank_gf2
+
+    def counting(rows):
+        rank_calls.append(len(rows))
+        return true_rank(rows)
+
+    monkeypatch.setattr(homology, "rank_gf2", counting)
+    reports, code = run([SuiteSpec("lower-bound", n_max=4, s_max=2)])
+    assert code == 0
+    tables = [v for k, v in homology._MEMO.items() if k[0] == "complexes"]
+    assert any(tables)
+    disk = json.loads((tmp_path / suites.CACHE_FILE).read_text())
+    assert sorted(disk) == sorted(homology.cache_snapshot())
+    assert len(disk) == sum(k[0] == "reg^s" for k in homology._MEMO)
+
+    # every complex of a repeated table is found in the memo until it is cleared
+    i = monomials.power(edge_ideal(cycle_graph(5)), 2)
+    table = homology.graded_betti(i)
+    ranked = len(rank_calls)
+    assert homology.graded_betti(i) == table
+    assert len(rank_calls) == ranked
+    homology.clear_caches()
+    assert not homology._MEMO
+    assert homology.graded_betti(i) == table
+    assert len(rank_calls) > ranked
 
 
 # disk cache ----------------------------------------------------------------------
