@@ -104,6 +104,11 @@ def _cmd_reg(args) -> int:
     for g, i in powers:
         if i.is_zero:
             args.usage_error(f"the zero ideal has no Betti table (graph {emit_graph6(g)})")
+        if args.oracle:
+            try:
+                homology.hochster_supports(i)
+            except homology.BudgetError as exc:
+                args.usage_error(f"--oracle: {exc} (graph {emit_graph6(g)})")
     for g, i in powers:
         table = homology.graded_betti(i, field)
         out = table.to_json_dict()

@@ -10,12 +10,17 @@ Two independent routes compute the same Betti table:
   maximal facets is closed and ranked once per process, in the memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
-  subcomplexes over all vertex subsets.
+  subcomplexes over all vertex subsets, ranking each distinct induced
+  complex once per call.
 
 The two routes build their complexes independently, so comparing them
-detects silent bugs in either construction.  They are not fully
-independent: besides the rank routines in `linalg`, both take homology
-through `_profile_from_masks`, so a bug there can hit both alike.
+detects silent bugs in either construction.  Neither reads the other's
+tables: `graded_betti` keeps its complexes in the process-wide memo,
+while `hochster_oracle` keeps its table for the length of one call and
+never touches the memo, so a stale or wrongly keyed entry on one route
+cannot reach the other.  They are not fully independent: besides the
+rank routines in `linalg`, both take homology through
+`_profile_from_masks`, so a bug there can hit both alike.
 
 Conventions: the empty complex {emptyset} has homology of rank one in
 dimension -1 and the void complex (no faces at all) has none anywhere.
@@ -323,18 +328,13 @@ def _maximal_masks(masks: set[int]) -> list[int]:
     return out
 
 
-def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
-                    var_budget: int = DEFAULT_VAR_BUDGET,
-                    face_budget: int = DEFAULT_FACE_BUDGET) -> BettiTable:
-    """Betti table of the polarization read off the Stanley-Reisner complex:
-    each vertex subset W contributes its induced subcomplex's reduced
-    homology at dimension |W| - i - 2 to beta_{i,|W|}.
-
-    Independent of `graded_betti` by construction; used as the second
-    route in every dual-oracle check.
-    """
-    if i.is_zero:
-        raise ValueError("Betti table of the zero ideal is undefined here")
+def hochster_supports(i: MonomialIdeal, var_budget: int = DEFAULT_VAR_BUDGET,
+                      face_budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, list[int]]:
+    """(n, supports) for `hochster_oracle`: the supports of the polarized
+    generators as bitmasks over the n polarized variables they use,
+    renumbered 0..n-1.  Raises `BudgetError` when n exceeds var_budget or
+    the 2^n vertex subsets exceed face_budget, so a caller can check the
+    oracle's budgets before running it."""
     p, _ = polarize(i)
     nv = len(p.vars)
     hi, _, ones = lane_masks(nv)
@@ -347,8 +347,33 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     if (1 << n) > face_budget:
         raise BudgetError(f"face budget {face_budget} exceeded")
     remap = {orig: idx for idx, orig in enumerate(used)}
-    supports = sorted({sum(1 << remap[k] for k in _mask_bits(m)) for m in supports_in_p})
+    return n, sorted({sum(1 << remap[k] for k in _mask_bits(m)) for m in supports_in_p})
+
+
+def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
+                    var_budget: int = DEFAULT_VAR_BUDGET,
+                    face_budget: int = DEFAULT_FACE_BUDGET) -> BettiTable:
+    """Betti table of the polarization read off the Stanley-Reisner complex:
+    each vertex subset W contributes its induced subcomplex's reduced
+    homology at dimension |W| - i - 2 to beta_{i,|W|}.
+
+    Subsets with a cone vertex (one in no support inside W) are skipped,
+    so every vertex of W lies in a support inside W.  Those supports,
+    renumbered to the positions of W's vertices in increasing order, are
+    the minimal nonfaces of the induced complex and therefore fix both
+    the complex, up to that renumbering, and |W|.  Keyed on them as a
+    frozenset of masks, a table local to the call ranks each distinct
+    induced complex once.  The table is never shared: not across calls,
+    and not with the memo that serves `graded_betti`.
+
+    Independent of `graded_betti` by construction; used as the second
+    route in every dual-oracle check.
+    """
+    if i.is_zero:
+        raise ValueError("Betti table of the zero ideal is undefined here")
+    n, supports = hochster_supports(i, var_budget, face_budget)
     faces = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
+    profiles: dict[frozenset[int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << n):
         inner = [s for s in supports if s & w == s]
@@ -357,8 +382,12 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
             covered |= s
         if w & ~covered:
             continue  # cone vertex inside W
-        sub_faces = {f for f in faces if f & w == f}
-        profile = _profile_from_masks(sub_faces, field.characteristic)
+        pos = list(_mask_bits(w))  # W's vertices in increasing order
+        key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)
+        profile = profiles.get(key)
+        if profile is None:
+            sub_faces = {f for f in faces if f & w == f}
+            profile = profiles[key] = _profile_from_masks(sub_faces, field.characteristic)
         j = w.bit_count()
         for d, r in profile.items():
             idx = j - d - 2

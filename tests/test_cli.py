@@ -195,6 +195,21 @@ def test_reg_rejects_edgeless_graph_as_usage_error(tmp_path, capsys):
     assert last.startswith("edgereg reg: error: ") and last.endswith("(graph @)")
 
 
+def test_reg_oracle_past_its_budget_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # I(K6)^4 polarizes to 24 variables, past the oracle's variable budget;
+    # the graph before it must print nothing
+    path.write_text("A_\nE~~w\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", str(path), "--power", "4", "--oracle"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("edgereg reg: error: --oracle: variable budget ")
+    assert last.endswith("(graph E~~w)")
+
+
 @pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
 @pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],
                                   ["colon-graph", "--edges", "0-1"]],

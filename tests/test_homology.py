@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,26 @@ def test_rank_mod_p_bounded_by_rational_rank(rows, p):
     rank = matrix_rank(_sparse(rows), p)
     assert rank == oracles.fraction_rank(rows, p)
     assert rank <= oracles.fraction_rank(rows)
+
+
+def _rank_mismatches(rank, p) -> int:
+    rng = random.Random(0)
+    bad = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+        bad += rank(_sparse(rows), p) != oracles.fraction_rank(rows, p)
+    return bad
+
+
+# each mutant still cancels every leading entry, so its elimination ends
+@pytest.mark.parametrize("old, new, p", [
+    ("t = (ones | b) ^ (twos | a)", "t = (ones | b) | (twos | a)", 3),
+    ("v = row.get(c, 0) - f * y", "v = row.get(c, 0) - f * a", 0),
+], ids=["gf3-planes-add-with-or", "qq-update-scales-by-lead"])
+def test_mutated_matrix_rank_is_caught(old, new, p):
+    assert _rank_mismatches(oracles.mutant(matrix_rank, old, old), p) == 0
+    assert _rank_mismatches(oracles.mutant(matrix_rank, old, new), p) > 0
 
 
 def test_field_spec_validation():
@@ -220,6 +241,21 @@ def test_dual_oracle_agreement_small():
                     assert graded_betti(i, field) == hochster_oracle(i, field)
 
 
+def test_hochster_oracle_leaves_the_memo_alone(fresh_memo):
+    def snapshot():  # the complex tables are dicts inside the memo
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in homology._MEMO.items()}
+
+    i = power(edge_ideal(cycle_graph(5)), 2)
+    fields = (GF2, QQ, FieldSpec(3))
+    for field in fields:
+        hochster_oracle(i, field)
+    assert homology._MEMO == {}
+    tables = [graded_betti(i, field) for field in fields]
+    before = snapshot()
+    assert [hochster_oracle(i, field) for field in fields] == tables
+    assert snapshot() == before
+
+
 def test_polarization_preserves_betti():
     cases = [ideal([M("x^2*y"), M("x*y^2")])]
     for n in range(2, 5):
@@ -271,10 +307,11 @@ def test_graded_betti_lattice_budget_threshold():
 
 
 @st.composite
-def random_ideals(draw):
-    nv = draw(st.integers(1, 6))
+def random_ideals(draw, max_vars=6, max_exponent=3):
+    nv = draw(st.integers(1, max_vars))
     names = tuple(f"x{k}" for k in range(nv))
-    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=nv, max_size=nv).filter(any),
+    rows = draw(st.lists(st.lists(st.integers(0, max_exponent), min_size=nv,
+                                  max_size=nv).filter(any),
                          min_size=1, max_size=6))
     return ideal([Monomial.from_dict(dict(zip(names, r))) for r in rows], vars=names)
 
@@ -285,7 +322,14 @@ def test_graded_betti_matches_lattice_rescan_reference(i, field):
     assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
 
 
-def _dual_oracle_mismatches(kernel) -> int:
+# exponents up to 2 on at most 5 variables: at most 10 polarized variables
+@given(random_ideals(5, 2), st.sampled_from([GF2, QQ, FieldSpec(3)]))
+@settings(max_examples=100, deadline=None)
+def test_hochster_oracle_matches_lattice_rescan_reference(i, field):
+    assert hochster_oracle(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+def _dual_oracle_mismatches(kernel, oracle=hochster_oracle) -> int:
     bad = 0
     for n in range(2, 5):
         for g in enumerate_graphs(n):
@@ -294,7 +338,7 @@ def _dual_oracle_mismatches(kernel) -> int:
             for s in (1, 2):
                 i = power(edge_ideal(g), s)
                 for field in (GF2, QQ):
-                    bad += kernel(i, field) != hochster_oracle(i, field)
+                    bad += kernel(i, field) != oracle(i, field)
     return bad
 
 
@@ -342,6 +386,17 @@ def test_mutated_betti_kernel_is_caught(old, new, mismatches, fresh_memo):
     assert mismatches(oracles.mutant(homology.graded_betti, old, old)) == 0
     homology.clear_caches()
     assert mismatches(oracles.mutant(homology.graded_betti, old, new)) > 0
+
+
+ORACLE_KEY = "key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)"
+
+
+def test_mutated_oracle_table_key_is_caught():
+    # keyed on the number of supports inside W, different complexes collide
+    assert _dual_oracle_mismatches(graded_betti,
+                                   oracles.mutant(hochster_oracle, ORACLE_KEY, ORACLE_KEY)) == 0
+    mutated = oracles.mutant(hochster_oracle, ORACLE_KEY, "key = len(inner)")
+    assert _dual_oracle_mismatches(graded_betti, mutated) > 0
 
 
 # classical cross-checks ----------------------------------------------------------
