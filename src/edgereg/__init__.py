@@ -10,9 +10,8 @@ from .evenconn import (ColonGraphResult, EvenConnectionCertificate, colon_graph,
 from .graphs import (Graph, complement, delete_closed_neighborhood, emit_graph6,
                      enumerate_graphs, from_edge_list, induced_subgraph,
                      is_isomorphic, parse_graph6)
-from .homology import (GF2, QQ, BettiTable, FieldSpec, SimplicialComplex,
-                       graded_betti, hochster_oracle, independence_complex,
-                       reduced_homology, regularity, regularity_of_power)
+from .homology import (GF2, QQ, BettiTable, FieldSpec, graded_betti, hochster_oracle,
+                       regularity, regularity_of_power)
 from .invariants import (InvariantRecord, induced_matching_number, invariant_record,
                          is_chordal, is_co_chordal, is_gap_free, local_regularity,
                          matching_number)

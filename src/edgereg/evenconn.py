@@ -76,12 +76,6 @@ class EvenConnectionCertificate:
         counts = m.counts()
         return all(counts.get(e, 0) >= c for e, c in usage.items())
 
-    def reversed(self) -> "EvenConnectionCertificate":
-        path = self.path[::-1]
-        last = len(self.path) - 2
-        assigns = tuple(sorted((last - pos, e) for pos, e in self.assignments))
-        return EvenConnectionCertificate(path, assigns)
-
 
 @dataclass(frozen=True)
 class ColonGraphResult:

@@ -98,12 +98,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(adj), labels if labels is not None else _default_labels(n))
 
 
-def relabel(g: Graph, labels: Iterable[str]) -> Graph:
-    return Graph(g.n, g.adj, tuple(labels))
-
-
 # ---------------------------------------------------------------------------
-# graph6 and JSON interchange
+# graph6 interchange and JSON input
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (the <= 62 vertex short form)."""
@@ -154,12 +150,13 @@ def emit_graph6(g: Graph) -> str:
 
 
 def from_json_dict(d: dict) -> Graph:
-    """Edge-list schema {"n": int, "edges": [[u, v], ...]}."""
-    return from_edge_list(int(d["n"]), [tuple(e) for e in d["edges"]])
-
-
-def to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
+    """Edge-list schema {"n": int, "edges": [[u, v], ...]}.  `n` and every
+    endpoint must be JSON integers: floats, booleans and strings raise
+    GraphError."""
+    n, edges = d["n"], [tuple(e) for e in d["edges"]]
+    if type(n) is not int or any(type(x) is not int for e in edges for x in e):
+        raise GraphError(f"n and every edge endpoint must be integers in {d}")
+    return from_edge_list(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +221,6 @@ def delete_closed_neighborhood(g: Graph, x: int) -> tuple[Graph, dict[int, int]]
     if not 0 <= x < g.n:
         raise GraphError(f"vertex {x} out of range")
     return delete_vertices(g, closed_neighborhood(g, x))
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u in _bits(g.adj[v] & ~seen):
-            seen |= 1 << u
-            frontier.append(u)
-    return seen == (1 << g.n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +295,14 @@ def _canonical_reps(n: int) -> list[Graph]:
     return [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
 
 
-def enumerate_graphs(n: int, connected_only: bool = False,
-                     bound: int = DEFAULT_ENUMERATION_BOUND) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of simple graphs on n
-    vertices.  Enumeration works by extending the (n-1)-vertex classes by
-    one vertex in all possible ways and deduplicating canonically."""
-    if n > bound:
-        raise GraphError(f"enumeration bound exceeded: n={n} > {bound}")
-    for g in _canonical_reps(n):
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+    vertices, n <= DEFAULT_ENUMERATION_BOUND.  Enumeration works by
+    extending the (n-1)-vertex classes by one vertex in all possible ways
+    and deduplicating canonically."""
+    if n > DEFAULT_ENUMERATION_BOUND:
+        raise GraphError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUMERATION_BOUND}")
+    yield from _canonical_reps(n)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
 
-from .graphs import Graph, canonical_key
+from .graphs import Graph, _bits, canonical_key
 from .linalg import matrix_rank, rank_gf2
 from .monomials import (LANE, MonomialIdeal, edge_ideal, lane_masks, packed_degree,
                         polarize, power)
@@ -66,81 +66,7 @@ QQ = FieldSpec(0)
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A complex presented by its facets (an inclusion antichain)."""
-
-    vertices: tuple[str, ...]
-    facets: tuple[frozenset[str], ...]
-
-    @classmethod
-    def from_faces(cls, vertices: Iterable[str], faces: Iterable[frozenset[str]]) -> "SimplicialComplex":
-        verts = tuple(vertices)
-        face_list = [frozenset(f) for f in faces]
-        maximal = [f for f in face_list if not any(f < g for g in face_list)]
-        uniq = sorted(set(maximal), key=lambda f: (len(f), sorted(f)))
-        return cls(verts, tuple(uniq))
-
-    def faces(self, face_budget: int = DEFAULT_FACE_BUDGET) -> set[frozenset[str]]:
-        """Downward closure of the facets."""
-        index = {v: k for k, v in enumerate(self.vertices)}
-        masks = [sum(1 << index[v] for v in f) for f in self.facets]
-        out = _closure(masks, face_budget)
-        rev = {k: v for v, k in index.items()}
-        return {frozenset(rev[b] for b in _mask_bits(m)) for m in out}
-
-
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Faces are the independent vertex sets of g; its Stanley-Reisner
-    ideal is exactly the edge ideal."""
-    indep = [m for m in range(1 << g.n)
-             if all(g.adj[v] & m == 0 for v in _mask_bits(m))]
-    indep_set = set(indep)
-    facets = []
-    for m in indep:
-        if any((m | (1 << v)) in indep_set for v in range(g.n) if not m >> v & 1):
-            continue
-        facets.append(frozenset(g.labels[v] for v in _mask_bits(m)))
-    return SimplicialComplex.from_faces(g.labels, facets)
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Ranks of reduced homology; zero ranks are omitted from `ranks`."""
-
-    ranks: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[int, int]) -> "HomologyProfile":
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v)))
-
-    def rank(self, d: int) -> int:
-        return dict(self.ranks).get(d, 0)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.ranks)
-
-
-def reduced_homology(c: SimplicialComplex, field: FieldSpec = GF2,
-                     face_budget: int = DEFAULT_FACE_BUDGET) -> HomologyProfile:
-    """Exact reduced homology ranks via boundary-matrix ranks."""
-    index = {v: k for k, v in enumerate(c.vertices)}
-    masks = [sum(1 << index[v] for v in f) for f in c.facets]
-    faces = _closure(masks, face_budget)
-    return HomologyProfile.from_dict(_profile_from_masks(faces, field.characteristic))
-
-
-# ---------------------------------------------------------------------------
 # internal machinery on bitmask faces
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def _closure(facet_masks: Iterable[int], face_budget: int) -> set[int]:
     faces: set[int] = set()
@@ -184,13 +110,13 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
             rows = []
             for f in by_dim[d]:
                 row = 0
-                for v in _mask_bits(f):
+                for v in _bits(f):
                     row |= 1 << target[f ^ (1 << v)]
                 rows.append(row)
             boundary_rank[d] = rank_gf2(rows)
         else:
             rows = [{target[f ^ (1 << v)]: -1 if pos % 2 else 1
-                     for pos, v in enumerate(_mask_bits(f))} for f in by_dim[d]]
+                     for pos, v in enumerate(_bits(f))} for f in by_dim[d]]
             boundary_rank[d] = matrix_rank(rows, characteristic)
     profile: dict[int, int] = {}
     for d in dims:
@@ -198,20 +124,6 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
         if h:
             profile[d] = h
     return profile
-
-
-def _packed_excess_mask(b: int, g: int, hi: int, ones: int, nv: int) -> int:
-    # vertex bitmask of the lanes where b - g >= 1 (the squarefree support
-    # of the upper-Koszul facet attached to generator g at multidegree b);
-    # bit k is variable k, which sits in lane nv - 1 - k
-    strict = ((b | hi) - g - ones) & hi
-    mask = 0
-    probe = LANE * nv - 1
-    for k in range(nv):
-        if strict >> probe & 1:
-            mask |= 1 << k
-        probe -= LANE
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +249,17 @@ def hochster_supports(i: MonomialIdeal, var_budget: int = DEFAULT_VAR_BUDGET,
     oracle's budgets before running it."""
     p, _ = polarize(i)
     nv = len(p.vars)
-    hi, _, ones = lane_masks(nv)
-    # variable support of each generator: the lanes where g - 0 >= 1
-    supports_in_p = [_packed_excess_mask(g, 0, hi, ones, nv) for g in p.gens]
-    used = sorted({k for m in supports_in_p for k in _mask_bits(m)})
+    # a polarized generator is squarefree: its set bits are the low bits
+    # LANE * j of its lanes j, and lane j holds variable nv - 1 - j
+    supports_in_p = [sum(1 << (nv - 1 - b // LANE) for b in _bits(g)) for g in p.gens]
+    used = sorted({k for m in supports_in_p for k in _bits(m)})
     n = len(used)
     if n > var_budget:
         raise BudgetError(f"variable budget {var_budget} exceeded: {n} polarized variables")
     if (1 << n) > face_budget:
         raise BudgetError(f"face budget {face_budget} exceeded")
     remap = {orig: idx for idx, orig in enumerate(used)}
-    return n, sorted({sum(1 << remap[k] for k in _mask_bits(m)) for m in supports_in_p})
+    return n, sorted({sum(1 << remap[k] for k in _bits(m)) for m in supports_in_p})
 
 
 def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
@@ -382,7 +294,7 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
             covered |= s
         if w & ~covered:
             continue  # cone vertex inside W
-        pos = list(_mask_bits(w))  # W's vertices in increasing order
+        pos = list(_bits(w))  # W's vertices in increasing order
         key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)
         profile = profiles.get(key)
         if profile is None:

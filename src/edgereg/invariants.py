@@ -185,22 +185,17 @@ def local_regularity_max(g: Graph, field: homology.FieldSpec = homology.GF2) -> 
                        field.characteristic))
 
 
-def is_locally_of_regularity_at_most(g: Graph, r: int,
-                                     field: homology.FieldSpec = homology.GF2) -> bool:
-    """True when reg (I(G):x) <= r for every non-isolated vertex x; r = 2
-    is the "locally linear" predicate.  For r = 2 the answer is
-    cross-checked against the co-chordality shortcut for each colon
-    graph."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    result = local_regularity_max(g, field) <= r
-    if r == 2:
-        shortcut = all(_colon_graph_cochordal(g, x)
-                       for x in range(g.n) if g.degree(x) > 0)
-        if shortcut != result:
-            raise RuntimeError(
-                "internal consistency failure: engine and co-chordal shortcut disagree "
-                f"on local regularity <= 2 for {g!r}")
+def is_locally_linear(g: Graph) -> bool:
+    """True when reg (I(G):x) <= 2 for every non-isolated vertex x.  The
+    answer is cross-checked against the co-chordality shortcut for each
+    colon graph."""
+    result = local_regularity_max(g) <= 2
+    shortcut = all(_colon_graph_cochordal(g, x)
+                   for x in range(g.n) if g.degree(x) > 0)
+    if shortcut != result:
+        raise RuntimeError(
+            "internal consistency failure: engine and co-chordal shortcut disagree "
+            f"on local regularity <= 2 for {g!r}")
     return result
 
 
@@ -208,10 +203,6 @@ def _colon_graph_cochordal(g: Graph, x: int) -> bool:
     # reg(I:x) <= 2 iff G - N[x] is edgeless or co-chordal
     h, _ = delete_closed_neighborhood(g, x)
     return h.is_edgeless() or is_co_chordal(h)
-
-
-def is_locally_linear(g: Graph) -> bool:
-    return is_locally_of_regularity_at_most(g, 2)
 
 
 # ---------------------------------------------------------------------------

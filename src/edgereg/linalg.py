@@ -43,8 +43,7 @@ def rank_gf2(rows: list[int]) -> int:
 def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
     if p:
         return {c: x % p for c, x in row.items() if x % p}
-    g = gcd(*row.values())
-    return {c: x // g for c, x in row.items() if x}
+    return {c: x for c, x in row.items() if x}
 
 
 def matrix_rank(rows: Iterable[dict[int, int]], characteristic: int) -> int:

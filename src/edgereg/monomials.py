@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,6 @@ class Monomial:
 
     def support(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.exps)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        d = self.as_dict()
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial.from_dict(d)
 
     def __str__(self):
         if not self.exps:
@@ -221,11 +215,6 @@ class MonomialIdeal:
         nv = len(self.vars)
         return {"vars": list(self.vars), "gens": [list(unpack(g, nv)) for g in self.gens]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MonomialIdeal":
-        vars = tuple(d["vars"])
-        return ideal([dict(zip(vars, r)) for r in d["gens"]], vars=vars)
-
     def __str__(self):
         return "(" + ", ".join(str(m) for m in self.generators()) + ")" if self.gens else "(0)"
 
@@ -355,21 +344,6 @@ def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, str]]:
         copies = [s + k for s, e in zip(starts, unpack(g, nv)) for k in range(e)]
         gens.append(squarefree(copies, len(vmap)))
     return packed_ideal(tuple(vmap), gens), vmap
-
-
-def colon_graph_of(i: MonomialIdeal) -> Graph:
-    """The graph whose edges are the generators of a quadratically generated
-    ideal, after polarization: xy gives the edge {x, y} and a square x^2
-    gives the whisker edge {x, x.2}.  Generators of degree != 2 are
-    rejected, which signals that the input is not a colon of the expected
-    shape."""
-    for d in i.generator_degrees():
-        if d != 2:
-            raise ValueError(f"generator of degree {d} != 2")
-    p, _ = polarize(i)
-    nv = len(p.vars)
-    edges = [tuple(k for k, e in enumerate(unpack(g, nv)) if e) for g in p.gens]
-    return from_edge_list(nv, edges, labels=p.vars)
 
 
 # ---------------------------------------------------------------------------

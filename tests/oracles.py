@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from edgereg.graphs import Graph, induced_subgraph
 from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
-                              BudgetError, FieldSpec, _closure, _packed_excess_mask,
-                              _profile_from_masks)
+                              BudgetError, FieldSpec, _closure, _profile_from_masks)
 from edgereg.monomials import LANE, MonomialIdeal, lane_masks, packed_degree
 
 
@@ -198,6 +197,20 @@ def _lcm_lattice(gens: list[int], hi: int, val: int, cap: int) -> set[int]:
                         raise BudgetError(f"lcm lattice budget {cap} exceeded")
         frontier = fresh
     return lattice
+
+
+def _packed_excess_mask(b: int, g: int, hi: int, ones: int, nv: int) -> int:
+    # vertex bitmask of the lanes where b - g >= 1 (the squarefree support
+    # of the upper-Koszul facet attached to generator g at multidegree b);
+    # bit k is variable k, which sits in lane nv - 1 - k
+    strict = ((b | hi) - g - ones) & hi
+    mask = 0
+    probe = LANE * nv - 1
+    for k in range(nv):
+        if strict >> probe & 1:
+            mask |= 1 << k
+        probe -= LANE
+    return mask
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:

@@ -210,7 +210,10 @@ def test_reg_oracle_past_its_budget_is_a_usage_error(tmp_path, capsys):
     assert last.endswith("(graph E~~w)")
 
 
-@pytest.mark.parametrize("content", [None, "!!\n"], ids=["missing-file", "bad-line"])
+@pytest.mark.parametrize("content", [
+    None, "!!\n", '{"n": 2.9, "edges": [[0, 1]]}\n', '{"n": true, "edges": []}\n',
+    '{"n": "3", "edges": []}\n', '{"n": 3, "edges": [[true, 2]]}\n',
+], ids=["missing-file", "bad-line", "float-n", "bool-n", "string-n", "bool-endpoint"])
 @pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],
                                   ["colon-graph", "--edges", "0-1"]],
                          ids=["invariants", "ideal", "reg", "colon-graph"])

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from edgereg.evenconn import (colon_graph, even_connected_pairs, even_connection_lengths,
-                              isolated_reduction_failures, longest_walk_endpoints)
+from edgereg.evenconn import (EvenConnectionCertificate, colon_graph, even_connected_pairs,
+                              even_connection_lengths, isolated_reduction_failures,
+                              longest_walk_endpoints)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
@@ -61,7 +62,11 @@ def test_certificates_validate_and_reverse():
                 for u, v, cert in even_connected_pairs(g, m):
                     assert cert.endpoints() in ((u, v), (v, u))
                     assert cert.check(g, m)
-                    assert cert.reversed().check(g, m)
+                    last = len(cert.path) - 2
+                    back = EvenConnectionCertificate(
+                        cert.path[::-1],
+                        tuple(sorted((last - pos, e) for pos, e in cert.assignments)))
+                    assert back.check(g, m)
 
 
 def test_multiset_must_live_in_graph():

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from edgereg import homology
-from edgereg.graphs import (complete_graph, cycle_graph, disjoint_edges,
+from edgereg.graphs import (cycle_graph, disjoint_edges,
                             enumerate_graphs, induced_subgraph, path_graph)
-from edgereg.homology import (GF2, QQ, BudgetError, FieldSpec,
-                              SimplicialComplex, graded_betti, hochster_oracle,
-                              independence_complex, reduced_homology, regularity,
-                              regularity_of_power)
+from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
+                              _closure, _profile_from_masks, graded_betti,
+                              hochster_oracle, regularity, regularity_of_power)
 from edgereg.linalg import matrix_rank, rank_gf2
 from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal,
                                lane_masks, pack, pack_capped, polarize, power,
@@ -105,64 +104,48 @@ def test_field_spec_validation():
                 min_size=1, max_size=12))
 def test_packed_excess_mask_matches_tuples(pairs):
     # bit k of the facet mask is variable k, where b exceeds g
-    from edgereg.homology import _packed_excess_mask
     g = tuple(x for x, _ in pairs)
     b = tuple(y for _, y in pairs)
     nv = len(pairs)
     hi, _, ones = lane_masks(nv)
     expected = sum(1 << k for k in range(nv) if b[k] > g[k])
-    assert _packed_excess_mask(pack(b), pack(g), hi, ones, nv) == expected
+    assert oracles._packed_excess_mask(pack(b), pack(g), hi, ones, nv) == expected
 
 
-# simplicial complexes --------------------------------------------------------
+# reduced homology of complexes given by facet masks ----------------------------
 
-def test_independence_complex_triangle():
-    c = independence_complex(complete_graph(3))
-    assert set(c.facets) == {frozenset({"x0"}), frozenset({"x1"}), frozenset({"x2"})}
-
-
-def test_independence_complex_edgeless():
-    from edgereg.graphs import edgeless
-    c = independence_complex(edgeless(4))
-    assert c.facets == (frozenset({"x0", "x1", "x2", "x3"}),)
+def _homology(facet_masks, characteristic=2, face_budget=DEFAULT_FACE_BUDGET):
+    return _profile_from_masks(_closure(facet_masks, face_budget), characteristic)
 
 
-def test_independence_complex_c4():
-    c = independence_complex(cycle_graph(4))
-    assert set(c.facets) == {frozenset({"x0", "x2"}), frozenset({"x1", "x3"})}
+# the boundary of the octahedron, a 2-sphere: one vertex of each antipodal
+# pair {1, 2}, {4, 8}, {16, 32} per facet
+OCTAHEDRON = [a | b | c for a in (1, 2) for b in (4, 8) for c in (16, 32)]
 
 
 def test_reduced_homology_circle():
-    hollow = SimplicialComplex.from_faces(
-        "abc", [frozenset("ab"), frozenset("bc"), frozenset("ac")])
-    assert reduced_homology(hollow).as_dict() == {1: 1}
-    assert reduced_homology(hollow, QQ).as_dict() == {1: 1}
+    hollow = [0b011, 0b110, 0b101]  # the three edges of a triangle
+    assert _homology(hollow) == {1: 1}
+    assert _homology(hollow, 0) == {1: 1}
 
 
 def test_reduced_homology_two_points():
-    two = SimplicialComplex.from_faces("ab", [frozenset("a"), frozenset("b")])
-    assert reduced_homology(two).as_dict() == {0: 1}
+    assert _homology([0b01, 0b10]) == {0: 1}
 
 
 def test_reduced_homology_octahedron():
-    # the independence complex of three disjoint edges is the boundary of
-    # the octahedron: a 2-sphere
-    c = independence_complex(disjoint_edges(3))
-    assert reduced_homology(c).as_dict() == {2: 1}
-    assert reduced_homology(c, QQ).as_dict() == {2: 1}
+    assert _homology(OCTAHEDRON) == {2: 1}
+    assert _homology(OCTAHEDRON, 0) == {2: 1}
 
 
 def test_reduced_homology_empty_and_void():
-    empty = SimplicialComplex.from_faces((), [frozenset()])
-    assert reduced_homology(empty).as_dict() == {-1: 1}
-    void = SimplicialComplex((), ())
-    assert reduced_homology(void).as_dict() == {}
+    assert _homology([0]) == {-1: 1}  # the empty complex {emptyset}
+    assert _homology([]) == {}        # the void complex
 
 
 def test_face_budget():
-    c = independence_complex(disjoint_edges(3))
     with pytest.raises(BudgetError):
-        reduced_homology(c, face_budget=4)
+        _homology(OCTAHEDRON, face_budget=4)
 
 
 # graded Betti tables ----------------------------------------------------------

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import pytest
-
 import oracles
 from edgereg.graphs import (claw, complement, complete_bipartite, complete_graph,
                             cricket, cycle_graph, disjoint_edges, edgeless,
@@ -10,9 +8,7 @@ from edgereg.homology import regularity_of_power
 from edgereg.invariants import (has_induced_pattern, induced_matching_number,
                                 invariant_record, is_cameron_walker, is_chordal,
                                 is_claw_free, is_co_chordal, is_cricket_free,
-                                is_gap_free, is_locally_linear,
-                                is_locally_of_regularity_at_most,
-                                local_regularity, local_regularity_max,
+                                is_gap_free, is_locally_linear, local_regularity, local_regularity_max,
                                 matching_number)
 from edgereg.suites import check_hierarchy_function
 
@@ -125,7 +121,7 @@ def test_local_regularity_join_fixture():
 def test_local_regularity_edgeless():
     assert local_regularity(edgeless(3), 0) == 0
     assert local_regularity_max(edgeless(3)) == 0
-    assert is_locally_of_regularity_at_most(edgeless(3), 1)
+    assert is_locally_linear(edgeless(3))
 
 
 def test_local_regularity_matches_colon_formula():
@@ -148,11 +144,6 @@ def test_local_regularity_matches_colon_formula():
                 ideal([Monomial.parse(g.labels[u]) for u in g.neighbors(x)],
                       vars=g.labels))
             assert colon.same_ideal_as(expected)
-
-
-def test_locally_of_regularity_validation():
-    with pytest.raises(ValueError):
-        is_locally_of_regularity_at_most(cycle_graph(4), 0)
 
 
 def test_gap_free_cricket_free_implies_locally_linear():
