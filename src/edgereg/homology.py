@@ -6,8 +6,14 @@ Two independent routes compute the same Betti table:
   subcomplex (the complex of squarefree vectors t with x^(b-t) still in
   the ideal) at each point b of the lcm lattice of the minimal generators.
   One pass builds the lattice and reads each point's facets off the
-  guard bits of the packed differences b - g, and each distinct set of
-  maximal facets is closed and ranked once per process, in the memo;
+  guard bits of the packed differences b - g.  The generators sit in one
+  int, a slot each: 64 bits up to 12 variables (5 bits a lane and one
+  flag bit above the lanes), else the fewest whole 8-byte words.  So a
+  point costs a fixed number of big-int operations against every
+  generator at once, and its lcm and facet words are unpacked into ints
+  in C (`memoryview.cast` on 64-bit slots, one `int.from_bytes` per wider
+  slot).  Each distinct set of maximal facets is closed and ranked once
+  per process, in the memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets, ranking each distinct induced
@@ -29,13 +35,14 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, _bits, canonical_key
 from .linalg import matrix_rank, rank_gf2
-from .monomials import (LANE, MonomialIdeal, edge_ideal, lane_masks, packed_degree,
+from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks,
                         polarize, power)
 
 DEFAULT_FACE_BUDGET = 1 << 20
@@ -163,24 +170,41 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     """Betti table via upper Koszul homology at every lcm-lattice point.
 
     One pass builds the lcm lattice and reads each point's complex off it.
-    Expanding a point b against a generator g either finds that g divides
-    b (no lane of b - g borrows) or adds lcm(b, g) to the lattice.  A
-    divisor's facet is the guard-bit word of the lanes where b - g >= 1,
-    so faces are words of guard bits rather than vertex bitmasks; the
-    homology is the same.  No vertex lies in every facet (each lane of b
-    is attained by some divisor, whose facet misses it), so no complex is
-    a cone that could be skipped.  Each distinct set of maximal facets is
-    closed and ranked once per process: its profile is kept in the memo,
-    one table per number of variables and characteristic, until
-    `clear_caches()`.  A table hit still checks the face budget, so a call
-    raises `BudgetError` exactly when closing its complexes would.
+    The generators sit in one int, a slot each: 64 bits while the 5 * nv
+    bits of lanes and a flag bit above them fit (nv <= 12), else the
+    fewest whole 8-byte words.  At a point b, subtracting that int from b
+    repeated in every slot leaves a guard bit in each lane where b >= g,
+    with no borrow between lanes or slots.  From it a fixed number of
+    big-int operations give every lcm(b, g) (each lane taken from b or g)
+    and every divisor's facet, the guard-bit word of the lanes where
+    b - g >= 1; the flag bit marks the non-divisors, whose facet words are
+    cleared.  `_slots` unpacks both words into ints in C, and the lattice
+    grows by set difference.  Faces are words of guard bits rather than
+    vertex bitmasks; the homology is the same.  A point whose only facet is
+    the empty one is a minimal generator and counts in beta_0.  No vertex
+    lies in every facet (each lane of b is attained by some divisor, whose
+    facet misses it), so no complex is a cone that could be skipped.
+
+    Each distinct set of maximal facets is closed and ranked once per
+    process: its face work and ranks are kept in the memo, one table per
+    number of variables and characteristic, until `clear_caches()`.  A
+    table hit checks the stored face work against the face budget, so a
+    call raises `BudgetError` exactly when closing its complexes would;
+    the lattice budget is checked after each point's new lcms join, so it
+    raises exactly when the lattice has more points than the budget.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
     nv = len(i.vars)
-    hi, val, ones = lane_masks(nv)
+    hi, _, ones = lane_masks(nv)
     width = LANE * nv
     gens = i.gens
+    count = len(gens)
+    size = 8 * (width // 64 + 1)  # bytes per slot: the lanes and a flag bit above them
+    rep = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+    all_gens = int.from_bytes(b"".join(g.to_bytes(size, "little") for g in gens), "little")
+    all_hi, all_ones = hi * rep, ones * rep
+    all_lanes, all_top = ((1 << width) - 1) * rep, rep << width
     shift = LANE - 1
     lattice = set(gens)
     todo = list(gens)
@@ -188,45 +212,55 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     entries: dict[tuple[int, int], int] = {}
     while todo:
         b = todo.pop()
-        b_hi = b | hi
-        facets = set()
-        for g in gens:
-            diff = b_hi - g
-            ge = diff & hi
-            if ge == hi:
-                facets.add((diff - ones) & hi)
-                continue
-            sel = ge - (ge >> shift)
-            m = (b & sel) | (g & val & ~sel)
-            if m not in lattice:
-                lattice.add(m)
-                todo.append(m)
-                if len(lattice) > lattice_budget:
-                    raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
+        b_all = b * rep
+        diff = (b_all | all_hi) - all_gens
+        ge = diff & all_hi  # guard bit of each lane where b >= g
+        lcms = all_gens ^ ((b_all ^ all_gens) & (ge - (ge >> shift)))
+        new = set(_slots(lcms, count, size)) - lattice
+        if new:
+            lattice |= new
+            todo.extend(new)
+            if len(lattice) > lattice_budget:
+                raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
+        flag = ((ge ^ all_hi) + all_lanes) & all_top  # the flag bit of each non-divisor
+        divisors = all_lanes ^ (flag - (flag >> width))  # the lanes of the divisors' slots
+        facets = set(_slots((diff - all_ones) & all_hi & divisors, count, size))
+        facets.discard(0)  # the non-divisors' slots
+        if not facets:
+            # only the empty face: b is a minimal generator
+            deg = _plane_degree(b, ones)
+            entries[(0, deg)] = entries.get((0, deg), 0) + 1
+            continue
         maximal = _maximal_masks(facets)
         if len(maximal) == 1:
-            # a single facet is a full simplex: contractible unless it is
-            # just the empty face, in which case b is a minimal generator
-            if maximal[0] == 0:
-                deg = packed_degree(b)
-                entries[(0, deg)] = entries.get((0, deg), 0) + 1
-            continue
+            continue  # a single nonempty facet is a full simplex: contractible
         # two or more facets, none of them empty: concatenating the sorted
         # words at `width` bits each is injective
         key = 0
         for f in sorted(maximal):
             key = key << width | f
-        profile = profiles.get(key)
-        if profile is None:
+        entry = profiles.get(key)
+        if entry is None:
+            work = sum(1 << f.bit_count() for f in maximal)
             ranks = _profile_from_masks(_closure(maximal, face_budget), field.characteristic)
             ranks = tuple(sorted(ranks.items()))
-            profile = profiles[key] = memo(("profile", ranks), lambda: ranks)
-        elif sum(1 << f.bit_count() for f in maximal) > face_budget:
+            entry = profiles[key] = memo(("profile", work, ranks), lambda: (work, ranks))
+        elif entry[0] > face_budget:
             raise BudgetError(f"face budget {face_budget} exceeded")
-        deg = packed_degree(b)
-        for d, r in profile:
+        deg = _plane_degree(b, ones)
+        for d, r in entry[1]:
             entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+def _slots(x: int, count: int, size: int):
+    """The `count` slots of `size` bytes that make up x, as ints.  One-word
+    slots are read by `memoryview.cast`, so their ints are made in C; wider
+    slots by one `int.from_bytes` each."""
+    raw = x.to_bytes(count * size, sys.byteorder)
+    if size == 8:
+        return memoryview(raw).cast("Q")
+    return [int.from_bytes(raw[k:k + size], sys.byteorder) for k in range(0, len(raw), size)]
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:
@@ -318,8 +352,11 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
 # `invariants` stores each invariant under (name, n, code, ...).
 # `graded_betti` keeps its complexes under ("complexes", nv, char): a dict
 # from the complex's maximal facets (sorted guard-bit words of an nv-variable
-# ideal, concatenated into one int) to its reduced homology ranks, a tuple of
-# (dimension, rank) pairs kept once under ("profile", ranks).
+# ideal, concatenated into one int) to (face work, ranks).  The face work is
+# the sum of 2^|F| over the maximal facets F, which a table hit checks
+# against the face budget; the ranks are the reduced homology ranks, a tuple
+# of (dimension, rank) pairs.  Each distinct pair is kept once, under
+# ("profile", face work, ranks).
 _MEMO: dict[tuple, object] = {}
 
 

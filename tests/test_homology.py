@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from edgereg import homology
-from edgereg.graphs import (cycle_graph, disjoint_edges,
-                            enumerate_graphs, induced_subgraph, path_graph)
+from edgereg.graphs import (cycle_graph, disjoint_edges, enumerate_graphs,
+                            from_edge_list, induced_subgraph, path_graph)
 from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
                               _closure, _profile_from_masks, graded_betti,
                               hochster_oracle, regularity, regularity_of_power)
@@ -290,8 +290,8 @@ def test_graded_betti_lattice_budget_threshold():
 
 
 @st.composite
-def random_ideals(draw, max_vars=6, max_exponent=3):
-    nv = draw(st.integers(1, max_vars))
+def random_ideals(draw, max_vars=6, max_exponent=3, min_vars=1):
+    nv = draw(st.integers(min_vars, max_vars))
     names = tuple(f"x{k}" for k in range(nv))
     rows = draw(st.lists(st.lists(st.integers(0, max_exponent), min_size=nv,
                                   max_size=nv).filter(any),
@@ -305,11 +305,43 @@ def test_graded_betti_matches_lattice_rescan_reference(i, field):
     assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
 
 
+# up to 12 variables a generator takes one 64-bit slot of the kernel's word,
+# from 13 on two; exponents up to 15 fill every value bit of the top lane
+@given(random_ideals(14, 15, min_vars=12))
+@settings(max_examples=40, deadline=None)
+def test_graded_betti_matches_lattice_rescan_reference_on_wide_universes(i):
+    assert graded_betti(i) == oracles.lattice_rescan_betti(i, GF2)
+
+
+# polarized squares of graphs on 6 and 7 vertices: 12 and 14 variables, and
+# 13 when the seventh vertex is isolated (its one variable is unused)
+WIDE_IDEALS = {
+    nv: polarize(power(edge_ideal(g), 2))[0]
+    for nv, g in ((12, path_graph(6)),
+                  (13, from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])),
+                  (14, from_edge_list(7, [(0, 1), (2, 3), (4, 5), (5, 6)])))}
+
+
+@pytest.mark.parametrize("nv", sorted(WIDE_IDEALS))
+def test_graded_betti_on_wide_universes(nv, fresh_memo):
+    i = WIDE_IDEALS[nv]
+    assert len(i.vars) == nv
+    for field in (GF2, QQ):
+        table = graded_betti(i, field)
+        assert table == hochster_oracle(i, field)
+        assert table == oracles.lattice_rescan_betti(i, field)
+
+
 # exponents up to 2 on at most 5 variables: at most 10 polarized variables
 @given(random_ideals(5, 2), st.sampled_from([GF2, QQ, FieldSpec(3)]))
 @settings(max_examples=100, deadline=None)
 def test_hochster_oracle_matches_lattice_rescan_reference(i, field):
     assert hochster_oracle(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+def _wide_mismatches(kernel) -> int:
+    return sum(kernel(i, field) != oracles.lattice_rescan_betti(i, field)
+               for i in WIDE_IDEALS.values() for field in (GF2, QQ))
 
 
 def _dual_oracle_mismatches(kernel, oracle=hochster_oracle) -> int:
@@ -358,17 +390,24 @@ def test_betti_depends_on_field_rp2(fresh_memo):
     assert qq == gf3
 
 
-@pytest.mark.parametrize("old, new, mismatches", [
-    ("key = key << width | f", "key += 1", _dual_oracle_mismatches),
-    ("facets.add((diff - ones) & hi)", "facets.add(diff & hi)", _dual_oracle_mismatches),
-    ("key = key << width | f", "key = key | f", _dual_oracle_mismatches),
-    ('("complexes", nv, field.characteristic)', '("complexes", nv)', _field_mismatches),
+@pytest.mark.parametrize("name, old, new, mismatches", [
+    ("graded_betti", "key = key << width | f", "key += 1", _dual_oracle_mismatches),
+    ("graded_betti", "(diff - all_ones) & all_hi", "diff & all_hi", _dual_oracle_mismatches),
+    ("graded_betti", "key = key << width | f", "key = key | f", _dual_oracle_mismatches),
+    ("graded_betti", '("complexes", nv, field.characteristic)', '("complexes", nv)',
+     _field_mismatches),
+    ("graded_betti", "& all_hi & divisors", "& all_hi", _dual_oracle_mismatches),
+    # two-word slots read as one-word slots, as if the flag bit still fit
+    ("_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
-        "memo-key-drops-characteristic"])
-def test_mutated_betti_kernel_is_caught(old, new, mismatches, fresh_memo):
-    assert mismatches(oracles.mutant(homology.graded_betti, old, old)) == 0
+        "memo-key-drops-characteristic", "nondivisor-mask-dropped", "slot-width-off-by-one"])
+def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
+    func = getattr(homology, name)
+    monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))
+    assert mismatches(homology.graded_betti) == 0
     homology.clear_caches()
-    assert mismatches(oracles.mutant(homology.graded_betti, old, new)) > 0
+    monkeypatch.setattr(homology, name, oracles.mutant(func, old, new))
+    assert mismatches(homology.graded_betti) > 0
 
 
 ORACLE_KEY = "key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)"
