@@ -17,16 +17,25 @@ Two independent routes compute the same Betti table:
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets, ranking each distinct induced
-  complex once per call.
+  complex once per call.  Before ranking, an induced complex shrinks to
+  its strong-collapse core: a vertex v is dominated when every facet
+  through v also holds some other vertex, and deleting dominated vertices
+  one at a time keeps the reduced homology over every field (Barmak-Minian,
+  "Strong homotopy types, nerves and collapses", 2012).  A core of one
+  vertex is a point when that vertex is a face and {emptyset}, with
+  rank(H_-1) = 1, when it is a nonface.
 
 The two routes build their complexes independently, so comparing them
 detects silent bugs in either construction.  Neither reads the other's
 tables: `graded_betti` keeps its complexes in the process-wide memo,
 while `hochster_oracle` keeps its table for the length of one call and
 never touches the memo, so a stale or wrongly keyed entry on one route
-cannot reach the other.  They are not fully independent: besides the
-rank routines in `linalg`, both take homology through
-`_profile_from_masks`, so a bug there can hit both alike.
+cannot reach the other.  Only the oracle cores its complexes: the
+primary route ranks each complex whole, so the dual check compares a
+cored route against an uncored one and a wrong core shows up as a
+mismatch.  They are not fully independent: besides the rank routines in
+`linalg`, both take homology through `_profile_from_masks` and maximal
+facets through `_maximal_masks`, so a bug there can hit both alike.
 
 Conventions: the empty complex {emptyset} has homology of rank one in
 dimension -1 and the void complex (no faces at all) has none anywhere.
@@ -234,10 +243,10 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
         maximal = _maximal_masks(facets)
         if len(maximal) == 1:
             continue  # a single nonempty facet is a full simplex: contractible
-        # two or more facets, none of them empty: concatenating the sorted
-        # words at `width` bits each is injective
+        # two or more facets, none of them empty: concatenating the words,
+        # sorted by `_maximal_masks`, at `width` bits each is injective
         key = 0
-        for f in sorted(maximal):
+        for f in maximal:
             key = key << width | f
         entry = profiles.get(key)
         if entry is None:
@@ -264,8 +273,10 @@ def _slots(x: int, count: int, size: int):
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:
+    """The maximal masks, in decreasing order: a superset is never the
+    smaller int, so each mask is compared only with those kept before it."""
     out = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
+    for m in sorted(masks, reverse=True):
         for k in out:
             if m & k == m:
                 break
@@ -312,15 +323,36 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     induced complex once.  The table is never shared: not across calls,
     and not with the memo that serves `graded_betti`.
 
+    When the table misses for W, W first shrinks to its strong-collapse
+    core W' (`_strong_core`), whose induced complex has the same reduced
+    homology over every field.  A core of two or more vertices has no
+    dominated vertex, so no cone vertex: it is looked up under its own key
+    in the same table and, on a miss, ranked from the faces inside W'.  A
+    one-vertex core is a point, with no reduced homology, when its vertex
+    is a face; when it is a nonface the complex is {emptyset}, with
+    rank(H_-1) = 1.  Either way the result is stored under W's key too.
+
     Independent of `graded_betti` by construction; used as the second
-    route in every dual-oracle check.
+    route in every dual-oracle check.  Only this route is cored: the
+    primary route ranks its complexes whole, so a wrong core shows up as
+    a disagreement between the two.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
     n, supports = hochster_supports(i, var_budget, face_budget)
     faces = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
+    face_set = set(faces)
+    # a facet is a face that no further vertex extends to a face
+    facets = [f for f in faces
+              if not any(f | 1 << v in face_set for v in range(n) if not f >> v & 1)]
     profiles: dict[frozenset[int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
+
+    def table_key(w: int, inner: list[int]) -> frozenset[int]:
+        pos = list(_bits(w))  # W's vertices in increasing order
+        key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)
+        return key
+
     for w in range(1, 1 << n):
         inner = [s for s in supports if s & w == s]
         covered = 0
@@ -328,18 +360,60 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
             covered |= s
         if w & ~covered:
             continue  # cone vertex inside W
-        pos = list(_bits(w))  # W's vertices in increasing order
-        key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)
+        key = table_key(w, inner)
         profile = profiles.get(key)
         if profile is None:
-            sub_faces = {f for f in faces if f & w == f}
-            profile = profiles[key] = _profile_from_masks(sub_faces, field.characteristic)
+            core = _strong_core(w, facets)
+            if core.bit_count() == 1:
+                profile = {} if core in face_set else {-1: 1}
+            else:
+                core_key = key if core == w else table_key(
+                    core, [s for s in inner if s & core == s])
+                profile = profiles.get(core_key)
+                if profile is None:
+                    sub_faces = {f for f in faces if f & core == f}
+                    profile = _profile_from_masks(sub_faces, field.characteristic)
+                    profiles[core_key] = profile
+            profiles[key] = profile
         j = w.bit_count()
         for d, r in profile.items():
             idx = j - d - 2
             if idx >= 0:
                 entries[(idx, j)] = entries.get((idx, j), 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+def _strong_core(w: int, facets: Iterable[int]) -> int:
+    """The vertex set W' left after deleting dominated vertices from W one
+    at a time until none is left.  A vertex v is dominated when every
+    facet of the induced complex through v also holds some other vertex u;
+    a vertex that is a nonface lies in no facet, so any other vertex
+    dominates it.  Deleting a dominated vertex is a strong collapse
+    (Barmak-Minian), so the complex induced on W' has the reduced homology
+    of the one on W over every field; what is left on two or more
+    vertices is a complex with no dominated vertex.
+
+    `facets` are the facets of the whole complex.  The facets induced on
+    W are the maximal sets among the F & W, and deleting v leaves the
+    complex induced on W minus v.
+    """
+    tops = _maximal_masks({f & w for f in facets})
+    removed = True
+    while removed:
+        removed = False
+        for v in list(_bits(w)):
+            bit = 1 << v
+            common = w
+            for f in tops:
+                if f & bit:
+                    common &= f
+                    if common == bit:
+                        break
+            if common != bit:  # another vertex lies in every facet through v
+                w ^= bit
+                tops = _maximal_masks({f & w for f in tops})
+                removed = True
+    return w
 
 
 # ---------------------------------------------------------------------------

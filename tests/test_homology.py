@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from edgereg import homology
-from edgereg.graphs import (cycle_graph, disjoint_edges, enumerate_graphs,
+from edgereg.graphs import (_bits, cycle_graph, disjoint_edges, enumerate_graphs,
                             from_edge_list, induced_subgraph, path_graph)
 from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
-                              _closure, _profile_from_masks, graded_betti,
-                              hochster_oracle, regularity, regularity_of_power)
+                              _closure, _maximal_masks, _profile_from_masks,
+                              _strong_core, graded_betti, hochster_oracle,
+                              hochster_supports, regularity, regularity_of_power)
 from edgereg.linalg import matrix_rank, rank_gf2
 from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal,
                                lane_masks, pack, pack_capped, polarize, power,
@@ -148,6 +149,25 @@ def test_face_budget():
         _homology(OCTAHEDRON, face_budget=4)
 
 
+# facet sets on up to 8 vertices, with a vertex subset W that may hold
+# vertices in no facet (nonfaces)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=8), st.integers(1, 255))
+@settings(max_examples=200, deadline=None)
+def test_strong_core_keeps_reduced_homology(facet_masks, w):
+    faces = _closure(facet_masks, DEFAULT_FACE_BUDGET)
+    core = _strong_core(w, _maximal_masks(faces))
+    assert core and core & w == core
+    on_w = {f for f in faces if f & w == f}
+    on_core = {f for f in faces if f & core == f}
+    for characteristic in (2, 3, 5, 0):
+        assert (_profile_from_masks(on_core, characteristic)
+                == _profile_from_masks(on_w, characteristic))
+    if core.bit_count() > 1:
+        # no cone vertex: each vertex misses some face it cannot extend
+        for v in _bits(core):
+            assert any(f | 1 << v not in on_core for f in on_core)
+
+
 # graded Betti tables ----------------------------------------------------------
 
 def test_graded_betti_principal():
@@ -254,6 +274,16 @@ def test_hochster_variable_budget():
     squares = ideal([M(f"x{k}^2") for k in range(12)])
     with pytest.raises(BudgetError):
         hochster_oracle(squares)  # 24 polarized variables > 22
+
+
+def test_hochster_oracle_face_budget_is_the_subset_count():
+    # the cores of C6^2 have overlapping facets, whose closures sum to more
+    # than the 2^n vertex subsets: only `hochster_supports` checks the budget
+    i = power(edge_ideal(cycle_graph(6)), 2)
+    n, _ = hochster_supports(i)
+    assert hochster_oracle(i, face_budget=1 << n) == graded_betti(i)
+    with pytest.raises(BudgetError):
+        hochster_oracle(i, face_budget=(1 << n) - 1)
 
 
 def test_lattice_budget():
@@ -419,6 +449,33 @@ def test_mutated_oracle_table_key_is_caught():
                                    oracles.mutant(hochster_oracle, ORACLE_KEY, ORACLE_KEY)) == 0
     mutated = oracles.mutant(hochster_oracle, ORACLE_KEY, "key = len(inner)")
     assert _dual_oracle_mismatches(graded_betti, mutated) > 0
+
+
+def _core_dual_mismatches() -> int:
+    return _dual_oracle_mismatches(graded_betti, lambda i, f: homology.hochster_oracle(i, f))
+
+
+# ideals with linear generators, whose variables are nonfaces
+LINEAR_IDEALS = (ideal([M("x0")]), ideal([M("x0"), M("x1*x2")]),
+                 ideal([M("x0"), M("x1"), M("x2^2*x3")]))
+
+
+def _linear_rescan_mismatches() -> int:
+    return sum(homology.hochster_oracle(i, field) != oracles.lattice_rescan_betti(i, field)
+               for i in LINEAR_IDEALS for field in (GF2, QQ))
+
+
+@pytest.mark.parametrize("name, old, new, mismatches", [
+    ("_strong_core", "if common != bit:", "if common:", _core_dual_mismatches),
+    ("hochster_oracle", "profile = {} if core in face_set else {-1: 1}", "profile = {}",
+     _linear_rescan_mismatches),
+], ids=["core-deletes-undominated-vertex", "nonface-core-read-as-point"])
+def test_mutated_oracle_core_is_caught(name, old, new, mismatches, monkeypatch):
+    func = getattr(homology, name)
+    monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))
+    assert mismatches() == 0
+    monkeypatch.setattr(homology, name, oracles.mutant(func, old, new))
+    assert mismatches() > 0
 
 
 # classical cross-checks ----------------------------------------------------------
