@@ -109,8 +109,12 @@ def _cmd_reg(args) -> int:
                 homology.hochster_supports(i)
             except homology.BudgetError as exc:
                 args.usage_error(f"--oracle: {exc} (graph {emit_graph6(g)})")
+    records = []  # every table is computed before the first record is printed
     for g, i in powers:
-        table = homology.graded_betti(i, field)
+        try:
+            table = homology.graded_betti(i, field)
+        except homology.BudgetError as exc:
+            args.usage_error(f"--power {args.power}: {exc} (graph {emit_graph6(g)})")
         out = table.to_json_dict()
         out["graph6"] = emit_graph6(g)
         out["power"] = args.power
@@ -119,6 +123,8 @@ def _cmd_reg(args) -> int:
             out["oracle_agrees"] = other == table
             if other != table:
                 out["oracle_betti"] = other.to_json_dict()["betti"]
+        records.append(out)
+    for out in records:
         print(json.dumps(out))
     return 0
 

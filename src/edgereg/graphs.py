@@ -295,14 +295,16 @@ def _canonical_reps(n: int) -> list[Graph]:
     return [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
 
 
-def enumerate_graphs(n: int) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of simple graphs on n
-    vertices, n <= DEFAULT_ENUMERATION_BOUND.  Enumeration works by
+    vertices, n <= DEFAULT_ENUMERATION_BOUND, as a fresh list: the classes
+    are all built before the call returns, and a caller may change the
+    list without touching the cached classes.  Enumeration works by
     extending the (n-1)-vertex classes by one vertex in all possible ways
     and deduplicating canonically."""
     if n > DEFAULT_ENUMERATION_BOUND:
         raise GraphError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUMERATION_BOUND}")
-    yield from _canonical_reps(n)
+    return list(_canonical_reps(n))
 
 
 # ---------------------------------------------------------------------------

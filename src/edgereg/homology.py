@@ -5,15 +5,16 @@ Two independent routes compute the same Betti table:
 * the primary route takes reduced simplicial homology of the upper Koszul
   subcomplex (the complex of squarefree vectors t with x^(b-t) still in
   the ideal) at each point b of the lcm lattice of the minimal generators.
-  One pass builds the lattice and reads each point's facets off the
-  guard bits of the packed differences b - g.  The generators sit in one
-  int, a slot each: 64 bits up to 12 variables (5 bits a lane and one
-  flag bit above the lanes), else the fewest whole 8-byte words.  So a
-  point costs a fixed number of big-int operations against every
-  generator at once, and its lcm and facet words are unpacked into ints
-  in C (`memoryview.cast` on 64-bit slots, one `int.from_bytes` per wider
-  slot).  Each distinct set of maximal facets is closed and ranked once
-  per process, in the memo;
+  A closure builds the lattice one generator at a time, then one facet
+  read per point takes its facets off the guard bits of the packed
+  differences b - g.  Both phases pack monomials in one int, a slot each:
+  64 bits up to 12 variables (5 bits a lane and one flag bit above the
+  lanes), else the fewest whole 8-byte words.  So a closure step costs a
+  fixed number of big-int operations against the whole lattice, a facet
+  read the same against every generator, and their words are unpacked
+  into ints in C (`memoryview.cast` on 64-bit slots, one `int.from_bytes`
+  per wider slot).  Each distinct set of maximal facets is closed and
+  ranked once per process, in the memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets, ranking each distinct induced
@@ -45,6 +46,7 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
@@ -178,29 +180,31 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
                  lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
     """Betti table via upper Koszul homology at every lcm-lattice point.
 
-    One pass builds the lcm lattice and reads each point's complex off it.
-    The generators sit in one int, a slot each: 64 bits while the 5 * nv
-    bits of lanes and a flag bit above them fit (nv <= 12), else the
+    Two phases: `_lcm_lattice` closes the lattice one generator at a time,
+    then each point's facets are read once.  The generators sit in one
+    int, a slot each, in the layout of `_slot_size`: 64 bits while the
+    5 * nv bits of lanes and a flag bit above them fit (nv <= 12), else the
     fewest whole 8-byte words.  At a point b, subtracting that int from b
     repeated in every slot leaves a guard bit in each lane where b >= g,
     with no borrow between lanes or slots.  From it a fixed number of
-    big-int operations give every lcm(b, g) (each lane taken from b or g)
-    and every divisor's facet, the guard-bit word of the lanes where
-    b - g >= 1; the flag bit marks the non-divisors, whose facet words are
-    cleared.  `_slots` unpacks both words into ints in C, and the lattice
-    grows by set difference.  Faces are words of guard bits rather than
-    vertex bitmasks; the homology is the same.  A point whose only facet is
-    the empty one is a minimal generator and counts in beta_0.  No vertex
-    lies in every facet (each lane of b is attained by some divisor, whose
-    facet misses it), so no complex is a cone that could be skipped.
+    big-int operations give every divisor's facet, the guard-bit word of
+    the lanes where b - g >= 1; the flag bit marks the non-divisors, whose
+    facet words are cleared, and `_slots` unpacks the words into ints in C.
+    Faces are words of guard bits rather than vertex bitmasks; the homology
+    is the same.  A minimal generator is exactly a point whose only facet
+    is the empty one, so the generators (minimal, as `MonomialIdeal`
+    keeps them) count in beta_0 by their degrees and are not scanned;
+    every other point has only nonempty facets.  No vertex lies in every
+    facet (each lane of b is attained by some divisor, whose facet misses
+    it), so no complex is a cone that could be skipped.
 
     Each distinct set of maximal facets is closed and ranked once per
     process: its face work and ranks are kept in the memo, one table per
     number of variables and characteristic, until `clear_caches()`.  A
     table hit checks the stored face work against the face budget, so a
     call raises `BudgetError` exactly when closing its complexes would;
-    the lattice budget is checked after each point's new lcms join, so it
-    raises exactly when the lattice has more points than the budget.
+    the closure raises it exactly when the lattice has more points than
+    the lattice budget.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
@@ -209,37 +213,23 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     width = LANE * nv
     gens = i.gens
     count = len(gens)
-    size = 8 * (width // 64 + 1)  # bytes per slot: the lanes and a flag bit above them
+    size = _slot_size(nv)
     rep = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
-    all_gens = int.from_bytes(b"".join(g.to_bytes(size, "little") for g in gens), "little")
+    all_gens = _pack(gens, size)
     all_hi, all_ones = hi * rep, ones * rep
     all_lanes, all_top = ((1 << width) - 1) * rep, rep << width
-    shift = LANE - 1
-    lattice = set(gens)
-    todo = list(gens)
     profiles = memo(("complexes", nv, field.characteristic), dict)
     entries: dict[tuple[int, int], int] = {}
-    while todo:
-        b = todo.pop()
-        b_all = b * rep
-        diff = (b_all | all_hi) - all_gens
+    for g in gens:
+        deg = _plane_degree(g, ones)
+        entries[(0, deg)] = entries.get((0, deg), 0) + 1
+    for b in _lcm_lattice(gens, nv, lattice_budget).difference(gens):
+        diff = (b * rep | all_hi) - all_gens
         ge = diff & all_hi  # guard bit of each lane where b >= g
-        lcms = all_gens ^ ((b_all ^ all_gens) & (ge - (ge >> shift)))
-        new = set(_slots(lcms, count, size)) - lattice
-        if new:
-            lattice |= new
-            todo.extend(new)
-            if len(lattice) > lattice_budget:
-                raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
         flag = ((ge ^ all_hi) + all_lanes) & all_top  # the flag bit of each non-divisor
         divisors = all_lanes ^ (flag - (flag >> width))  # the lanes of the divisors' slots
         facets = set(_slots((diff - all_ones) & all_hi & divisors, count, size))
         facets.discard(0)  # the non-divisors' slots
-        if not facets:
-            # only the empty face: b is a minimal generator
-            deg = _plane_degree(b, ones)
-            entries[(0, deg)] = entries.get((0, deg), 0) + 1
-            continue
         maximal = _maximal_masks(facets)
         if len(maximal) == 1:
             continue  # a single nonempty facet is a full simplex: contractible
@@ -260,6 +250,58 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
         for d, r in entry[1]:
             entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+def _slot_size(nv: int) -> int:
+    """Bytes per slot of a packed word of nv-variable monomials: the lanes
+    and a flag bit above them, in the fewest whole 8-byte words."""
+    return 8 * (LANE * nv // 64 + 1)
+
+
+def _lcm_lattice(gens: Iterable[int], nv: int, lattice_budget: int) -> set[int]:
+    """The lcm lattice of the generators (the lcms of their nonempty
+    subsets), closed one generator at a time: L_k is L_{k-1}, g_k and the
+    lcm of g_k with every point of L_{k-1}.  An lcm whose highest-index
+    generator is g_k is lcm(lcm of the others, g_k), so the closure is
+    complete.
+
+    L_{k-1} is kept in one int, a point per slot of `_slot_size(nv)` bytes,
+    with every guard bit set.  Subtracting g_k repeated in every slot
+    leaves a guard bit in each lane where the point is >= g_k, and adding
+    the value bits of those lanes to g_k gives every lcm(b, g_k) in a fixed
+    number of big-int operations; `_slots` unpacks them and the new points
+    are a set difference.  The generators go in ascending integer order,
+    which makes fewer lcms than stored or descending order.  The lattice
+    only grows, so checking its size after each generator raises
+    `BudgetError` exactly when it has more than `lattice_budget` points.
+    """
+    hi = lane_masks(nv)[0]
+    size = _slot_size(nv)
+    unit = b"\1" + bytes(size - 1)
+    shift = LANE - 1
+    lattice: set[int] = set()
+    points = count = 0  # the points of `lattice`, guard bits set, in `count` slots
+    for g in sorted(gens):
+        rep = int.from_bytes(unit * count, "little")
+        all_g = g * rep
+        diff = points - all_g
+        ge = diff & hi * rep  # guard bit of each lane where b >= g
+        new = {g, *_slots(all_g + (diff & (ge - (ge >> shift))), count, size)} - lattice
+        lattice |= new
+        if len(lattice) > lattice_budget:
+            raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
+        points |= _pack([b | hi for b in new], size) << (8 * size * count)
+        count += len(new)
+    return lattice
+
+
+def _pack(words: Iterable[int], size: int) -> int:
+    """The words in one int, a slot of `size` bytes each: the inverse of
+    `_slots`."""
+    if size == 8:
+        return int.from_bytes(array("Q", words).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(w.to_bytes(size, sys.byteorder) for w in words),
+                          sys.byteorder)
 
 
 def _slots(x: int, count: int, size: int):

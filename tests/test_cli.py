@@ -210,6 +210,21 @@ def test_reg_oracle_past_its_budget_is_a_usage_error(tmp_path, capsys):
     assert last.endswith("(graph E~~w)")
 
 
+def test_reg_past_the_lattice_budget_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    # C11^3 has more than 200,000 lcm-lattice points; the graph before it
+    # must print nothing
+    path.write_text(f"A_\n{emit_graph6(cycle_graph(11))}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", str(path), "--power", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("edgereg reg: error: --power 3: lcm lattice budget ")
+    assert last.endswith(f"(graph {emit_graph6(cycle_graph(11))})")
+
+
 @pytest.mark.parametrize("content", [
     None, "!!\n", '{"n": 2.9, "edges": [[0, 1]]}\n', '{"n": true, "edges": []}\n',
     '{"n": "3", "edges": []}\n', '{"n": 3, "edges": [[true, 2]]}\n',

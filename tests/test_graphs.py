@@ -202,6 +202,16 @@ def test_enumeration_bound():
         list(enumerate_graphs(9))
 
 
+def test_enumeration_is_a_fresh_list():
+    # the classes are built at the call, so the bound is checked there too
+    with pytest.raises(GraphError):
+        enumerate_graphs(9)
+    first = enumerate_graphs(4)
+    assert isinstance(first, list)
+    first.clear()
+    assert len(enumerate_graphs(4)) == 11
+
+
 def test_enumeration_matches_brute_force_dedup():
     for n in range(5):
         brute = oracles.dedup_by_permutation(oracles.all_labeled_graphs(n))

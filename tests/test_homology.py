@@ -300,7 +300,7 @@ def _raises_budget(kernel, i, **budget) -> bool:
 
 
 def test_graded_betti_face_budget(fresh_memo):
-    # the one-pass kernel runs out of faces exactly where the reference does,
+    # the kernel runs out of faces exactly where the reference does,
     # whether its complexes are ranked afresh or found in the memo
     i = power(edge_ideal(cycle_graph(5)), 2)
     passing = [b for b in range(1, 129)
@@ -313,10 +313,11 @@ def test_graded_betti_face_budget(fresh_memo):
 
 
 def test_graded_betti_lattice_budget_threshold():
-    i = power(edge_ideal(cycle_graph(5)), 2)
-    size = len(oracles._lcm_lattice(list(i.gens), *lane_masks(len(i.vars))[:2], 1 << 20))
-    assert _raises_budget(graded_betti, i, lattice_budget=size - 1)
-    assert not _raises_budget(graded_betti, i, lattice_budget=size)
+    # C5^2 in one-word slots, and a 13-variable ideal in two-word slots
+    for i in (power(edge_ideal(cycle_graph(5)), 2), WIDE_IDEALS[13]):
+        size = len(oracles._lcm_lattice(list(i.gens), *lane_masks(len(i.vars))[:2], 1 << 20))
+        assert _raises_budget(graded_betti, i, lattice_budget=size - 1)
+        assert not _raises_budget(graded_betti, i, lattice_budget=size)
 
 
 @st.composite
@@ -333,6 +334,24 @@ def random_ideals(draw, max_vars=6, max_exponent=3, min_vars=1):
 @settings(max_examples=200, deadline=None)
 def test_graded_betti_matches_lattice_rescan_reference(i, field):
     assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+def _closure_matches_frontier_reference(i) -> bool:
+    nv = len(i.vars)
+    reference = oracles._lcm_lattice(list(i.gens), *lane_masks(nv)[:2], 1 << 20)
+    return homology._lcm_lattice(i.gens, nv, 1 << 20) == reference
+
+
+@given(random_ideals())
+@settings(max_examples=200, deadline=None)
+def test_lcm_lattice_matches_frontier_reference(i):
+    assert _closure_matches_frontier_reference(i)
+
+
+@given(random_ideals(14, 15, min_vars=12))
+@settings(max_examples=40, deadline=None)
+def test_lcm_lattice_matches_frontier_reference_on_wide_universes(i):
+    assert _closure_matches_frontier_reference(i)
 
 
 # up to 12 variables a generator takes one 64-bit slot of the kernel's word,
@@ -429,8 +448,16 @@ def test_betti_depends_on_field_rp2(fresh_memo):
     ("graded_betti", "& all_hi & divisors", "& all_hi", _dual_oracle_mismatches),
     # two-word slots read as one-word slots, as if the flag bit still fit
     ("_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
+    # the closure's step k leaves g_k itself out of the lattice
+    ("_lcm_lattice", "{g, *_slots(", "{*_slots(", _dual_oracle_mismatches),
+    # the closure joins g_k only with the points that step k - 1 added
+    ("_lcm_lattice", "points |= _pack([b | hi for b in new], size) << (8 * size * count)\n"
+                     "        count += len(new)",
+     "points = _pack([b | hi for b in new], size)\n        count = len(new)",
+     _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
-        "memo-key-drops-characteristic", "nondivisor-mask-dropped", "slot-width-off-by-one"])
+        "memo-key-drops-characteristic", "nondivisor-mask-dropped", "slot-width-off-by-one",
+        "closure-drops-generator", "closure-joins-last-step-only"])
 def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
     func = getattr(homology, name)
     monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))
