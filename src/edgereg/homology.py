@@ -7,14 +7,14 @@ Two independent routes compute the same Betti table:
   the ideal) at each point b of the lcm lattice of the minimal generators.
   A closure builds the lattice one generator at a time, then one facet
   read per point takes its facets off the guard bits of the packed
-  differences b - g.  Both phases pack monomials in one int, a slot each:
-  64 bits up to 12 variables (5 bits a lane and one flag bit above the
-  lanes), else the fewest whole 8-byte words.  So a closure step costs a
-  fixed number of big-int operations against the whole lattice, a facet
-  read the same against every generator, and their words are unpacked
-  into ints in C (`memoryview.cast` on 64-bit slots, one `int.from_bytes`
-  per wider slot).  Each distinct set of maximal facets is closed and
-  ranked once per process, in the memo;
+  differences b - g.  Both phases pack monomials in one int, a slot each,
+  in the layout of `monomials` (`slot_size`, `pack_slots`, `unpack_slots`):
+  64 bits up to 12 variables, else the fewest whole 8-byte words.  So a
+  closure step costs a fixed number of big-int operations against the
+  whole lattice (one `monus`), a facet read the same against every
+  generator, and their words are unpacked into ints in C.  Each distinct
+  set of maximal facets is closed and ranked once per process, in the
+  memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over all vertex subsets, ranking each distinct induced
@@ -45,16 +45,14 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, _bits, canonical_key
 from .linalg import matrix_rank, rank_gf2
-from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks,
-                        polarize, power)
+from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks, monus,
+                        pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
 
 DEFAULT_FACE_BUDGET = 1 << 20
 DEFAULT_VAR_BUDGET = 22
@@ -182,14 +180,14 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
 
     Two phases: `_lcm_lattice` closes the lattice one generator at a time,
     then each point's facets are read once.  The generators sit in one
-    int, a slot each, in the layout of `_slot_size`: 64 bits while the
-    5 * nv bits of lanes and a flag bit above them fit (nv <= 12), else the
-    fewest whole 8-byte words.  At a point b, subtracting that int from b
-    repeated in every slot leaves a guard bit in each lane where b >= g,
-    with no borrow between lanes or slots.  From it a fixed number of
-    big-int operations give every divisor's facet, the guard-bit word of
+    int, a slot each (`pack_slots`, slots of `slot_size(nv)` bytes: 64 bits
+    while the 5 * nv bits of lanes and a flag bit above them fit, nv <= 12,
+    else the fewest whole 8-byte words).  At a point b, subtracting that int
+    from b repeated in every slot leaves a guard bit in each lane where
+    b >= g, with no borrow between lanes or slots.  From it a fixed number
+    of big-int operations give every divisor's facet, the guard-bit word of
     the lanes where b - g >= 1; the flag bit marks the non-divisors, whose
-    facet words are cleared, and `_slots` unpacks the words into ints in C.
+    facet words are cleared, and `unpack_slots` makes the words ints in C.
     Faces are words of guard bits rather than vertex bitmasks; the homology
     is the same.  A minimal generator is exactly a point whose only facet
     is the empty one, so the generators (minimal, as `MonomialIdeal`
@@ -213,9 +211,9 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     width = LANE * nv
     gens = i.gens
     count = len(gens)
-    size = _slot_size(nv)
-    rep = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
-    all_gens = _pack(gens, size)
+    size = slot_size(nv)
+    rep = slot_ones(count, size)
+    all_gens = pack_slots(gens, size)
     all_hi, all_ones = hi * rep, ones * rep
     all_lanes, all_top = ((1 << width) - 1) * rep, rep << width
     profiles = memo(("complexes", nv, field.characteristic), dict)
@@ -228,7 +226,7 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
         ge = diff & all_hi  # guard bit of each lane where b >= g
         flag = ((ge ^ all_hi) + all_lanes) & all_top  # the flag bit of each non-divisor
         divisors = all_lanes ^ (flag - (flag >> width))  # the lanes of the divisors' slots
-        facets = set(_slots((diff - all_ones) & all_hi & divisors, count, size))
+        facets = set(unpack_slots((diff - all_ones) & all_hi & divisors, count, size))
         facets.discard(0)  # the non-divisors' slots
         maximal = _maximal_masks(facets)
         if len(maximal) == 1:
@@ -252,12 +250,6 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     return BettiTable.from_dict(field, entries)
 
 
-def _slot_size(nv: int) -> int:
-    """Bytes per slot of a packed word of nv-variable monomials: the lanes
-    and a flag bit above them, in the fewest whole 8-byte words."""
-    return 8 * (LANE * nv // 64 + 1)
-
-
 def _lcm_lattice(gens: Iterable[int], nv: int, lattice_budget: int) -> set[int]:
     """The lcm lattice of the generators (the lcms of their nonempty
     subsets), closed one generator at a time: L_k is L_{k-1}, g_k and the
@@ -265,53 +257,30 @@ def _lcm_lattice(gens: Iterable[int], nv: int, lattice_budget: int) -> set[int]:
     generator is g_k is lcm(lcm of the others, g_k), so the closure is
     complete.
 
-    L_{k-1} is kept in one int, a point per slot of `_slot_size(nv)` bytes,
-    with every guard bit set.  Subtracting g_k repeated in every slot
-    leaves a guard bit in each lane where the point is >= g_k, and adding
-    the value bits of those lanes to g_k gives every lcm(b, g_k) in a fixed
-    number of big-int operations; `_slots` unpacks them and the new points
-    are a set difference.  The generators go in ascending integer order,
-    which makes fewer lcms than stored or descending order.  The lattice
-    only grows, so checking its size after each generator raises
-    `BudgetError` exactly when it has more than `lattice_budget` points.
+    L_{k-1} is kept in one int, a point per slot of `slot_size(nv)` bytes,
+    with every guard bit set.  One `monus` of g_k repeated in every slot
+    gives every max(b - g_k, 0), and adding g_k gives every lcm(b, g_k) in
+    a fixed number of big-int operations; `unpack_slots` makes them ints
+    and the new points are a set difference.  The generators go in
+    ascending integer order, which makes fewer lcms than stored or
+    descending order.  The lattice only grows, so checking its size after
+    each generator raises `BudgetError` exactly when it has more than
+    `lattice_budget` points.
     """
     hi = lane_masks(nv)[0]
-    size = _slot_size(nv)
-    unit = b"\1" + bytes(size - 1)
-    shift = LANE - 1
+    size = slot_size(nv)
     lattice: set[int] = set()
     points = count = 0  # the points of `lattice`, guard bits set, in `count` slots
     for g in sorted(gens):
-        rep = int.from_bytes(unit * count, "little")
+        rep = slot_ones(count, size)
         all_g = g * rep
-        diff = points - all_g
-        ge = diff & hi * rep  # guard bit of each lane where b >= g
-        new = {g, *_slots(all_g + (diff & (ge - (ge >> shift))), count, size)} - lattice
+        new = {g, *unpack_slots(all_g + monus(points, all_g, hi * rep), count, size)} - lattice
         lattice |= new
         if len(lattice) > lattice_budget:
             raise BudgetError(f"lcm lattice budget {lattice_budget} exceeded")
-        points |= _pack([b | hi for b in new], size) << (8 * size * count)
+        points |= pack_slots([b | hi for b in new], size) << (8 * size * count)
         count += len(new)
     return lattice
-
-
-def _pack(words: Iterable[int], size: int) -> int:
-    """The words in one int, a slot of `size` bytes each: the inverse of
-    `_slots`."""
-    if size == 8:
-        return int.from_bytes(array("Q", words).tobytes(), sys.byteorder)
-    return int.from_bytes(b"".join(w.to_bytes(size, sys.byteorder) for w in words),
-                          sys.byteorder)
-
-
-def _slots(x: int, count: int, size: int):
-    """The `count` slots of `size` bytes that make up x, as ints.  One-word
-    slots are read by `memoryview.cast`, so their ints are made in C; wider
-    slots by one `int.from_bytes` each."""
-    raw = x.to_bytes(count * size, sys.byteorder)
-    if size == 8:
-        return memoryview(raw).cast("Q")
-    return [int.from_bytes(raw[k:k + size], sys.byteorder) for k in range(0, len(raw), size)]
 
 
 def _maximal_masks(masks: set[int]) -> list[int]:

@@ -34,48 +34,33 @@ def _cached(g: Graph, name: str, fn: Callable[[], object], *extra):
 
 def matching_number(g: Graph) -> int:
     """Maximum number of pairwise disjoint edges."""
-    return int(_cached(g, "beta", lambda: _beta_rec(g, (1 << g.n) - 1, {})))
-
-
-def _beta_rec(g: Graph, alive: int, memo: dict[int, int]) -> int:
-    if alive in memo:
-        return memo[alive]
-    v = next((u for u in range(g.n) if alive >> u & 1 and g.adj[u] & alive), None)
-    if v is None:
-        memo[alive] = 0
-        return 0
-    best = _beta_rec(g, alive & ~(1 << v), memo)
-    rest = g.adj[v] & alive
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        rest ^= low
-        best = max(best, 1 + _beta_rec(g, alive & ~(1 << v) & ~(1 << u), memo))
-    memo[alive] = best
-    return best
+    reach = tuple(1 << v for v in range(g.n))
+    return int(_cached(g, "beta", lambda: _matching_rec(g, (1 << g.n) - 1, reach, {})))
 
 
 def induced_matching_number(g: Graph) -> int:
     """Maximum matching whose vertex span induces no extra edge.  Taking an
     edge at v forces the rest of the matching out of N[v] and N[u]."""
-    return int(_cached(g, "nu", lambda: _nu_rec(g, (1 << g.n) - 1, {})))
+    reach = tuple(g.adj[v] | 1 << v for v in range(g.n))
+    return int(_cached(g, "nu", lambda: _matching_rec(g, (1 << g.n) - 1, reach, {})))
 
 
-def _nu_rec(g: Graph, alive: int, memo: dict[int, int]) -> int:
+def _matching_rec(g: Graph, alive: int, reach: tuple[int, ...], memo: dict[int, int]) -> int:
+    """Largest matching on the `alive` vertices where an edge uv removes
+    reach[u] | reach[v]: {u, v} for beta, N[u] | N[v] for nu."""
     if alive in memo:
         return memo[alive]
     v = next((u for u in range(g.n) if alive >> u & 1 and g.adj[u] & alive), None)
     if v is None:
         memo[alive] = 0
         return 0
-    best = _nu_rec(g, alive & ~(1 << v), memo)
+    best = _matching_rec(g, alive & ~(1 << v), reach, memo)
     rest = g.adj[v] & alive
     while rest:
         low = rest & -rest
         u = low.bit_length() - 1
         rest ^= low
-        keep = alive & ~(g.adj[v] | g.adj[u] | (1 << v) | (1 << u))
-        best = max(best, 1 + _nu_rec(g, keep, memo))
+        best = max(best, 1 + _matching_rec(g, alive & ~(reach[v] | reach[u]), reach, memo))
     memo[alive] = best
     return best
 

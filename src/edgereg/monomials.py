@@ -14,13 +14,16 @@ multiple as an integer, and descending integer order is lexicographic
 order.  The price is an exponent cap of LANE_MAX = 15: `ideal` and `power`
 raise ValueError above it.  Words are made here alone (`squarefree`,
 `packed_ideal`, `EdgeMultiset.packed_product`), and `colon_by_monomial`
-takes a word.  `Monomial` and strings remain only where text enters or
-leaves: `pack_capped` for the CLI's `--colon` and `contains`, and
-`generators()` for printed ideals and violation records.
+takes a word.  Many words share one int in `pack_slots`' slots, on which
+`monus` acts as on one word.  `Monomial` and strings remain only where
+text enters or leaves: `pack_capped` for the CLI's `--colon` and
+`contains`, and `generators()` for printed ideals and violation records.
 """
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -120,10 +123,47 @@ def packed_divides(a: int, b: int, hi: int) -> bool:
     return ((b | hi) - a) & hi == hi
 
 
-def packed_lcm(a: int, b: int, hi: int, val: int) -> int:
-    ge = ((a | hi) - b) & hi          # guard bit per lane with a >= b
-    sel = ge - (ge >> (LANE - 1))     # value mask per lane with a >= b
-    return (a & sel) | (b & val & ~sel)
+def packed_lcm(a: int, b: int, hi: int) -> int:
+    return b + monus(a | hi, b, hi)
+
+
+def monus(a: int, b: int, hi: int) -> int:
+    """The lane-wise difference a - b truncated at zero, on one word or on
+    packed slots.  `hi` holds the guard bit of every lane and `a` must have
+    all of them set, so no lane borrows from the next."""
+    diff = a - b
+    ge = diff & hi  # guard bit of each lane where a >= b
+    return diff & (ge - (ge >> (LANE - 1)))
+
+
+def slot_size(nv: int) -> int:
+    """Bytes per slot of packed nv-variable words: the lanes and a flag bit
+    above them, in the fewest whole 8-byte words (one up to 12 variables)."""
+    return 8 * (LANE * nv // 64 + 1)
+
+
+def slot_ones(count: int, size: int) -> int:
+    """The lowest bit of each of `count` slots: w * slot_ones is w in each."""
+    return int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+
+
+def pack_slots(words: Iterable[int], size: int) -> int:
+    """The words in one int, a slot of `size` bytes each, the first in the
+    lowest: the inverse of `unpack_slots`."""
+    if size == 8:
+        return int.from_bytes(array("Q", words).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join(w.to_bytes(size, sys.byteorder) for w in words),
+                          sys.byteorder)
+
+
+def unpack_slots(x: int, count: int, size: int):
+    """The `count` slots of `size` bytes that make up x, as ints.  One-word
+    slots are read by `memoryview.cast`, so their ints are made in C; wider
+    slots by one `int.from_bytes` each."""
+    raw = x.to_bytes(count * size, sys.byteorder)
+    if size == 8:
+        return memoryview(raw).cast("Q")
+    return [int.from_bytes(raw[k:k + size], sys.byteorder) for k in range(0, len(raw), size)]
 
 
 def squarefree(verts: Iterable[int], nv: int) -> int:
@@ -279,16 +319,17 @@ def power(i: MonomialIdeal, s: int) -> MonomialIdeal:
 
 
 def colon_by_monomial(i: MonomialIdeal, m: int) -> MonomialIdeal:
-    """(i : m) = minimalized { g / gcd(g, m) }, a lane-wise difference
-    truncated at zero.  `m` is a word over `i.vars`; a word out of range or
-    with a guard bit set raises ValueError."""
-    _check_words((m,), len(i.vars), "monomial")
-    hi = lane_masks(len(i.vars))[0]
-    quotients = set()
-    for g in i.gens:
-        diff = (g | hi) - m       # no lane borrows; a guard bit survives where g >= m
-        ge = diff & hi
-        quotients.add(diff & (ge - (ge >> (LANE - 1))))
+    """(i : m) = minimalized { g / gcd(g, m) }, the lane-wise differences
+    g - m truncated at zero, taken by one `monus` over the generators
+    packed a slot each.  `m` is a word over `i.vars`; a word out of range
+    or with a guard bit set raises ValueError."""
+    nv = len(i.vars)
+    _check_words((m,), nv, "monomial")
+    count, size = len(i.gens), slot_size(nv)
+    rep = slot_ones(count, size)
+    hi = lane_masks(nv)[0] * rep
+    diffs = monus(pack_slots(i.gens, size) | hi, m * rep, hi)
+    quotients = set(unpack_slots(diffs, count, size))
     if 0 in quotients:
         raise ValueError("colon contains the unit: m lies in the ideal")
     return packed_ideal(i.vars, quotients)
@@ -298,8 +339,8 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """Pairwise lcm of generators, minimalized; requires a shared universe."""
     if i.vars != j.vars:
         raise ValueError("intersection needs a common variable universe")
-    hi, val, _ = lane_masks(len(i.vars))
-    gens = {packed_lcm(a, b, hi, val) for a in i.gens for b in j.gens}
+    hi = lane_masks(len(i.vars))[0]
+    gens = {packed_lcm(a, b, hi) for a in i.gens for b in j.gens}
     return packed_ideal(i.vars, gens)
 
 
@@ -332,10 +373,10 @@ def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, str]]:
     first copy identified with x_v; copies are inserted right after their
     original in the universe order.  Returns (ideal, new var -> original)."""
     nv = len(i.vars)
-    hi, val, _ = lane_masks(nv)
+    hi = lane_masks(nv)[0]
     top = 0
     for g in i.gens:
-        top = packed_lcm(top, g, hi, val)
+        top = packed_lcm(top, g, hi)
     peak = [max(e, 1) for e in unpack(top, nv)]
     vmap = {polar_name(v, k): v for v, p in zip(i.vars, peak) for k in range(1, p + 1)}
     starts = list(itertools.accumulate([0] + peak[:-1]))  # position of each copy 1

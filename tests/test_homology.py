@@ -447,13 +447,13 @@ def test_betti_depends_on_field_rp2(fresh_memo):
      _field_mismatches),
     ("graded_betti", "& all_hi & divisors", "& all_hi", _dual_oracle_mismatches),
     # two-word slots read as one-word slots, as if the flag bit still fit
-    ("_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
+    ("unpack_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
     # the closure's step k leaves g_k itself out of the lattice
-    ("_lcm_lattice", "{g, *_slots(", "{*_slots(", _dual_oracle_mismatches),
+    ("_lcm_lattice", "{g, *unpack_slots(", "{*unpack_slots(", _dual_oracle_mismatches),
     # the closure joins g_k only with the points that step k - 1 added
-    ("_lcm_lattice", "points |= _pack([b | hi for b in new], size) << (8 * size * count)\n"
+    ("_lcm_lattice", "points |= pack_slots([b | hi for b in new], size) << (8 * size * count)\n"
                      "        count += len(new)",
-     "points = _pack([b | hi for b in new], size)\n        count = len(new)",
+     "points = pack_slots([b | hi for b in new], size)\n        count = len(new)",
      _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
         "memo-key-drops-characteristic", "nondivisor-mask-dropped", "slot-width-off-by-one",

@@ -289,12 +289,12 @@ def test_one_clear_forgets_memoized_invariants(monkeypatch):
     homology.clear_caches()
     spec = SuiteSpec("lower-bound", n_max=4, s_max=1)
     assert run_suite(spec).passed
-    true_rec = invariants._nu_rec
+    true_rec = invariants._matching_rec
 
-    def inflated(g, alive, memo):
-        return true_rec(g, alive, memo) + 1
+    def inflated(g, alive, reach, memo):
+        return true_rec(g, alive, reach, memo) + 1
 
-    monkeypatch.setattr(invariants, "_nu_rec", inflated)
+    monkeypatch.setattr(invariants, "_matching_rec", inflated)
     assert run_suite(spec).passed  # nu(G) still comes from the memo
     homology.clear_caches()
     assert not run_suite(spec).passed
