@@ -475,8 +475,9 @@ def clear_caches() -> None:
 
 def cache_snapshot() -> list[list]:
     """JSON-ready [n, code, s, char, reg] entries of the memoized
-    regularities of powers, the only values persisted on disk."""
-    return [[*key[1:], reg] for key, reg in _MEMO.items() if key[0] == "reg^s"]
+    regularities of powers, the only values persisted on disk, sorted so
+    that they do not depend on the order they were computed in."""
+    return sorted([*key[1:], reg] for key, reg in _MEMO.items() if key[0] == "reg^s")
 
 
 def cache_restore(payload: object) -> None:

@@ -344,20 +344,11 @@ def intersect(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     return packed_ideal(i.vars, gens)
 
 
-def sum_ideals(*ideals: MonomialIdeal) -> MonomialIdeal:
-    """Ideal sum over the merged universe (left-to-right variable order)."""
-    universe: list[str] = []
-    for i in ideals:
-        for v in i.vars:
-            if v not in universe:
-                universe.append(v)
-    nv = len(universe)
-    gens = []
-    for i in ideals:
-        shifts = [LANE * (nv - 1 - universe.index(v)) for v in i.vars]
-        for g in i.gens:
-            gens.append(sum(e << sh for e, sh in zip(unpack(g, len(i.vars)), shifts)))
-    return packed_ideal(tuple(universe), gens)
+def sum_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """Both generator sets, minimalized; requires a shared universe."""
+    if i.vars != j.vars:
+        raise ValueError("sum needs a common variable universe")
+    return packed_ideal(i.vars, i.gens + j.gens)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ every complex a Betti table has ranked, so each is ranked once per sweep.
 One call to `clear_all_caches()` forgets all of them.  Only the
 regularities of powers persist across runs, in the directory named by the
 EDGEREG_CACHE_DIR environment variable.
+
+A run is one graph-major sweep: all its suites run on each graph in turn.
+With `--jobs k`, worker w sweeps graphs[w::k] and sends its regularities
+of powers home to the parent's memo.  Reports follow graph order, so they
+and the disk cache do not depend on k; wall_time sums a suite's checks.
 """
 from __future__ import annotations
 
@@ -37,7 +42,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from dataclasses import field as dataclass_field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -229,14 +234,11 @@ def _check_colon_induction(g: Graph, spec: SuiteSpec) -> list[dict]:
         return []
     out = []
     field = _field(spec)
-    i = edge_ideal(g)
     for t in _s_values(g, spec.s_max, start=2):
         s = t - 1
-        current = power(i, s)
-        nxt = power(i, t)
         lhs = homology.regularity_of_power(g, t, field)
-        colon_regs = [homology.regularity(colon_by_monomial(nxt, m), field) + 2 * s
-                      for m in current.gens]
+        colon_regs = [homology.regularity(colon, field) + 2 * s
+                      for _, colon in _edge_colons(g, s)]
         rhs = max(colon_regs + [homology.regularity_of_power(g, s, field)])
         if lhs > rhs:
             out.append(_viol(g, t, lhs, rhs,
@@ -431,31 +433,52 @@ def _run_one(spec: SuiteSpec, g: Graph) -> list[dict]:
     return _CHECKERS[spec.suite](g, spec)
 
 
-def run_suite(spec: SuiteSpec) -> SuiteReport:
-    start = time.perf_counter()
-    graphs = _graph_source(spec)
-    report = SuiteReport(spec.suite, conjecture=spec.suite in CONJECTURE_SUITES)
-    if spec.jobs > 1 and len(graphs) > 1:
-        # a forking pool starts all its workers at the first submit
-        workers = min(spec.jobs, os.cpu_count() or 1, len(graphs))
-        chunk = max(1, len(graphs) // (4 * workers))
+def _sweep(specs: Sequence[SuiteSpec], graphs: Sequence[Graph]) -> tuple[list, list[list]]:
+    """Per graph, one (violations, seconds) pair per suite; then the memoized
+    regularities of powers.  `_run_one` is looked up at each call, so a
+    stand-in bound there runs in pool workers too."""
+    rows = [[] for _ in graphs]
+    for g, row in zip(graphs, rows):
+        for spec in specs:
+            start = time.perf_counter()
+            row.append((_run_one(spec, g), time.perf_counter() - start))
+    return rows, homology.cache_snapshot()
+
+
+def _reports(specs: Sequence[SuiteSpec]) -> list[SuiteReport]:
+    graphs = _graph_source(specs[0])
+    workers = min(specs[0].jobs, os.cpu_count() or 1, len(graphs))
+    if workers > 1:
+        # neighbours in enumeration order cost about the same: shares balance
+        rows: list = [None] * len(graphs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(partial(_run_one, spec), graphs, chunksize=chunk))
+            shares = [graphs[w::workers] for w in range(workers)]
+            for w, (got, snapshot) in enumerate(pool.map(partial(_sweep, specs), shares)):
+                rows[w::workers] = got
+                homology.cache_restore(snapshot)
     else:
-        batches = [_run_one(spec, g) for g in graphs]
-    for viols in batches:
-        report.graphs_tested += 1
-        for v in viols:
-            report.add_violation(**v)
-    report.wall_time = time.perf_counter() - start
-    return report
+        rows, _ = _sweep(specs, graphs)
+    reports = [SuiteReport(s.suite, conjecture=s.suite in CONJECTURE_SUITES) for s in specs]
+    for row in rows:
+        for report, (viols, seconds) in zip(reports, row):
+            report.graphs_tested += 1
+            report.wall_time += seconds
+            for v in viols:
+                report.add_violation(**v)
+    return reports
+
+
+def run_suite(spec: SuiteSpec) -> SuiteReport:
+    return _reports([spec])[0]
 
 
 def run(specs: list[SuiteSpec]) -> tuple[list[SuiteReport], int]:
-    """Run suites in order; exit code 0 iff every theorem suite passes.
-    Conjecture suites are reported but never affect the exit code."""
+    """Run suites that differ only in `suite`; exit code 0 iff every theorem
+    suite passes.  Conjecture suites never affect the exit code."""
+    if any(replace(spec, suite=specs[0].suite) != specs[0] for spec in specs):
+        raise ValueError("the suites of one run must share every setting but the suite")
     _load_disk_cache()
-    reports = [run_suite(spec) for spec in specs]
+    reports = _reports(specs) if specs else []
     _save_disk_cache()
     failed = any(not r.passed for r in reports if not r.conjecture)
     return reports, 1 if failed else 0

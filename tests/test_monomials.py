@@ -316,6 +316,11 @@ def test_symbolic_square_contained_in_edge_ideal():
 def test_intersect_idempotent():
     i = power(edge_ideal(cycle_graph(4)), 2)
     assert intersect(i, i) == i
+    assert sum_ideals(i, i) == i
+    other = ideal([M("x0*x1")], vars=("x0", "x1"))  # a smaller universe
+    for op in (intersect, sum_ideals):
+        with pytest.raises(ValueError):
+            op(i, other)
 
 
 # serialization and misc -------------------------------------------------------

@@ -63,11 +63,35 @@ def test_empty_run():
     assert reports == [] and code == 0
 
 
-def test_parallel_jobs_match_serial():
-    serial = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=2, jobs=1))
-    parallel = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=2, jobs=2))
-    assert serial.graphs_tested == parallel.graphs_tested
-    assert serial.violations == parallel.violations
+def test_parallel_jobs_match_serial(monkeypatch):
+    monkeypatch.delenv(suites.CACHE_ENV_VAR, raising=False)
+
+    def sweep(jobs):
+        suites.clear_all_caches()
+        reports, code = run([SuiteSpec(name, n_max=4, s_max=2, jobs=jobs)
+                             for name in THEOREM_SUITES])
+        dicts = [{**r.to_json_dict(), "wall_time": None} for r in reports]
+        return dicts, code, homology.cache_snapshot()
+
+    serial = sweep(1)
+    assert serial[1] == 0 and serial[2]
+    assert sweep(2) == serial  # every worker's memo comes home
+
+    # with reg I^s one too high, the stored violations and totals agree as well
+    true_reg_power = homology.regularity_of_power
+
+    def shifted(g, s=1, field=homology.GF2):
+        return true_reg_power(g, s, field) + 1
+
+    monkeypatch.setattr(homology, "regularity_of_power", shifted)
+    serial = sweep(1)
+    assert serial[1] == 1 and sum(r["violations_total"] for r in serial[0]) > 0
+    assert sweep(2) == serial
+
+
+def test_run_rejects_specs_that_differ_beyond_the_suite():
+    with pytest.raises(ValueError):
+        run([SuiteSpec("lower-bound", n_max=4), SuiteSpec("square", n_max=3)])
 
 
 def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
@@ -83,7 +107,7 @@ def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
+        def map(self, fn, items):
             return map(fn, items)
 
     monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
