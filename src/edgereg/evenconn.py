@@ -19,18 +19,19 @@ possible" therefore means "maximal usage total".
 
 `even_connection_lengths` decides: for each start vertex it walks layers
 by usage total, one packed usage integer and one vertex bitmask per state
-class, and returns each pair with its maximal k.  `colon_graph`, the
-longest-walk endpoints and both colon suites use it.  The breadth-first
-search behind `even_connected_pairs` only certifies: each pair carries an
-explicit walk and edge assignment of maximal length, with ties broken by
-lexicographic path order for determinism.  It serves the `colon-graph`
-command and is the independent cross-check of the layer search.
+class, and returns each pair with its maximal k.  The even-connection
+suite and `colon_graph`, and through it the isolated-reduction scan, use
+it.  The breadth-first search behind `even_connected_pairs` only
+certifies: each pair carries an explicit walk and edge assignment of
+maximal length, with ties broken by lexicographic path order for
+determinism.  It serves the `colon-graph` command and is the independent
+cross-check of the layer search.
 
 The module also lists, for one colon graph, every removed set W and
 endpoint u of a longest walk avoiding W at which the
-reduction-to-isolated-vertices lemma fails.  Everything here returns
-plain values; the sweeps that compare the
-colon graph against monomial arithmetic and record violations live in
+reduction-to-isolated-vertices lemma fails; that scan runs on vertex
+bitmasks.  Everything here returns plain values; the sweeps that compare
+the colon graph against monomial arithmetic and record violations live in
 `suites`.
 """
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, closed_neighborhood, from_edge_list
+from .graphs import Graph, from_edge_list
 from .monomials import EdgeMultiset, polar_name
 
 
@@ -230,36 +231,38 @@ def colon_graph(g: Graph, m: EdgeMultiset) -> ColonGraphResult:
     return ColonGraphResult(graph, pairs, (g, m))
 
 
-def longest_walk_endpoints(colon: ColonGraphResult, w) -> set[int]:
-    """Endpoints of the longest even-connected walks whose endpoints avoid
-    W; empty when no even-connected pair avoids W."""
-    eligible = [(a, b, k) for a, b, k in colon.pairs if a not in w and b not in w]
-    if not eligible:
-        return set()
-    kmax = max(k for _, _, k in eligible)
-    return {x for a, b, k in eligible if k == kmax for x in (a, b)}
-
-
 def isolated_reduction_failures(colon: ColonGraphResult) -> list[tuple[frozenset[int], int]]:
     """With G' the colon graph of (I^{s+1} : m), every (W, u) at which some
     edge of G' - W - N_{G'}[u] is not an edge of G - N_G[u] under the
     copy-1 embedding (the remaining new vertices must all be isolated).
     W runs over all vertex sets of G (in bitmask order) and u over the
     endpoints of the longest even-connected walks avoiding W (ascending);
-    a W that no even-connected pair avoids contributes nothing.  The edge
-    list of G' and each N[u] are computed once per colon graph, the edges
-    avoiding W once per W."""
+    a W that no even-connected pair avoids contributes nothing.
+
+    W, the edges of G' and the pairs are vertex bitmasks.  For each u the
+    edges of G' that avoid N_{G'}[u] and are foreign to G or meet N_G[u]
+    are listed once; (W, u) fails when one of them avoids W.  Per W, one
+    pass over the pairs, longest first, gives the endpoints."""
     g, gp = colon.origin[0], colon.graph
-    edges = gp.edges()
-    hoods = [(closed_neighborhood(gp, u), closed_neighborhood(g, u)) for u in range(g.n)]
+    # whisker vertices are numbered from g.n on and a < b, so b marks an edge at one
+    edges = [(1 << a | 1 << b, b >= g.n or not g.has_edge(a, b)) for a, b in gp.edges()]
+    bad = []
+    for u in range(g.n):
+        removed, blocked = gp.adj[u] | 1 << u, g.adj[u] | 1 << u
+        bad.append([e for e, foreign in edges if not e & removed and (foreign or e & blocked)])
+    pairs = sorted(((1 << a | 1 << b, k) for a, b, k in colon.pairs), key=lambda p: -p[1])
     out = []
-    for bits in range(1 << g.n):
-        w = frozenset(v for v in range(g.n) if bits >> v & 1)
-        kept = [(a, b) for a, b in edges if a not in w and b not in w]
-        for u in sorted(longest_walk_endpoints(colon, w)):
-            removed, blocked = hoods[u]
-            # blocked <= removed unless G' lost an edge of G
-            if any(a >= g.n or b >= g.n or not g.has_edge(a, b) or a in blocked or b in blocked
-                   for a, b in kept if a not in removed and b not in removed):
-                out.append((w, u))
+    for w in range(1 << g.n):
+        kmax = ends = 0
+        for pair, k in pairs:
+            if k < kmax:
+                break
+            if not pair & w:
+                kmax, ends = k, ends | pair
+        while ends:
+            low = ends & -ends
+            u = low.bit_length() - 1
+            if any(not e & w for e in bad[u]):
+                out.append((frozenset(v for v in range(g.n) if w >> v & 1), u))
+            ends ^= low
     return out

@@ -234,7 +234,8 @@ class MonomialIdeal:
                 for g in self.gens]
 
     def generator_degrees(self) -> list[int]:
-        return [packed_degree(g) for g in self.gens]
+        ones = lane_masks(len(self.vars))[2]
+        return [_plane_degree(g, ones) for g in self.gens]
 
     def contains(self, m: Monomial) -> bool:
         hi = lane_masks(len(self.vars))[0]

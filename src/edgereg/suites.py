@@ -12,7 +12,11 @@ means a bug in this toolkit, not in the mathematics being checked.
 
 A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
 `_power_bound` call; a colon suite iterates `_edge_colons`, the pairs
-(m, I(G)^{k+1} : m).  `_CHECKERS` is the one ordered registry of suites.
+(m, I(G)^{k+1} : m).  These are read from the current graph's colon table,
+where I^{k+1} : e_1...e_j is built once, as (I^{k+1} : e_1...e_{j-1}) : e_j,
+however many suites and multisets ask for it; the table holds one graph
+at a time, outside the memo below.  `_CHECKERS` is the one ordered
+registry of suites.
 
 The default sweep follows the budget rule "powers up to 2 for graphs on
 six vertices, power 3 only up to five vertices"; `_s_values` applies it
@@ -24,9 +28,9 @@ Derived values live in one process-wide memo owned by `homology`: graph
 invariants and regularities of powers per isomorphism class, every other
 regularity (colons, symbolic squares) per exact ideal, and the homology of
 every complex a Betti table has ranked, so each is ranked once per sweep.
-One call to `clear_all_caches()` forgets all of them.  Only the
-regularities of powers persist across runs, in the directory named by the
-EDGEREG_CACHE_DIR environment variable.
+One call to `clear_all_caches()` forgets all of them and the colon table.
+Only the regularities of powers persist across runs, in the directory
+named by the EDGEREG_CACHE_DIR environment variable.
 
 A run is one graph-major sweep: all its suites run on each graph in turn.
 With `--jobs k`, worker w sweeps graphs[w::k] and sends its regularities
@@ -187,12 +191,40 @@ def _check_gapfree_locallinear(g: Graph, spec: SuiteSpec) -> list[dict]:
                         start=2)
 
 
+# The colon table of one graph: (k, word of e_1...e_j) -> I(G)^{k+1} : e_1...e_j,
+# level j = 0 holding I(G)^{k+1} itself.  A new graph empties it.
+_COLONS: dict[Graph, dict[tuple[int, int], MonomialIdeal]] = {}
+
+
+def _colon(g: Graph, k: int, edges: Sequence[tuple[int, int]]) -> MonomialIdeal:
+    """I(G)^{k+1} : e_1...e_j for edges e_1 ... e_j, j <= k, read from the
+    graph's colon table.  A missing entry is built as the entry of
+    e_1 ... e_{j-1} colon e_j, so shared prefixes and coinciding products
+    (ab.cd = ac.bd) are built once."""
+    table = _COLONS.get(g)
+    if table is None:
+        _COLONS.clear()
+        table = _COLONS[g] = {}
+    colon = table.get((k, 0))
+    if colon is None:
+        colon = table[(k, 0)] = power(edge_ideal(g), k + 1)
+    word = 0
+    for e in edges:
+        step = squarefree(e, g.n)
+        word += step
+        key = (k, word)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = colon_by_monomial(colon, step)
+        colon = got
+    return colon
+
+
 def _edge_colons(g: Graph, k: int) -> Iterator[tuple[EdgeMultiset, MonomialIdeal]]:
-    """(m, I(G)^{k+1} : m) for every multiset m of k edges of g."""
-    big = power(edge_ideal(g), k + 1)
+    """(m, I(G)^{k+1} : m) for every multiset m of k edges of g, in
+    `combinations_with_replacement` order."""
     for combo in itertools.combinations_with_replacement(g.edges(), k):
-        m = EdgeMultiset.of(combo)
-        yield m, colon_by_monomial(big, m.packed_product(g.n))
+        yield EdgeMultiset.of(combo), _colon(g, k, combo)
 
 
 def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -254,25 +286,29 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
     if g.is_edgeless():
         return []
     out = []
-    i = edge_ideal(g)
     leaves = _leaf_edges(g)
     for s in _s_values(g, spec.s_max, start=2):
-        smaller = power(i, s - 1)
+        parts: dict[int, tuple[MonomialIdeal, MonomialIdeal]] = {}
         for m, j in _edge_colons(g, s - 1):
             for e in set(m.edges) & leaves:
-                reduced = m.without(e)
-                rhs = colon_by_monomial(smaller, reduced.packed_product(g.n))
+                rhs = _colon(g, s - 2, m.without(e).edges)  # I^{s-1} : m / e
                 if not j.same_ideal_as(rhs):
                     out.append(_viol(g, s,
                                      sorted(str(x) for x in j.generators()),
                                      sorted(str(x) for x in rhs.generators()),
                                      f"leaf reduction fails for m={list(m.edges)}, leaf={e}"))
             shielded = closed_neighborhood(g, set(m.edges))
+            word = m.packed_product(g.n)
             for w in range(g.n):
                 if w in shielded:
                     continue
+                if w not in parts:
+                    parts[w] = _vertex_colon_parts(g, w, s)
+                sub_power, var_part = parts[w]
                 lhs = colon_by_monomial(j, squarefree((w,), g.n))
-                rhs = _colon_by_vertex_expected(g, m, w, s)
+                # I(G - N[w])^s : e_1...e_{s-1}, plus the variables of N(w)
+                rhs = sum_ideals(sub_power if sub_power.is_zero
+                                 else colon_by_monomial(sub_power, word), var_part)
                 if not lhs.same_ideal_as(rhs):
                     out.append(_viol(g, s,
                                      sorted(str(x) for x in lhs.generators()),
@@ -281,18 +317,14 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
     return out
 
 
-def _colon_by_vertex_expected(g: Graph, m: EdgeMultiset, w: int, s: int) -> MonomialIdeal:
-    """I(G - N[w])^s : e_1...e_{s-1} plus the variables of the open
-    neighborhood N(w), everything over the full variable universe."""
+def _vertex_colon_parts(g: Graph, w: int, s: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """I(G - N[w])^s and the ideal of the variables of the open
+    neighborhood N(w), both over the full variable universe."""
     blocked = closed_neighborhood(g, w)
     sub = packed_ideal(g.labels, (squarefree(e, g.n) for e in g.edges()
                                   if blocked.isdisjoint(e)))
-    if sub.is_zero:
-        colon_part = sub
-    else:
-        colon_part = colon_by_monomial(power(sub, s), m.packed_product(g.n))
     var_part = packed_ideal(g.labels, (squarefree((u,), g.n) for u in g.neighbors(w)))
-    return sum_ideals(colon_part, var_part)
+    return sub if sub.is_zero else power(sub, s), var_part
 
 
 def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -300,9 +332,11 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
     against the monomial-arithmetic colon of I^{s+1} by the product: all
     minimal generators must be quadratic, and they must be exactly the
     x_u x_v of the edges of G and of the pairs with u != v, plus x_u^2 for
-    each self-connected u.  The comparison runs on packed generators; only
-    a mismatch builds the colon graph, whose polarized edge ideal and the
-    polarized colon name the two sides of the violation record."""
+    each self-connected u.  The comparison runs on packed generators.  The
+    expected generators are all quadratic, so only a mismatch reads the
+    degrees, and only a mismatch of quadratic generators builds the colon
+    graph, whose polarized edge ideal and the polarized colon name the two
+    sides of the violation record."""
     if g.is_edgeless():
         return []
     out = []
@@ -310,13 +344,13 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
     edge_gens = {var[u] + var[v] for u, v in g.edges()}
     for s in _s_values(g, spec.s_max):
         for m, colon in _edge_colons(g, s):
-            bad = [d for d in colon.generator_degrees() if d != 2]
-            if bad:
-                out.append(_viol(g, s, sorted(set(bad)), 2,
-                                 f"non-quadratic colon generators for m={list(m.edges)}"))
-                continue
             pairs = evenconn.even_connection_lengths(g, m)
             if set(colon.gens) != edge_gens | {var[u] + var[v] for u, v in pairs}:
+                bad = [d for d in colon.generator_degrees() if d != 2]
+                if bad:
+                    out.append(_viol(g, s, sorted(set(bad)), 2,
+                                     f"non-quadratic colon generators for m={list(m.edges)}"))
+                    continue
                 combinatorial = edge_ideal(evenconn.colon_graph(g, m).graph)
                 algebraic, _ = polarize(colon)
                 out.append(_viol(
@@ -485,6 +519,7 @@ def run(specs: list[SuiteSpec]) -> tuple[list[SuiteReport], int]:
 
 
 def clear_all_caches() -> None:
+    _COLONS.clear()
     homology.clear_caches()
 
 

@@ -6,8 +6,11 @@ chordality by induced-cycle search, ranks by Gaussian elimination over
 `fractions.Fraction` or modulo p.  Slow on purpose; only run at tiny sizes.
 The one exception is `lattice_rescan_betti`, an earlier form of the Betti
 kernel kept as a reference for the lattice and facet steps only: it shares
-face closure and homology ranks with `homology`.  `mutant` builds the
-one-fragment mutants that the mutation tests run against these oracles.
+face closure and homology ranks with `homology`.
+`frozenset_isolated_reduction_failures` is the earlier, set-based form of
+`evenconn.isolated_reduction_failures`, kept as its reference.  `mutant`
+builds the one-fragment mutants that the mutation tests run against these
+oracles.
 """
 from __future__ import annotations
 
@@ -250,6 +253,40 @@ def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
             key = (d + 1, deg)
             entries[key] = entries.get(key, 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+# Reference for `evenconn.isolated_reduction_failures`: vertex sets as
+# frozensets, the longest-walk endpoints recomputed from the pairs for
+# every W, and every edge of the colon graph tested against sets.
+
+def _closed_hood(g: Graph, u: int) -> frozenset[int]:
+    return frozenset(g.neighbors(u)) | {u}
+
+
+def longest_walk_endpoints(colon, w) -> set[int]:
+    """Endpoints of the longest even-connected walks whose endpoints avoid
+    W; empty when no even-connected pair avoids W."""
+    eligible = [(a, b, k) for a, b, k in colon.pairs if a not in w and b not in w]
+    if not eligible:
+        return set()
+    kmax = max(k for _, _, k in eligible)
+    return {x for a, b, k in eligible if k == kmax for x in (a, b)}
+
+
+def frozenset_isolated_reduction_failures(colon) -> list[tuple[frozenset[int], int]]:
+    g, gp = colon.origin[0], colon.graph
+    edges = gp.edges()
+    hoods = [(_closed_hood(gp, u), _closed_hood(g, u)) for u in range(g.n)]
+    out = []
+    for bits in range(1 << g.n):
+        w = frozenset(v for v in range(g.n) if bits >> v & 1)
+        kept = [(a, b) for a, b in edges if a not in w and b not in w]
+        for u in sorted(longest_walk_endpoints(colon, w)):
+            removed, blocked = hoods[u]
+            if any(a >= g.n or b >= g.n or not g.has_edge(a, b) or a in blocked or b in blocked
+                   for a, b in kept if a not in removed and b not in removed):
+                out.append((w, u))
+    return out
 
 
 # Mutation tests: a package function with one source fragment replaced.

@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from edgereg.evenconn import (EvenConnectionCertificate, colon_graph, even_connected_pairs,
-                              even_connection_lengths, isolated_reduction_failures,
-                              longest_walk_endpoints)
+from edgereg.evenconn import (ColonGraphResult, EvenConnectionCertificate, colon_graph,
+                              even_connected_pairs, even_connection_lengths,
+                              isolated_reduction_failures)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
@@ -14,6 +14,7 @@ from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,
                                edge_ideal, polarize, power, squarefree)
 from edgereg.suites import SuiteSpec, run_suite
+from oracles import frozenset_isolated_reduction_failures, longest_walk_endpoints
 
 
 def _pairs_beyond_graph(g, pairs):
@@ -221,3 +222,38 @@ def test_isolated_reduction_gap_free_sweep():
                 continue
             for e in g.edges():
                 assert isolated_reduction_failures(colon_graph(g, EdgeMultiset.of([e]))) == []
+
+
+def _gap_free_colon_graphs(n_max, sizes):
+    for n in range(2, n_max + 1):
+        for g in enumerate_graphs(n):
+            if g.is_edgeless() or not is_gap_free(g):
+                continue
+            for size in sizes:
+                for combo in itertools.combinations_with_replacement(g.edges(), size):
+                    yield colon_graph(g, EdgeMultiset.of(combo))
+
+
+def test_isolated_reduction_matches_frozenset_reference():
+    for colon in _gap_free_colon_graphs(6, (1, 2)):
+        assert isolated_reduction_failures(colon) == frozenset_isolated_reduction_failures(colon)
+
+
+def test_isolated_reduction_matches_reference_on_forged_colon_graphs():
+    # real colon graphs never fail, so forge G': add an edge it lacks (a
+    # non-edge of G, a second edge at a whisker, an edge between whiskers),
+    # or drop one, so that N_G[u] is no longer inside N_G'[u]
+    failures = 0
+    for colon in _gap_free_colon_graphs(5, (1,)):
+        gp = colon.graph
+        edges = gp.edges()
+        forgeries = [edges + [e] for e in itertools.combinations(range(gp.n), 2)
+                     if not gp.has_edge(*e)]
+        forgeries += [edges[:k] + edges[k + 1:] for k in range(len(edges))]
+        for forged_edges in forgeries:
+            forged = ColonGraphResult(from_edge_list(gp.n, forged_edges, gp.labels),
+                                      colon.pairs, colon.origin)
+            got = isolated_reduction_failures(forged)
+            assert got == frozenset_isolated_reduction_failures(forged)
+            failures += len(got)
+    assert failures > 1000

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -220,7 +221,9 @@ def test_mutated_usage_bound_is_caught(monkeypatch, bound, caught):
 
 def test_mutated_isolated_reduction_is_caught(monkeypatch):
     # removes W + {u} from the colon graph instead of W + N[u]
-    monkeypatch.setattr(evenconn, "closed_neighborhood", lambda g, u: frozenset({u}))
+    monkeypatch.setattr(evenconn, "isolated_reduction_failures",
+                        oracles.mutant(evenconn.isolated_reduction_failures,
+                                       "gp.adj[u] | 1 << u", "1 << u"))
     assert not run_suite(SuiteSpec("isolated-reduction", n_max=4, s_max=2)).passed
 
 
@@ -374,6 +377,66 @@ def test_complex_table_lives_until_clear_and_is_never_persisted(tmp_path, monkey
     assert not homology._MEMO
     assert homology.graded_betti(i) == table
     assert len(rank_calls) > ranked
+
+
+# the colon table -------------------------------------------------------------------
+
+def _direct_colons(g, k):
+    big = monomials.power(edge_ideal(g), k + 1)
+    out = []
+    for combo in itertools.combinations_with_replacement(g.edges(), k):
+        m = monomials.EdgeMultiset.of(combo)
+        out.append((m, monomials.colon_by_monomial(big, m.packed_product(g.n))))
+    return out
+
+
+def _table_matches_direct_route(n, k_max):
+    return all(list(suites._edge_colons(g, k)) == _direct_colons(g, k)
+               for g in enumerate_graphs(n) for k in range(1, k_max + 1))
+
+
+def test_colon_table_matches_direct_route():
+    for n in range(1, 6):
+        assert _table_matches_direct_route(n, 3)
+    assert _table_matches_direct_route(6, 2)
+
+
+def test_colon_table_keyed_on_the_last_edge_is_caught(monkeypatch):
+    # I^{k+1} : e1 e2 would be served I^{k+1} : e2, built one level up
+    monkeypatch.setattr(suites, "_colon", oracles.mutant(suites._colon, "key = (k, word)",
+                                                         "key = (k, step)"))
+    assert not _table_matches_direct_route(4, 2)
+
+
+def test_sweep_builds_each_table_colon_once(monkeypatch):
+    g = complete_graph(4)
+    built = []
+    true_colon = suites.colon_by_monomial
+
+    def recording(i, m):
+        if monomials.packed_degree(m) == 2:  # a table step; J : w divides by a vertex
+            built.append((i, m))
+        return true_colon(i, m)
+
+    monkeypatch.setattr(suites, "colon_by_monomial", recording)
+    reports, code = run([SuiteSpec(name, graphs=(g,), s_max=2) for name in THEOREM_SUITES])
+    assert code == 0
+    # K4 has 6 edges: I^2 : e and I^3 : e for each, and I^3 : e e' for the
+    # 19 distinct products of the 21 pairs (its 3 perfect matchings coincide);
+    # (I - N[w])^2 : e is zero on K4, so colon-structure builds no other colon
+    assert len(built) == len(set(built)) == 6 + 6 + 19
+    # with I^2 and I^3; K4 has no leaf edge, so colon-structure never reads I
+    assert len(suites._COLONS[g]) == 2 + len(built)
+
+
+def test_colon_table_lives_for_one_graph_until_cleared():
+    graphs = tuple(enumerate_graphs(4))
+    reports, code = run([SuiteSpec(name, graphs=graphs, s_max=2) for name in THEOREM_SUITES])
+    assert code == 0
+    assert list(suites._COLONS) == [graphs[-1]]
+    assert not any(isinstance(v, monomials.MonomialIdeal) for v in homology._MEMO.values())
+    suites.clear_all_caches()
+    assert not suites._COLONS
 
 
 # disk cache ----------------------------------------------------------------------
