@@ -18,6 +18,6 @@ from .invariants import (InvariantRecord, induced_matching_number, invariant_rec
 from .monomials import (EdgeMultiset, Monomial, MonomialIdeal, colon_by_monomial,
                         edge_ideal, minimal_vertex_covers, polarize, power,
                         symbolic_square)
-from .suites import SuiteReport, SuiteSpec, run, run_suite
+from .suites import SuiteReport, SuiteSpec, run
 
 __version__ = "0.1.0"

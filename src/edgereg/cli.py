@@ -153,27 +153,24 @@ def _cmd_colon_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = list(suites.THEOREM_SUITES)
-    else:
-        names = [args.suite]
+    names = suites.THEOREM_SUITES if args.suite == "all" else (args.suite,)
     graphs = None
     if args.graphs is not None:
         graphs = _read_graphs(args, args.graphs, "--graphs ")
         if not graphs:
             args.usage_error(f"--graphs {args.graphs}: no graph")
     try:
-        specs = [suites.SuiteSpec(name, n_max=args.n, s_max=args.s,
-                                  characteristic=args.char, graphs=graphs, jobs=args.jobs)
-                 for name in names]
-    except ValueError as exc:  # SuiteSpec rejects the flags
+        spec = suites.SuiteSpec(names, n_max=args.n, s_max=args.s,
+                                field=homology.FieldSpec(args.char), graphs=graphs,
+                                jobs=args.jobs)
+    except ValueError as exc:  # FieldSpec or SuiteSpec rejects the flags
         args.usage_error(str(exc))
     if args.out:
         try:  # an unwritable --out fails before the sweep, leaving any old report intact
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             args.usage_error(f"--out {args.out}: {exc}")
-    reports, code = suites.run(specs)
+    reports, code = suites.run(spec)
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:
         print(f"{r.suite}\t{r.graphs_tested}\t{r.violations_total}"

@@ -5,6 +5,14 @@ import pytest
 from edgereg import suites
 
 
+@pytest.fixture(autouse=True)
+def _no_disk_cache(monkeypatch):
+    """Never read or write a developer's disk cache: a stale regularity
+    there could hide a mutant.  A test that wants one sets the variable
+    itself."""
+    monkeypatch.delenv(suites.CACHE_ENV_VAR, raising=False)
+
+
 @pytest.fixture
 def fresh_memo():
     """Clear the one memo and the colon table before and after the test.

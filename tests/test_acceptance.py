@@ -17,7 +17,7 @@ from edgereg.homology import (GF2, QQ, graded_betti, hochster_oracle,
 from edgereg.invariants import (induced_matching_number, is_co_chordal,
                                 is_cricket_free, is_gap_free, is_locally_linear)
 from edgereg.monomials import edge_ideal, power
-from edgereg.suites import SuiteSpec, run_suite
+from edgereg.suites import SuiteSpec, run
 
 
 def _report(name: str, ok: bool) -> None:
@@ -26,7 +26,8 @@ def _report(name: str, ok: bool) -> None:
 
 
 def _suite_passes(name: str, **kwargs) -> bool:
-    report = run_suite(SuiteSpec(name, **kwargs))
+    reports, _ = run(SuiteSpec((name,), **kwargs))
+    report = reports[0]
     if not report.passed:
         print(f"  {name}: {report.violations_total} violations, "
               f"first: {report.violations[:3]}")
@@ -106,20 +107,18 @@ def test_criterion_09_mutation_sensitivity(monkeypatch, fresh_memo):
     true_nu = invariants.induced_matching_number
     monkeypatch.setattr(invariants, "induced_matching_number",
                         lambda g: true_nu(g) + 1)
-    nu_caught = not run_suite(SuiteSpec("lower-bound", n_max=5, s_max=1)).passed
+    _, nu_code = run(SuiteSpec(("lower-bound",), n_max=5, s_max=1))
     monkeypatch.undo()
     suites.clear_all_caches()
 
     true_rank = homology.rank_gf2
     monkeypatch.setattr(homology, "rank_gf2",
                         lambda rows: max(0, true_rank(rows) - 1))
-    rank_caught = any(
-        not run_suite(SuiteSpec(name, n_max=5, s_max=1)).passed
-        for name in ("matching-bound", "lower-bound"))
+    _, rank_code = run(SuiteSpec(("matching-bound", "lower-bound"), n_max=5, s_max=1))
     monkeypatch.undo()
     suites.clear_all_caches()
     _report("criterion 9: corrupted nu and corrupted homology rank are both detected",
-            nu_caught and rank_caught)
+            nu_code == rank_code == 1)
 
 
 def test_criterion_10_enumeration_census_and_graph6():

@@ -124,7 +124,7 @@ def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path,
 def test_verify_rejects_unwritable_out_as_usage_error(tmp_path, capsys, monkeypatch):
     from edgereg import suites
 
-    def no_sweep(specs):
+    def no_sweep(spec):
         raise AssertionError("the sweep ran before --out was checked")
 
     monkeypatch.setattr(suites, "run", no_sweep)

@@ -11,7 +11,7 @@ from edgereg.graphs import (canonical_key, complete_graph, cycle_graph, disjoint
                             emit_graph6, enumerate_graphs, parse_graph6, star)
 from edgereg.monomials import edge_ideal
 from edgereg.suites import (CONJECTURE_SUITES, MAX_STORED_VIOLATIONS, THEOREM_SUITES,
-                            SuiteReport, SuiteSpec, run, run_suite)
+                            SuiteReport, SuiteSpec, run)
 
 
 @pytest.fixture(autouse=True)
@@ -20,28 +20,34 @@ def _fresh_caches():
     suites.clear_all_caches()
 
 
+def _single(name, **kwargs):
+    """The report of a run of one suite."""
+    reports, _ = run(SuiteSpec((name,), **kwargs))
+    return reports[0]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SuiteSpec("no-such-suite")
+        SuiteSpec(("no-such-suite",))
     with pytest.raises(ValueError):
-        SuiteSpec("lower-bound", s_max=4)
+        SuiteSpec(("lower-bound",), s_max=4)
     with pytest.raises(ValueError):
-        SuiteSpec("lower-bound", n_max=9)
+        SuiteSpec(("lower-bound",), n_max=9)
     with pytest.raises(ValueError):
-        SuiteSpec("lower-bound", n_max=0)
+        SuiteSpec(("lower-bound",), n_max=0)
     with pytest.raises(ValueError):
-        SuiteSpec("lower-bound", characteristic=6)
+        SuiteSpec(("lower-bound",), jobs=0)
 
 
 def test_all_theorem_suites_pass_small():
-    reports, code = run([SuiteSpec(name, n_max=4, s_max=2) for name in THEOREM_SUITES])
+    reports, code = run(SuiteSpec(THEOREM_SUITES, n_max=4, s_max=2))
     assert code == 0
     assert all(r.passed for r in reports)
     assert all(r.graphs_tested == 18 for r in reports)
 
 
 def test_lower_bound_tight_on_two_disjoint_edges():
-    report = run_suite(SuiteSpec("lower-bound", graphs=(disjoint_edges(2),), s_max=1))
+    report = _single("lower-bound", graphs=(disjoint_edges(2),), s_max=1)
     assert report.passed
     # the bound is tight there: reg I = 3 = 2 + nu - 1
     assert homology.regularity_of_power(disjoint_edges(2), 1) == 3
@@ -54,23 +60,27 @@ def test_cameron_walker_star_square():
 
 def test_explicit_graph_list_and_file():
     # reading a file is the CLI's job (test_cli.py::test_verify_accepts_graphs_file)
-    by_list = run_suite(SuiteSpec("matching-bound", graphs=tuple(enumerate_graphs(4))))
+    by_list = _single("matching-bound", graphs=tuple(enumerate_graphs(4)))
     assert by_list.graphs_tested == 11
     assert by_list.passed
 
 
-def test_empty_run():
-    reports, code = run([])
-    assert reports == [] and code == 0
+def test_spec_rejects_an_empty_suite_tuple():
+    with pytest.raises(ValueError):
+        SuiteSpec(())
+
+
+def test_spec_rejects_an_unknown_suite_in_the_tuple():
+    with pytest.raises(ValueError, match="no-such-suite"):
+        SuiteSpec(("lower-bound", "no-such-suite", "square"))
+    with pytest.raises(ValueError):  # a bare name is not a tuple of names
+        SuiteSpec("lower-bound")
 
 
 def test_parallel_jobs_match_serial(monkeypatch):
-    monkeypatch.delenv(suites.CACHE_ENV_VAR, raising=False)
-
     def sweep(jobs):
         suites.clear_all_caches()
-        reports, code = run([SuiteSpec(name, n_max=4, s_max=2, jobs=jobs)
-                             for name in THEOREM_SUITES])
+        reports, code = run(SuiteSpec(THEOREM_SUITES, n_max=4, s_max=2, jobs=jobs))
         dicts = [{**r.to_json_dict(), "wall_time": None} for r in reports]
         return dicts, code, homology.cache_snapshot()
 
@@ -88,11 +98,6 @@ def test_parallel_jobs_match_serial(monkeypatch):
     serial = sweep(1)
     assert serial[1] == 1 and sum(r["violations_total"] for r in serial[0]) > 0
     assert sweep(2) == serial
-
-
-def test_run_rejects_specs_that_differ_beyond_the_suite():
-    with pytest.raises(ValueError):
-        run([SuiteSpec("lower-bound", n_max=4), SuiteSpec("square", n_max=3)])
 
 
 def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
@@ -114,8 +119,8 @@ def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
     monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
     two = (cycle_graph(4), star(3))
-    assert run_suite(SuiteSpec("lower-bound", graphs=two, s_max=1, jobs=64)).passed
-    assert run_suite(SuiteSpec("lower-bound", n_max=4, s_max=1, jobs=64)).passed
+    assert _single("lower-bound", graphs=two, s_max=1, jobs=64).passed
+    assert _single("lower-bound", n_max=4, s_max=1, jobs=64).passed
     assert sizes == [2, 4]
 
 
@@ -137,11 +142,11 @@ def test_mutated_induced_matching_is_caught(monkeypatch, fresh_memo):
         return true_nu(g) + 1
 
     monkeypatch.setattr(invariants, "induced_matching_number", off_by_one)
-    report = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=1))
+    report = _single("lower-bound", n_max=4, s_max=1)
     assert not report.passed
     # the dumped counterexample replays deterministically
     bad = parse_graph6(report.violations[0]["graph6"])
-    replay = run_suite(SuiteSpec("lower-bound", graphs=(bad,), s_max=1))
+    replay = _single("lower-bound", graphs=(bad,), s_max=1)
     assert not replay.passed
     assert replay.violations[0]["graph6"] == report.violations[0]["graph6"]
 
@@ -157,8 +162,7 @@ def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic,
     monkeypatch.setattr(homology, rank_name, deflated)
     failed = []
     for name in ("matching-bound", "lower-bound"):
-        report = run_suite(SuiteSpec(name, n_max=4, s_max=1,
-                                     characteristic=characteristic))
+        report = _single(name, n_max=4, s_max=1, field=homology.FieldSpec(characteristic))
         failed.append(not report.passed)
         suites.clear_all_caches()
     assert any(failed)
@@ -169,7 +173,7 @@ def test_mutated_minimalization_is_caught(monkeypatch, fresh_memo):
         return tuple(sorted(set(gens), key=lambda g: (monomials.packed_degree(g), -g)))
 
     monkeypatch.setattr(monomials, "_minimal", unfiltered)
-    assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
+    assert not _single("even-connection", n_max=4, s_max=1).passed
 
 
 def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
@@ -181,7 +185,7 @@ def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
     for module in (monomials, suites, invariants):
         monkeypatch.setattr(module, "colon_by_monomial", untruncated)
     # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
-    assert not run_suite(SuiteSpec("colon-structure", n_max=4, s_max=2)).passed
+    assert not _single("colon-structure", n_max=4, s_max=2).passed
 
 
 def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
@@ -192,7 +196,7 @@ def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
         return monomials.MonomialIdeal(j.vars, j.gens[:-1])
 
     monkeypatch.setattr(suites, "colon_by_monomial", dropped)
-    report = run_suite(SuiteSpec("even-connection", graphs=(complete_graph(5),), s_max=2))
+    report = _single("even-connection", graphs=(complete_graph(5),), s_max=2)
     # one violation per multiset: 10 of one edge, 55 of two
     assert report.violations_total == 65
     assert len(report.violations) == MAX_STORED_VIOLATIONS
@@ -205,7 +209,7 @@ def test_mutated_even_connected_pairs_is_caught(monkeypatch):
         return {(u, v): k for (u, v), k in true_lengths(g, m).items() if u != v}
 
     monkeypatch.setattr(evenconn, "even_connection_lengths", no_self_pairs)
-    assert not run_suite(SuiteSpec("even-connection", n_max=4, s_max=1)).passed
+    assert not _single("even-connection", n_max=4, s_max=1).passed
 
 
 @pytest.mark.parametrize("bound, caught", [("<", False), ("<=", True)],
@@ -215,8 +219,7 @@ def test_mutated_usage_bound_is_caught(monkeypatch, bound, caught):
     monkeypatch.setattr(evenconn, "even_connection_lengths",
                         oracles.mutant(evenconn.even_connection_lengths, old,
                                        old.replace("<", bound)))
-    spec = SuiteSpec("even-connection", n_max=5, s_max=2)
-    assert run_suite(spec).passed is not caught
+    assert _single("even-connection", n_max=5, s_max=2).passed is not caught
 
 
 def test_mutated_isolated_reduction_is_caught(monkeypatch):
@@ -224,7 +227,22 @@ def test_mutated_isolated_reduction_is_caught(monkeypatch):
     monkeypatch.setattr(evenconn, "isolated_reduction_failures",
                         oracles.mutant(evenconn.isolated_reduction_failures,
                                        "gp.adj[u] | 1 << u", "1 << u"))
-    assert not run_suite(SuiteSpec("isolated-reduction", n_max=4, s_max=2)).passed
+    assert not _single("isolated-reduction", n_max=4, s_max=2).passed
+
+
+def test_isolated_reduction_follows_the_budget_rule(monkeypatch):
+    def fails_everywhere(gp):  # one failure record for every colon graph
+        return [(frozenset(), 0)]
+
+    monkeypatch.setattr(evenconn, "isolated_reduction_failures", fails_everywhere)
+    assert _single("isolated-reduction", n_max=4, s_max=1).violations_total == 0
+    # power 3 is skipped on six vertices: one s = 2 record per edge of K6
+    report = _single("isolated-reduction", graphs=(complete_graph(6),), s_max=3)
+    assert report.violations_total == 15
+    assert {v["s"] for v in report.violations} == {2}
+    # and kept on five: 10 edges, then 55 multisets of two
+    report = _single("isolated-reduction", graphs=(complete_graph(5),), s_max=3)
+    assert report.violations_total == 10 + 55
 
 
 BOUND_SUITES = ("lower-bound", "matching-bound", "cameron-walker", "locally-linear",
@@ -259,7 +277,7 @@ def test_shifted_power_regularity_matrix(monkeypatch, d):
 
     monkeypatch.setattr(homology, "regularity_of_power", shifted)
     for name in BOUND_SUITES:
-        report = run_suite(SuiteSpec(name, n_max=5, s_max=3))
+        report = _single(name, n_max=5, s_max=3)
         total, first = SHIFTED_REG_VIOLATIONS[d].get(name, (0, None))
         assert report.violations_total == total, name
         stored = tuple(report.violations[0].values()) if report.violations else None
@@ -267,7 +285,7 @@ def test_shifted_power_regularity_matrix(monkeypatch, d):
 
 
 def test_clean_rerun_after_mutations():
-    report = run_suite(SuiteSpec("lower-bound", n_max=4, s_max=1))
+    report = _single("lower-bound", n_max=4, s_max=1)
     assert report.passed
 
 
@@ -275,7 +293,7 @@ def test_clean_rerun_after_mutations():
 
 def test_conjecture_suites_are_labeled_and_pass_small():
     for name in CONJECTURE_SUITES:
-        report = run_suite(SuiteSpec(name, n_max=4, s_max=2))
+        report = _single(name, n_max=4, s_max=2)
         assert report.conjecture
         assert report.passed  # no counterexample at this scale
 
@@ -285,7 +303,7 @@ def test_conjecture_failures_do_not_affect_exit_code(monkeypatch):
         return [{"graph6": emit_graph6(g), "s": 1, "lhs": 0, "rhs": 0, "context": "x"}]
 
     monkeypatch.setitem(suites._CHECKERS, "conjecture-a", always_violates)
-    reports, code = run([SuiteSpec("conjecture-a", n_max=3, s_max=1)])
+    reports, code = run(SuiteSpec(("conjecture-a",), n_max=3, s_max=1))
     assert not reports[0].passed
     assert code == 0
 
@@ -314,17 +332,17 @@ def test_regularity_is_memoized_per_ideal_until_cleared(monkeypatch):
 
 def test_one_clear_forgets_memoized_invariants(monkeypatch):
     homology.clear_caches()
-    spec = SuiteSpec("lower-bound", n_max=4, s_max=1)
-    assert run_suite(spec).passed
+    spec = SuiteSpec(("lower-bound",), n_max=4, s_max=1)
+    assert run(spec)[0][0].passed
     true_rec = invariants._matching_rec
 
     def inflated(g, alive, reach, memo):
         return true_rec(g, alive, reach, memo) + 1
 
     monkeypatch.setattr(invariants, "_matching_rec", inflated)
-    assert run_suite(spec).passed  # nu(G) still comes from the memo
+    assert run(spec)[0][0].passed  # nu(G) still comes from the memo
     homology.clear_caches()
-    assert not run_suite(spec).passed
+    assert not run(spec)[0][0].passed
 
 
 def test_memo_persists_only_regularities_of_powers(tmp_path, monkeypatch):
@@ -338,7 +356,7 @@ def test_memo_persists_only_regularities_of_powers(tmp_path, monkeypatch):
         return true_reg_power(g, s, field)
 
     monkeypatch.setattr(homology, "regularity_of_power", recording)
-    reports, code = run([SuiteSpec(name, n_max=4, s_max=2) for name in THEOREM_SUITES])
+    reports, code = run(SuiteSpec(THEOREM_SUITES, n_max=4, s_max=2))
     assert code == 0
     snapshot = homology.cache_snapshot()
     assert all(len(e) == 5 and all(type(x) is int for x in e) for e in snapshot)
@@ -359,7 +377,7 @@ def test_complex_table_lives_until_clear_and_is_never_persisted(tmp_path, monkey
         return true_rank(rows)
 
     monkeypatch.setattr(homology, "rank_gf2", counting)
-    reports, code = run([SuiteSpec("lower-bound", n_max=4, s_max=2)])
+    reports, code = run(SuiteSpec(("lower-bound",), n_max=4, s_max=2))
     assert code == 0
     tables = [v for k, v in homology._MEMO.items() if k[0] == "complexes"]
     assert any(tables)
@@ -419,7 +437,7 @@ def test_sweep_builds_each_table_colon_once(monkeypatch):
         return true_colon(i, m)
 
     monkeypatch.setattr(suites, "colon_by_monomial", recording)
-    reports, code = run([SuiteSpec(name, graphs=(g,), s_max=2) for name in THEOREM_SUITES])
+    reports, code = run(SuiteSpec(THEOREM_SUITES, graphs=(g,), s_max=2))
     assert code == 0
     # K4 has 6 edges: I^2 : e and I^3 : e for each, and I^3 : e e' for the
     # 19 distinct products of the 21 pairs (its 3 perfect matchings coincide);
@@ -431,7 +449,7 @@ def test_sweep_builds_each_table_colon_once(monkeypatch):
 
 def test_colon_table_lives_for_one_graph_until_cleared():
     graphs = tuple(enumerate_graphs(4))
-    reports, code = run([SuiteSpec(name, graphs=graphs, s_max=2) for name in THEOREM_SUITES])
+    reports, code = run(SuiteSpec(THEOREM_SUITES, graphs=graphs, s_max=2))
     assert code == 0
     assert list(suites._COLONS) == [graphs[-1]]
     assert not any(isinstance(v, monomials.MonomialIdeal) for v in homology._MEMO.values())
@@ -444,20 +462,20 @@ def test_colon_table_lives_for_one_graph_until_cleared():
 def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
     suites.clear_all_caches()
-    run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
     path = tmp_path / suites.CACHE_FILE
     assert path.exists()
     payload = json.loads(path.read_text())
     assert payload  # regularities were recorded
     suites.clear_all_caches()
-    reports, code = run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    reports, code = run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
     assert code == 0 and reports[0].passed
 
 
 def test_corrupt_disk_cache_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
     (tmp_path / suites.CACHE_FILE).write_text("not json")
-    reports, code = run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    reports, code = run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
     assert code == 0
 
 
@@ -468,14 +486,14 @@ def test_malformed_disk_cache_is_ignored_whole(tmp_path, monkeypatch, payload):
     (tmp_path / suites.CACHE_FILE).write_text(json.dumps(payload))
     suites._load_disk_cache()
     assert homology.cache_snapshot() == []
-    reports, code = run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    reports, code = run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
     assert code == 0 and reports[0].passed
 
 
 def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
     suites.clear_all_caches()
-    run([SuiteSpec("matching-bound", n_max=3, s_max=1)])
+    run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
     path = tmp_path / suites.CACHE_FILE
     before = path.read_bytes()
 
@@ -484,7 +502,7 @@ def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(suites.json, "dump", dump_then_fail)
-    reports, code = run([SuiteSpec("matching-bound", n_max=4, s_max=1)])
+    reports, code = run(SuiteSpec(("matching-bound",), n_max=4, s_max=1))
     assert code == 0
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
