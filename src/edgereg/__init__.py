@@ -5,8 +5,7 @@ Graphs, their combinatorial invariants, monomial-ideal arithmetic
 and Castelnuovo-Mumford regularity via simplicial homology, plus a
 harness that machine-verifies regularity theorems over every small graph.
 """
-from .evenconn import (ColonGraphResult, EvenConnectionCertificate, colon_graph,
-                       even_connected_pairs)
+from .evenconn import EvenConnectionCertificate, colon_graph, even_connected_pairs
 from .graphs import (Graph, complement, delete_closed_neighborhood, emit_graph6,
                      enumerate_graphs, from_edge_list, induced_subgraph,
                      is_isomorphic, parse_graph6)

@@ -138,15 +138,16 @@ def _cmd_colon_graph(args) -> int:
     except ValueError as exc:  # includes GraphError
         args.usage_error(f"--edges {args.edges}: {exc}")
     for g in graphs:
-        result = evenconn.colon_graph(g, m)
+        pairs = evenconn.even_connection_lengths(g, m)
+        gp = evenconn.colon_graph(g, pairs)
         certs = {(u, v): c for u, v, c in evenconn.even_connected_pairs(g, m)}
         print(json.dumps({
-            "graph6": emit_graph6(result.graph),
-            "labels": list(result.graph.labels),
+            "graph6": emit_graph6(gp),
+            "labels": list(gp.labels),
             "new_pairs": [
                 {"u": u, "v": v, "path": list(certs[u, v].path),
                  "assignments": [[pos, list(e)] for pos, e in certs[u, v].assignments]}
-                for u, v, _ in result.new_pairs
+                for u, v in pairs if u == v or not g.has_edge(u, v)
             ],
         }))
     return 0

@@ -19,19 +19,21 @@ possible" therefore means "maximal usage total".
 
 `even_connection_lengths` decides: for each start vertex it walks layers
 by usage total, one packed usage integer and one vertex bitmask per state
-class, and returns each pair with its maximal k.  The even-connection
-suite and `colon_graph`, and through it the isolated-reduction scan, use
-it.  The breadth-first search behind `even_connected_pairs` only
-certifies: each pair carries an explicit walk and edge assignment of
-maximal length, with ties broken by lexicographic path order for
-determinism.  It serves the `colon-graph` command and is the independent
-cross-check of the layer search.
+class, and returns each pair with its maximal k.  This dict {(u, v): k}
+is the one value of the colon graph: the even-connection suite compares
+it with the monomial colon, the isolated-reduction scan reads it, and
+`colon_graph` builds the labelled `Graph` from it where one is shown.
+The breadth-first search behind `even_connected_pairs` only certifies:
+each pair carries an explicit walk and edge assignment of maximal length,
+with ties broken by lexicographic path order for determinism.  It serves
+the `colon-graph` command and is the independent cross-check of the
+layer search.
 
-The module also lists, for one colon graph, every removed set W and
+The module also lists, for one pairs dict, every removed set W and
 endpoint u of a longest walk avoiding W at which the
 reduction-to-isolated-vertices lemma fails; that scan runs on vertex
 bitmasks.  Everything here returns plain values; the sweeps that compare
-the colon graph against monomial arithmetic and record violations live in
+the pairs against monomial arithmetic and record violations live in
 `suites`.
 """
 from __future__ import annotations
@@ -76,25 +78,6 @@ class EvenConnectionCertificate:
             usage[e] = usage.get(e, 0) + 1
         counts = m.counts()
         return all(counts.get(e, 0) >= c for e, c in usage.items())
-
-
-@dataclass(frozen=True)
-class ColonGraphResult:
-    """The graph presenting (I^{s+1} : e_1...e_s): the original edges plus
-    one edge per even-connected pair, with whisker vertices for
-    self-connections.  `pairs` holds every pair (u, v, k), u <= v, with
-    the maximal k of its walks; `new_pairs` those that are not already
-    edges of G."""
-
-    graph: Graph
-    pairs: tuple[tuple[int, int, int], ...]
-    origin: tuple[Graph, EdgeMultiset]
-
-    @property
-    def new_pairs(self) -> tuple[tuple[int, int, int], ...]:
-        g = self.origin[0]
-        return tuple((u, v, k) for u, v, k in self.pairs
-                     if u == v or not g.has_edge(u, v))
 
 
 def _check_multiset(g: Graph, m: EdgeMultiset) -> None:
@@ -218,43 +201,40 @@ def even_connected_pairs(g: Graph, m: EdgeMultiset
     return [(u, v, found[(u, v)]) for u, v in sorted(found)]
 
 
-def colon_graph(g: Graph, m: EdgeMultiset) -> ColonGraphResult:
-    """The polarized graph of (I^{s+1} : e_1...e_s): E(G) plus the
-    even-connected pairs, self-connections becoming whisker edges u-u'."""
-    pairs = tuple((u, v, k) for (u, v), k in even_connection_lengths(g, m).items())
-    selfs = [u for u, v, _ in pairs if u == v]
+def colon_graph(g: Graph, pairs: dict[tuple[int, int], int]) -> Graph:
+    """The polarized graph of (I^{s+1} : e_1...e_s), given its even-connected
+    `pairs`: E(G) plus one edge per pair, self-connections becoming
+    whisker edges u-u'."""
+    selfs = [u for u, v in pairs if u == v]
     labels = list(g.labels) + [polar_name(g.labels[u], 2) for u in selfs]
-    edges = g.edges()
-    edges += [(u, v) for u, v, _ in pairs if u != v and not g.has_edge(u, v)]
+    edges = g.edges() + [(u, v) for u, v in pairs if u != v and not g.has_edge(u, v)]
     edges += [(u, g.n + i) for i, u in enumerate(selfs)]
-    graph = from_edge_list(g.n + len(selfs), edges, tuple(labels))
-    return ColonGraphResult(graph, pairs, (g, m))
+    return from_edge_list(g.n + len(selfs), edges, tuple(labels))
 
 
-def isolated_reduction_failures(colon: ColonGraphResult) -> list[tuple[frozenset[int], int]]:
-    """With G' the colon graph of (I^{s+1} : m), every (W, u) at which some
-    edge of G' - W - N_{G'}[u] is not an edge of G - N_G[u] under the
-    copy-1 embedding (the remaining new vertices must all be isolated).
-    W runs over all vertex sets of G (in bitmask order) and u over the
-    endpoints of the longest even-connected walks avoiding W (ascending);
-    a W that no even-connected pair avoids contributes nothing.
+def isolated_reduction_failures(g: Graph, pairs: dict[tuple[int, int], int]
+                                ) -> list[tuple[frozenset[int], int]]:
+    """With G' the colon graph of G and its even-connected `pairs`, every
+    (W, u) at which an edge of G' - W - N_{G'}[u] is not in G - N_G[u]: W
+    over the vertex sets of G (bitmask order), u over the endpoints of the
+    longest pairs avoiding W (ascending).
 
-    W, the edges of G' and the pairs are vertex bitmasks.  For each u the
-    edges of G' that avoid N_{G'}[u] and are foreign to G or meet N_G[u]
-    are listed once; (W, u) fails when one of them avoids W.  Per W, one
+    G' contains G, so only foreign edges can remain; as vertex bitmasks, a
+    pair u != v off E(G) is u-v, and a self pair is the whisker u-u', which
+    acts as u alone (u' lies in no W and in no N_{G'}[x] but N_{G'}[u]).
+    Each u's foreign edges avoiding N_{G'}[u] are listed once; per W, one
     pass over the pairs, longest first, gives the endpoints."""
-    g, gp = colon.origin[0], colon.graph
-    # whisker vertices are numbered from g.n on and a < b, so b marks an edge at one
-    edges = [(1 << a | 1 << b, b >= g.n or not g.has_edge(a, b)) for a, b in gp.edges()]
-    bad = []
-    for u in range(g.n):
-        removed, blocked = gp.adj[u] | 1 << u, g.adj[u] | 1 << u
-        bad.append([e for e, foreign in edges if not e & removed and (foreign or e & blocked)])
-    pairs = sorted(((1 << a | 1 << b, k) for a, b, k in colon.pairs), key=lambda p: -p[1])
+    foreign = [1 << a | 1 << b for a, b in pairs if not g.has_edge(a, b)]  # G has no loops
+    hood = list(g.adj)  # N_{G'}(u) within V(G): neighbours in G and pair partners
+    for a, b in pairs:
+        hood[a] |= 1 << b
+        hood[b] |= 1 << a
+    bad = [[e for e in foreign if not e & (hood[u] | 1 << u)] for u in range(g.n)]
+    longest = sorted(((1 << a | 1 << b, k) for (a, b), k in pairs.items()), key=lambda p: -p[1])
     out = []
     for w in range(1 << g.n):
         kmax = ends = 0
-        for pair, k in pairs:
+        for pair, k in longest:
             if k < kmax:
                 break
             if not pair & w:

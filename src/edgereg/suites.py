@@ -12,11 +12,12 @@ means a bug in this toolkit, not in the mathematics being checked.
 
 A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
 `_power_bound` call; a colon suite iterates `_edge_colons`, the pairs
-(m, I(G)^{k+1} : m).  These are read from the current graph's colon table,
+(m, I(G)^{k+1} : m).  These are read from the current graph's table,
 where I^{k+1} : e_1...e_j is built once, as (I^{k+1} : e_1...e_{j-1}) : e_j,
-however many suites and multisets ask for it; the table holds one graph
-at a time, outside the memo below.  `_CHECKERS` is the one ordered
-registry of suites.
+however many suites and multisets ask for it; the even-connection and
+isolated-reduction suites read each multiset's even-connected pairs from
+it too.  The table holds one graph at a time, outside the memo below, and
+every sweep starts it empty.  `_CHECKERS` is the one ordered registry.
 
 The default sweep follows the budget rule "powers up to 2 for graphs on
 six vertices, power 3 only up to five vertices"; `_s_values` applies it
@@ -29,7 +30,7 @@ Derived values live in one process-wide memo owned by `homology`: graph
 invariants and regularities of powers per isomorphism class, every other
 regularity (colons, symbolic squares) per exact ideal, and the homology of
 every complex a Betti table has ranked, so each is ranked once per sweep.
-One call to `clear_all_caches()` forgets all of them and the colon table.
+One call to `clear_all_caches()` forgets all of them and the graph's table.
 Only the regularities of powers persist across runs, in the directory
 named by the EDGEREG_CACHE_DIR environment variable.
 
@@ -56,8 +57,8 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import evenconn, homology, invariants
-from .graphs import (Graph, canonical_key, closed_neighborhood, delete_closed_neighborhood,
-                     delete_vertices, emit_graph6, enumerate_graphs)
+from .graphs import (DEFAULT_ENUMERATION_BOUND, Graph, canonical_key, closed_neighborhood,
+                     delete_closed_neighborhood, delete_vertices, emit_graph6, enumerate_graphs)
 from .monomials import (EdgeMultiset, MonomialIdeal, colon_by_monomial,
                         cover_square_intersection, edge_ideal, packed_ideal, polarize, power,
                         squarefree, sum_ideals, symbolic_square)
@@ -121,8 +122,9 @@ class SuiteSpec:
                 raise ValueError(f"unknown suite {name!r}; known: {sorted(_CHECKERS)}")
         if not 1 <= self.s_max <= 3:
             raise ValueError("s_max must be between 1 and 3")
-        if not 1 <= self.n_max <= 8:
-            raise ValueError("n_max must be between 1 and the enumeration bound 8")
+        if not 1 <= self.n_max <= DEFAULT_ENUMERATION_BOUND:
+            raise ValueError("n_max must be between 1 and the enumeration bound "
+                             f"{DEFAULT_ENUMERATION_BOUND}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -197,20 +199,36 @@ def _check_gapfree_locallinear(g: Graph, spec: SuiteSpec) -> list[dict]:
                         start=2)
 
 
-# The colon table of one graph: (k, word of e_1...e_j) -> I(G)^{k+1} : e_1...e_j,
-# level j = 0 holding I(G)^{k+1} itself.  A new graph empties it.
-_COLONS: dict[Graph, dict[tuple[int, int], MonomialIdeal]] = {}
+# The table of one graph: (k, word of e_1...e_j) -> I(G)^{k+1} : e_1...e_j,
+# level j = 0 holding I(G)^{k+1} itself, and each EdgeMultiset m -> its
+# even-connected pairs.  A new graph and the start of every sweep empty it.
+_COLONS: dict[Graph, dict] = {}
 
 
-def _colon(g: Graph, k: int, edges: Sequence[tuple[int, int]]) -> MonomialIdeal:
-    """I(G)^{k+1} : e_1...e_j for edges e_1 ... e_j, j <= k, read from the
-    graph's colon table.  A missing entry is built as the entry of
-    e_1 ... e_{j-1} colon e_j, so shared prefixes and coinciding products
-    (ab.cd = ac.bd) are built once."""
+def _table(g: Graph) -> dict:
+    """g's table, emptied first when it holds another graph."""
     table = _COLONS.get(g)
     if table is None:
         _COLONS.clear()
         table = _COLONS[g] = {}
+    return table
+
+
+def _pairs(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], int]:
+    """The even-connected pairs of m, searched once per graph's table."""
+    table = _table(g)
+    pairs = table.get(m)
+    if pairs is None:
+        pairs = table[m] = evenconn.even_connection_lengths(g, m)
+    return pairs
+
+
+def _colon(g: Graph, k: int, edges: Sequence[tuple[int, int]]) -> MonomialIdeal:
+    """I(G)^{k+1} : e_1...e_j for edges e_1 ... e_j, j <= k, read from the
+    graph's table.  A missing entry is built as the entry of
+    e_1 ... e_{j-1} colon e_j, so shared prefixes and coinciding products
+    (ab.cd = ac.bd) are built once."""
+    table = _table(g)
     colon = table.get((k, 0))
     if colon is None:
         colon = table[(k, 0)] = power(edge_ideal(g), k + 1)
@@ -347,14 +365,14 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
     edge_gens = {var[u] + var[v] for u, v in g.edges()}
     for s in _s_values(g, spec.s_max):
         for m, colon in _edge_colons(g, s):
-            pairs = evenconn.even_connection_lengths(g, m)
+            pairs = _pairs(g, m)
             if set(colon.gens) != edge_gens | {var[u] + var[v] for u, v in pairs}:
                 bad = [d for d in colon.generator_degrees() if d != 2]
                 if bad:
                     out.append(_viol(g, s, sorted(set(bad)), 2,
                                      f"non-quadratic colon generators for m={list(m.edges)}"))
                     continue
-                combinatorial = edge_ideal(evenconn.colon_graph(g, m).graph)
+                combinatorial = edge_ideal(evenconn.colon_graph(g, pairs))
                 algebraic, _ = polarize(colon)
                 out.append(_viol(
                     g, s,
@@ -371,7 +389,7 @@ def _check_isolated_reduction(g: Graph, spec: SuiteSpec) -> list[dict]:
     for s in _s_values(g, spec.s_max, start=2):
         for combo in itertools.combinations_with_replacement(g.edges(), s - 1):
             m = EdgeMultiset.of(combo)
-            for w, u in evenconn.isolated_reduction_failures(evenconn.colon_graph(g, m)):
+            for w, u in evenconn.isolated_reduction_failures(g, _pairs(g, m)):
                 out.append(_viol(g, s, sorted(w), u,
                                  f"reduction keeps a foreign edge for m={list(m.edges)}"))
     return out
@@ -477,6 +495,7 @@ def _sweep(spec: SuiteSpec, graphs: Sequence[Graph]) -> tuple[list, list[list]]:
     """Per graph, one (violations, seconds) pair per suite; then the memoized
     regularities of powers.  `_run_one` is looked up at each call, so a
     stand-in bound there runs in pool workers too."""
+    _COLONS.clear()  # left by an earlier run, or inherited from the parent by a worker
     checks = [partial(_CHECKERS[name], spec=spec) for name in spec.suites]
     rows = [[] for _ in graphs]
     for g, row in zip(graphs, rows):

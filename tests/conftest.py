@@ -15,7 +15,7 @@ def _no_disk_cache(monkeypatch):
 
 @pytest.fixture
 def fresh_memo():
-    """Clear the one memo and the colon table before and after the test.
+    """Clear the one memo and the per-graph table before and after the test.
 
     A test that patches or recompiles code below the memo uses it, so no
     value computed by a mutated kernel (a complex's homology, a regularity,

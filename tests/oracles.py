@@ -18,6 +18,7 @@ import inspect
 import itertools
 from fractions import Fraction
 
+from edgereg.evenconn import colon_graph
 from edgereg.graphs import Graph, induced_subgraph
 from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
                               BudgetError, FieldSpec, _closure, _profile_from_masks)
@@ -257,31 +258,32 @@ def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
 
 # Reference for `evenconn.isolated_reduction_failures`: vertex sets as
 # frozensets, the longest-walk endpoints recomputed from the pairs for
-# every W, and every edge of the colon graph tested against sets.
+# every W, and every edge of the colon graph G', built by `colon_graph`,
+# tested against sets.
 
 def _closed_hood(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
 
 
-def longest_walk_endpoints(colon, w) -> set[int]:
+def longest_walk_endpoints(pairs, w) -> set[int]:
     """Endpoints of the longest even-connected walks whose endpoints avoid
     W; empty when no even-connected pair avoids W."""
-    eligible = [(a, b, k) for a, b, k in colon.pairs if a not in w and b not in w]
+    eligible = [(a, b, k) for (a, b), k in pairs.items() if a not in w and b not in w]
     if not eligible:
         return set()
     kmax = max(k for _, _, k in eligible)
     return {x for a, b, k in eligible if k == kmax for x in (a, b)}
 
 
-def frozenset_isolated_reduction_failures(colon) -> list[tuple[frozenset[int], int]]:
-    g, gp = colon.origin[0], colon.graph
+def frozenset_isolated_reduction_failures(g: Graph, pairs) -> list[tuple[frozenset[int], int]]:
+    gp = colon_graph(g, pairs)
     edges = gp.edges()
     hoods = [(_closed_hood(gp, u), _closed_hood(g, u)) for u in range(g.n)]
     out = []
     for bits in range(1 << g.n):
         w = frozenset(v for v in range(g.n) if bits >> v & 1)
         kept = [(a, b) for a, b in edges if a not in w and b not in w]
-        for u in sorted(longest_walk_endpoints(colon, w)):
+        for u in sorted(longest_walk_endpoints(pairs, w)):
             removed, blocked = hoods[u]
             if any(a >= g.n or b >= g.n or not g.has_edge(a, b) or a in blocked or b in blocked
                    for a, b in kept if a not in removed and b not in removed):

@@ -4,9 +4,8 @@ import itertools
 
 import pytest
 
-from edgereg.evenconn import (ColonGraphResult, EvenConnectionCertificate, colon_graph,
-                              even_connected_pairs, even_connection_lengths,
-                              isolated_reduction_failures)
+from edgereg.evenconn import (EvenConnectionCertificate, colon_graph, even_connected_pairs,
+                              even_connection_lengths, isolated_reduction_failures)
 from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
                             enumerate_graphs, from_edge_list, path_graph)
 from edgereg.homology import regularity
@@ -18,7 +17,11 @@ from oracles import frozenset_isolated_reduction_failures, longest_walk_endpoint
 
 
 def _pairs_beyond_graph(g, pairs):
-    return [(u, v) for u, v, _ in pairs if u == v or not g.has_edge(u, v)]
+    return [(u, v) for u, v, *_ in pairs if u == v or not g.has_edge(u, v)]
+
+
+def _colon_graph(g, m):
+    return colon_graph(g, even_connection_lengths(g, m))
 
 
 def test_path_even_connection():
@@ -41,15 +44,14 @@ def test_single_edge_nothing_new():
     k2 = path_graph(2)
     pairs = even_connected_pairs(k2, EdgeMultiset.of([(0, 1)]))
     assert _pairs_beyond_graph(k2, pairs) == []
-    result = colon_graph(k2, EdgeMultiset.of([(0, 1)]))
-    assert result.graph == k2 and result.new_pairs == ()
+    assert _colon_graph(k2, EdgeMultiset.of([(0, 1)])) == k2
 
 
 def test_colon_graph_path_chord():
     p5 = path_graph(5)
-    result = colon_graph(p5, EdgeMultiset.of([(1, 2)]))
-    assert result.graph.edges() == [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)]
-    assert [(u, v) for u, v, _ in result.new_pairs] == [(0, 3)]
+    pairs = even_connection_lengths(p5, EdgeMultiset.of([(1, 2)]))
+    assert colon_graph(p5, pairs).edges() == [(0, 1), (0, 3), (1, 2), (2, 3), (3, 4)]
+    assert _pairs_beyond_graph(p5, pairs) == [(0, 3)]
 
 
 def test_certificates_validate_and_reverse():
@@ -105,12 +107,11 @@ def test_whisker_for_self_connection():
     # in a triangle, x is even-connected to itself through y z: the colon
     # graph acquires a whisker vertex x.2
     k3 = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
-    result = colon_graph(k3, EdgeMultiset.of([(1, 2)]))
-    selfs = [(u, v) for u, v, _ in result.new_pairs if u == v]
-    assert (0, 0) in selfs
-    assert "x0.2" in result.graph.labels
-    w = result.graph.labels.index("x0.2")
-    assert result.graph.has_edge(0, w)
+    pairs = even_connection_lengths(k3, EdgeMultiset.of([(1, 2)]))
+    assert (0, 0) in pairs
+    gp = colon_graph(k3, pairs)
+    assert "x0.2" in gp.labels
+    assert gp.has_edge(0, gp.labels.index("x0.2"))
 
 
 def test_oracle_equality_small_sweep():
@@ -129,7 +130,7 @@ def test_oracle_equality_small_sweep():
                     colon = colon_by_monomial(big, m.packed_product(g.n))
                     assert all(d == 2 for d in colon.generator_degrees())
                     pol, _ = polarize(colon)
-                    assert edge_ideal(colon_graph(g, m).graph).same_ideal_as(pol)
+                    assert edge_ideal(_colon_graph(g, m)).same_ideal_as(pol)
 
 
 def test_check_even_connection_theorem_examples():
@@ -141,8 +142,7 @@ def test_check_even_connection_theorem_examples():
 def test_colon_graph_of_cycle_has_regularity_two():
     c5 = cycle_graph(5)
     for e in c5.edges():
-        result = colon_graph(c5, EdgeMultiset.of([e]))
-        assert regularity(edge_ideal(result.graph)) == 2
+        assert regularity(edge_ideal(_colon_graph(c5, EdgeMultiset.of([e])))) == 2
 
 
 def test_leaf_edge_reduction():
@@ -150,9 +150,9 @@ def test_leaf_edge_reduction():
     g = disjoint_union(path_graph(2), path_graph(3))
     iso = (0, 1)
     other = (2, 3)
-    with_leaf = colon_graph(g, EdgeMultiset.of([iso, other]))
-    without = colon_graph(g, EdgeMultiset.of([other]))
-    assert edge_ideal(with_leaf.graph).same_ideal_as(edge_ideal(without.graph))
+    with_leaf = _colon_graph(g, EdgeMultiset.of([iso, other]))
+    without = _colon_graph(g, EdgeMultiset.of([other]))
+    assert edge_ideal(with_leaf).same_ideal_as(edge_ideal(without))
     # and at the ideal level: (I^2 : e_iso) = I
     i = edge_ideal(g)
     assert colon_by_monomial(power(i, 2), squarefree(iso, g.n)).same_ideal_as(i)
@@ -164,7 +164,7 @@ def test_gap_freeness_preserved():
             if g.is_edgeless() or not is_gap_free(g):
                 continue
             for e in g.edges():
-                assert is_gap_free(colon_graph(g, EdgeMultiset.of([e])).graph)
+                assert is_gap_free(_colon_graph(g, EdgeMultiset.of([e])))
 
 
 def test_neighbor_variables_enter_vertex_colon():
@@ -177,7 +177,7 @@ def test_neighbor_variables_enter_vertex_colon():
         for e in g.edges():
             m = EdgeMultiset.of([e])
             j = colon_by_monomial(power(i, 2), m.packed_product(g.n))
-            gp = colon_graph(g, m).graph
+            gp = _colon_graph(g, m)
             for w in e:
                 jw = colon_by_monomial(j, squarefree((w,), g.n))
                 for u in gp.neighbors(w):
@@ -189,10 +189,10 @@ def test_neighbor_variables_enter_vertex_colon():
 
 def test_isolated_reduction_vacuous():
     k2 = path_graph(2)
-    colon = colon_graph(k2, EdgeMultiset.of([(0, 1)]))
+    pairs = even_connection_lengths(k2, EdgeMultiset.of([(0, 1)]))
     # every pair avoiding W = {0, 1} is ruled out, so the lemma holds vacuously
-    assert longest_walk_endpoints(colon, {0, 1}) == set()
-    assert all(w != {0, 1} for w, _ in isolated_reduction_failures(colon))
+    assert longest_walk_endpoints(pairs, {0, 1}) == set()
+    assert all(w != {0, 1} for w, _ in isolated_reduction_failures(k2, pairs))
 
 
 def test_isolated_reduction_c5():
@@ -201,9 +201,9 @@ def test_isolated_reduction_c5():
     pairs = even_connected_pairs(c5, m)
     kmax = max(c.k for _, _, c in pairs)
     endpoints = {x for a, b, c in pairs if c.k == kmax for x in (a, b)}
-    colon = colon_graph(c5, m)
-    assert longest_walk_endpoints(colon, frozenset()) == endpoints
-    assert all(w != frozenset() for w, _ in isolated_reduction_failures(colon))
+    lengths = even_connection_lengths(c5, m)
+    assert longest_walk_endpoints(lengths, frozenset()) == endpoints
+    assert all(w != frozenset() for w, _ in isolated_reduction_failures(c5, lengths))
 
 
 def test_isolated_reduction_rejects_bad_endpoint():
@@ -211,7 +211,7 @@ def test_isolated_reduction_rejects_bad_endpoint():
     m = EdgeMultiset.of([(1, 2)])
     # every walk uses 1-2 once, so k = 1 throughout: 0-1-2-3 and the walks
     # doubling back along 1-2 end in {0, 1, 2, 3}, never at vertex 4
-    endpoints = longest_walk_endpoints(colon_graph(p5, m), frozenset())
+    endpoints = longest_walk_endpoints(even_connection_lengths(p5, m), frozenset())
     assert endpoints == {0, 1, 2, 3}
 
 
@@ -221,39 +221,40 @@ def test_isolated_reduction_gap_free_sweep():
             if g.is_edgeless() or not is_gap_free(g):
                 continue
             for e in g.edges():
-                assert isolated_reduction_failures(colon_graph(g, EdgeMultiset.of([e]))) == []
+                pairs = even_connection_lengths(g, EdgeMultiset.of([e]))
+                assert isolated_reduction_failures(g, pairs) == []
 
 
-def _gap_free_colon_graphs(n_max, sizes):
+def _gap_free_colon_pairs(n_max, sizes):
     for n in range(2, n_max + 1):
         for g in enumerate_graphs(n):
             if g.is_edgeless() or not is_gap_free(g):
                 continue
             for size in sizes:
                 for combo in itertools.combinations_with_replacement(g.edges(), size):
-                    yield colon_graph(g, EdgeMultiset.of(combo))
+                    yield g, even_connection_lengths(g, EdgeMultiset.of(combo))
 
 
 def test_isolated_reduction_matches_frozenset_reference():
-    for colon in _gap_free_colon_graphs(6, (1, 2)):
-        assert isolated_reduction_failures(colon) == frozenset_isolated_reduction_failures(colon)
+    for g, pairs in _gap_free_colon_pairs(6, (1, 2)):
+        assert isolated_reduction_failures(g, pairs) == \
+            frozenset_isolated_reduction_failures(g, pairs)
 
 
 def test_isolated_reduction_matches_reference_on_forged_colon_graphs():
-    # real colon graphs never fail, so forge G': add an edge it lacks (a
-    # non-edge of G, a second edge at a whisker, an edge between whiskers),
-    # or drop one, so that N_G[u] is no longer inside N_G'[u]
+    # real pairs never fail, so forge them: add a pair that is not
+    # even-connected (a self pair included), at every length up to one past
+    # the longest, or drop a pair, so that N_G'[u] and the longest-walk
+    # endpoints change
     failures = 0
-    for colon in _gap_free_colon_graphs(5, (1,)):
-        gp = colon.graph
-        edges = gp.edges()
-        forgeries = [edges + [e] for e in itertools.combinations(range(gp.n), 2)
-                     if not gp.has_edge(*e)]
-        forgeries += [edges[:k] + edges[k + 1:] for k in range(len(edges))]
-        for forged_edges in forgeries:
-            forged = ColonGraphResult(from_edge_list(gp.n, forged_edges, gp.labels),
-                                      colon.pairs, colon.origin)
-            got = isolated_reduction_failures(forged)
-            assert got == frozenset_isolated_reduction_failures(forged)
+    for g, pairs in _gap_free_colon_pairs(5, (1,)):
+        top = max(pairs.values())
+        absent = [e for e in itertools.combinations_with_replacement(range(g.n), 2)
+                  if e not in pairs]
+        forgeries = [{**pairs, e: k} for e in absent for k in range(1, top + 2)]
+        forgeries += [{p: k for p, k in pairs.items() if p != dropped} for dropped in pairs]
+        for forged in forgeries:
+            got = isolated_reduction_failures(g, forged)
+            assert got == frozenset_isolated_reduction_failures(g, forged)
             failures += len(got)
     assert failures > 1000

@@ -31,7 +31,7 @@ def test_spec_validation():
         SuiteSpec(("no-such-suite",))
     with pytest.raises(ValueError):
         SuiteSpec(("lower-bound",), s_max=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="between 1 and the enumeration bound 8$"):
         SuiteSpec(("lower-bound",), n_max=9)
     with pytest.raises(ValueError):
         SuiteSpec(("lower-bound",), n_max=0)
@@ -202,6 +202,37 @@ def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
     assert len(report.violations) == MAX_STORED_VIOLATIONS
 
 
+def test_rerun_does_not_read_an_earlier_runs_table(monkeypatch):
+    # the true run ends on K5, leaving its colons in the table; the mutant
+    # rerun starts on K5 too and must build its own
+    assert _single("even-connection", graphs=(complete_graph(5),), s_max=2).passed
+    true_colon = suites.colon_by_monomial
+
+    def dropped(i, m):
+        j = true_colon(i, m)
+        return monomials.MonomialIdeal(j.vars, j.gens[:-1])
+
+    monkeypatch.setattr(suites, "colon_by_monomial", dropped)
+    report = _single("even-connection", graphs=(complete_graph(5),), s_max=2)
+    assert report.violations_total == 65
+
+
+@pytest.mark.parametrize("n_max, s_max, calls", [(5, 3, 2755), (6, 2, 7553)])
+def test_sweep_searches_each_multiset_once(monkeypatch, n_max, s_max, calls):
+    # even-connection and isolated-reduction share each (graph, multiset) search
+    searched = []
+    true_lengths = evenconn.even_connection_lengths
+
+    def recording(g, m):
+        searched.append((g, m))
+        return true_lengths(g, m)
+
+    monkeypatch.setattr(evenconn, "even_connection_lengths", recording)
+    _, code = run(SuiteSpec(THEOREM_SUITES, n_max=n_max, s_max=s_max))
+    assert code == 0
+    assert len(searched) == len(set(searched)) == calls
+
+
 def test_mutated_even_connected_pairs_is_caught(monkeypatch):
     true_lengths = evenconn.even_connection_lengths
 
@@ -226,12 +257,12 @@ def test_mutated_isolated_reduction_is_caught(monkeypatch):
     # removes W + {u} from the colon graph instead of W + N[u]
     monkeypatch.setattr(evenconn, "isolated_reduction_failures",
                         oracles.mutant(evenconn.isolated_reduction_failures,
-                                       "gp.adj[u] | 1 << u", "1 << u"))
+                                       "hood[u] | 1 << u", "1 << u"))
     assert not _single("isolated-reduction", n_max=4, s_max=2).passed
 
 
 def test_isolated_reduction_follows_the_budget_rule(monkeypatch):
-    def fails_everywhere(gp):  # one failure record for every colon graph
+    def fails_everywhere(g, pairs):  # one failure record for every colon graph
         return [(frozenset(), 0)]
 
     monkeypatch.setattr(evenconn, "isolated_reduction_failures", fails_everywhere)
@@ -444,7 +475,8 @@ def test_sweep_builds_each_table_colon_once(monkeypatch):
     # (I - N[w])^2 : e is zero on K4, so colon-structure builds no other colon
     assert len(built) == len(set(built)) == 6 + 6 + 19
     # with I^2 and I^3; K4 has no leaf edge, so colon-structure never reads I
-    assert len(suites._COLONS[g]) == 2 + len(built)
+    colon_keys = [key for key in suites._COLONS[g] if isinstance(key, tuple)]
+    assert len(colon_keys) == 2 + len(built)
 
 
 def test_colon_table_lives_for_one_graph_until_cleared():
