@@ -17,26 +17,31 @@ Two independent routes compute the same Betti table:
   memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
-  subcomplexes over all vertex subsets, ranking each distinct induced
-  complex once per call.  Before ranking, an induced complex shrinks to
-  its strong-collapse core: a vertex v is dominated when every facet
-  through v also holds some other vertex, and deleting dominated vertices
-  one at a time keeps the reduced homology over every field (Barmak-Minian,
-  "Strong homotopy types, nerves and collapses", 2012).  A core of one
-  vertex is a point when that vertex is a face and {emptyset}, with
-  rank(H_-1) = 1, when it is a nonface.
+  subcomplexes over the vertex subsets that are unions of minimal
+  nonfaces (every other subset induces a cone), ranking each distinct
+  induced complex once per call.  Its faces, facets and those unions are
+  each one bitmap of 2^n bits.  Before ranking, an induced complex
+  shrinks to its strong-collapse core: a vertex v is dominated when every
+  facet through v also holds some other vertex, and deleting dominated
+  vertices one at a time keeps the reduced homology over every field
+  (Barmak-Minian, "Strong homotopy types, nerves and collapses", 2012).
+  A core of one vertex is a point when that vertex is a face and
+  {emptyset}, with rank(H_-1) = 1, when it is a nonface.
 
 The two routes build their complexes independently, so comparing them
 detects silent bugs in either construction.  Neither reads the other's
 tables: `graded_betti` keeps its complexes in the process-wide memo,
 while `hochster_oracle` keeps its table for the length of one call and
 never touches the memo, so a stale or wrongly keyed entry on one route
-cannot reach the other.  Only the oracle cores its complexes: the
-primary route ranks each complex whole, so the dual check compares a
-cored route against an uncored one and a wrong core shows up as a
-mismatch.  They are not fully independent: besides the rank routines in
-`linalg`, both take homology through `_profile_from_masks` and maximal
-facets through `_maximal_masks`, so a bug there can hit both alike.
+cannot reach the other.  They share only the rank routines of `linalg`.
+The primary route closes facets into faces (`_closure`), maximizes with
+`_maximal_masks` and builds boundaries in `_profile_from_masks`; the
+oracle reads faces and facets off its bitmap, maximizes with
+`_inclusion_maximal` and builds boundaries in `_core_homology`, so a bug
+in either builder shows up as a dual mismatch.  Only the oracle cores its
+complexes: the primary route ranks each complex whole, so the dual check
+compares a cored route against an uncored one and a wrong core shows up
+as a mismatch.
 
 Conventions: the empty complex {emptyset} has homology of rank one in
 dimension -1 and the void complex (no faces at all) has none anywhere.
@@ -50,7 +55,7 @@ from math import isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, _bits, canonical_key
-from .linalg import matrix_rank, rank_gf2
+from .linalg import matrix_rank, rank_gf2, rank_gf3
 from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks, monus,
                         pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
 
@@ -130,6 +135,17 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
                     row |= 1 << target[f ^ (1 << v)]
                 rows.append(row)
             boundary_rank[d] = rank_gf2(rows)
+        elif characteristic == 3:
+            rows = []
+            for f in by_dim[d]:
+                ones = twos = 0
+                for pos, v in enumerate(_bits(f)):
+                    if pos % 2:
+                        twos |= 1 << target[f ^ (1 << v)]
+                    else:
+                        ones |= 1 << target[f ^ (1 << v)]
+                rows.append((ones, twos))
+            boundary_rank[d] = rank_gf3(rows)
         else:
             rows = [{target[f ^ (1 << v)]: -1 if pos % 2 else 1
                      for pos, v in enumerate(_bits(f))} for f in by_dim[d]]
@@ -325,65 +341,78 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     each vertex subset W contributes its induced subcomplex's reduced
     homology at dimension |W| - i - 2 to beta_{i,|W|}.
 
-    Subsets with a cone vertex (one in no support inside W) are skipped,
-    so every vertex of W lies in a support inside W.  Those supports,
-    renumbered to the positions of W's vertices in increasing order, are
-    the minimal nonfaces of the induced complex and therefore fix both
-    the complex, up to that renumbering, and |W|.  Keyed on them as a
-    frozenset of masks, a table local to the call ranks each distinct
-    induced complex once.  The table is never shared: not across calls,
-    and not with the memo that serves `graded_betti`.
+    Only the unions of supports are visited (`_union_bitmap`).  Any other
+    W has a cone vertex, one in no support inside W, so its induced
+    complex is a cone with no reduced homology.  In a visited W every
+    vertex lies in a support inside W.  Those supports, renumbered to the
+    positions of W's vertices in increasing order, are the minimal
+    nonfaces of the induced complex and therefore fix both the complex,
+    up to that renumbering, and |W|.  Keyed on them as a frozenset of
+    masks, a table local to the call ranks each distinct induced complex
+    once.  The table is never shared: not across calls, and not with the
+    memo that serves `graded_betti`.
 
+    The faces are one bitmap per call, bit f set when f is a face
+    (`_face_bitmap`), and the facets are read off it (`_facet_bitmap`).
     When the table misses for W, W first shrinks to its strong-collapse
     core W' (`_strong_core`), whose induced complex has the same reduced
     homology over every field.  A core of two or more vertices has no
     dominated vertex, so no cone vertex: it is looked up under its own key
-    in the same table and, on a miss, ranked from the faces inside W'.  A
-    one-vertex core is a point, with no reduced homology, when its vertex
-    is a face; when it is a nonface the complex is {emptyset}, with
-    rank(H_-1) = 1.  Either way the result is stored under W's key too.
+    in the same table and, on a miss, ranked by `_core_homology` from the
+    subsets of W' that the bitmap marks as faces.  A one-vertex core is a
+    point, with no reduced homology, when its vertex is a face; when it is
+    a nonface the complex is {emptyset}, with rank(H_-1) = 1.  Either way
+    the result is stored under W's key too.
 
-    Independent of `graded_betti` by construction; used as the second
-    route in every dual-oracle check.  Only this route is cored: the
-    primary route ranks its complexes whole, so a wrong core shows up as
-    a disagreement between the two.
+    Independent of `graded_betti` by construction: its faces, facets,
+    boundary matrices and facet maximization are its own, and only the
+    rank routines of `linalg` are shared.  Used as the second route in
+    every dual-oracle check.  Only this route is cored: the primary route
+    ranks its complexes whole, so a wrong core shows up as a disagreement
+    between the two.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
     n, supports = hochster_supports(i, var_budget, face_budget)
-    faces = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
-    face_set = set(faces)
-    # a facet is a face that no further vertex extends to a face
-    facets = [f for f in faces
-              if not any(f | 1 << v in face_set for v in range(n) if not f >> v & 1)]
+    without = _without(n)
+    faces = _face_bitmap(supports, without)
+    facets = _members(_facet_bitmap(faces, without))
+    face_bytes = faces.to_bytes((1 << n >> 3) + 1, "little")  # bit f is bit f & 7 of byte f >> 3
     profiles: dict[frozenset[int], dict[int, int]] = {}
     entries: dict[tuple[int, int], int] = {}
 
     def table_key(w: int, inner: list[int]) -> frozenset[int]:
-        pos = list(_bits(w))  # W's vertices in increasing order
-        key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)
-        return key
-
-    for w in range(1, 1 << n):
-        inner = [s for s in supports if s & w == s]
-        covered = 0
+        place = {}  # the bit of each vertex of W -> the bit of its position in W
+        rest, bit = w, 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            place[low] = bit
+            bit <<= 1
+        renumbered = set()
         for s in inner:
-            covered |= s
-        if w & ~covered:
-            continue  # cone vertex inside W
+            m = 0
+            while s:
+                low = s & -s
+                s ^= low
+                m |= place[low]
+            renumbered.add(m)
+        return frozenset(renumbered)
+
+    for w in _members(_union_bitmap(supports, without)):
+        inner = [s for s in supports if s & w == s]
         key = table_key(w, inner)
         profile = profiles.get(key)
         if profile is None:
             core = _strong_core(w, facets)
             if core.bit_count() == 1:
-                profile = {} if core in face_set else {-1: 1}
+                profile = {} if face_bytes[core >> 3] >> (core & 7) & 1 else {-1: 1}
             else:
                 core_key = key if core == w else table_key(
                     core, [s for s in inner if s & core == s])
                 profile = profiles.get(core_key)
                 if profile is None:
-                    sub_faces = {f for f in faces if f & core == f}
-                    profile = _profile_from_masks(sub_faces, field.characteristic)
+                    profile = _core_homology(core, face_bytes, field.characteristic)
                     profiles[core_key] = profile
             profiles[key] = profile
         j = w.bit_count()
@@ -392,6 +421,120 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
             if idx >= 0:
                 entries[(idx, j)] = entries.get((idx, j), 0) + r
     return BettiTable.from_dict(field, entries)
+
+
+# The oracle's tables hold sets of vertex subsets of range(n) as 2^n-bit
+# ints, bit f set when the subset f is in the set.
+
+def _without(n: int) -> list[int]:
+    """without[v]: the subsets that miss v.  Its bits repeat with period
+    2^(v+1), the low half set, so it is that half times the base-2^(v+1)
+    repunit of 2^n bits, which one big-int division gives."""
+    everything = (1 << (1 << n)) - 1
+    return [((1 << (1 << v)) - 1) * (everything // ((1 << (2 << v)) - 1)) for v in range(n)]
+
+
+def _face_bitmap(supports: Iterable[int], without: list[int]) -> int:
+    """The faces: the subsets that hold no support.  The nonfaces are the
+    supports closed upward one vertex v at a time, each nonface that
+    misses v moved up by 2^v to the nonface that adds it."""
+    nonfaces = 0
+    for s in supports:
+        nonfaces |= 1 << s
+    for v, low in enumerate(without):
+        nonfaces |= (nonfaces & low) << (1 << v)
+    return ((1 << (1 << len(without))) - 1) ^ nonfaces
+
+
+def _facet_bitmap(faces: int, without: list[int]) -> int:
+    """The facets: the faces f with no face f + v for a vertex v not in f,
+    that is no face 2^v bits above a subset that misses v."""
+    extendable = 0
+    for v, low in enumerate(without):
+        extendable |= faces >> (1 << v) & low
+    return faces & ~extendable
+
+
+def _union_bitmap(supports: Iterable[int], without: list[int]) -> int:
+    """The unions of nonempty sets of supports, closed one support at a
+    time as `_lcm_lattice` closes generators: U_k is U_{k-1}, s_k and
+    u | s_k for every u in U_{k-1}.  For each v in s_k, u -> u + v moves
+    the subsets that miss v up by 2^v and keeps the others."""
+    unions = 0
+    for s in supports:
+        moved = unions
+        for v in _bits(s):
+            moved = moved & ~without[v] | (moved & without[v]) << (1 << v)
+        unions |= moved | 1 << s
+    return unions
+
+
+def _members(bitmap: int) -> list[int]:
+    """The subsets in a bitmap, in increasing order: the positions of its
+    set bits, found by `str.find` in its binary digits reversed, where
+    position k is index k."""
+    digits = bin(bitmap)[:1:-1]
+    out = []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
+def _core_homology(core: int, face_bytes: bytes, characteristic: int) -> dict[int, int]:
+    """Reduced homology ranks of the complex induced on `core`, whose faces
+    are the subsets of core that the face bitmap marks (bit f & 7 of byte
+    f >> 3 of `face_bytes`).  The empty face is the one cell of dimension
+    -1.  The boundary of a face with vertices v_0 < ... < v_k holds the
+    face without v_p with sign (-1)^p.  Its rows are built straight into
+    the encodings of `linalg`: ints for `rank_gf2`, (ones, twos) planes
+    for `rank_gf3` and dicts for `matrix_rank` over every other field."""
+    by_size: dict[int, list[int]] = {}
+    sub = core
+    while True:
+        if face_bytes[sub >> 3] >> (sub & 7) & 1:
+            by_size.setdefault(sub.bit_count(), []).append(sub)
+        if not sub:
+            break
+        sub = (sub - 1) & core
+    top = max(by_size)  # faces are closed under subsets: every size up to top occurs
+    ranks = [0] * (top + 2)  # ranks[k]: rank of the boundary of the faces of k vertices
+    for k in range(1, top + 1):
+        col = {f: c for c, f in enumerate(by_size[k - 1])}
+        if characteristic in (2, 3):
+            planes = []
+            for f in by_size[k]:
+                plus = minus = 0  # the columns of sign 1 and of sign -1
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    plus |= 1 << col[f ^ low]
+                    if rest:
+                        low = rest & -rest
+                        rest ^= low
+                        minus |= 1 << col[f ^ low]
+                planes.append((plus, minus))
+            ranks[k] = (rank_gf3(planes) if characteristic == 3
+                        else rank_gf2([plus | minus for plus, minus in planes]))
+            continue
+        rows = []
+        for f in by_size[k]:
+            row, rest, sign = {}, f, 1
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row[col[f ^ low]] = sign
+                sign = -sign
+            rows.append(row)
+        ranks[k] = matrix_rank(rows, characteristic)
+    profile = {}
+    for k, fs in by_size.items():
+        h = len(fs) - ranks[k] - ranks[k + 1]
+        if h:
+            profile[k - 1] = h
+    return profile
 
 
 def _strong_core(w: int, facets: Iterable[int]) -> int:
@@ -405,10 +548,10 @@ def _strong_core(w: int, facets: Iterable[int]) -> int:
     vertices is a complex with no dominated vertex.
 
     `facets` are the facets of the whole complex.  The facets induced on
-    W are the maximal sets among the F & W, and deleting v leaves the
-    complex induced on W minus v.
+    W are the maximal sets among the F & W (`_inclusion_maximal`), and
+    deleting v leaves the complex induced on W minus v.
     """
-    tops = _maximal_masks({f & w for f in facets})
+    tops = _inclusion_maximal({f & w for f in facets})
     removed = True
     while removed:
         removed = False
@@ -422,9 +565,22 @@ def _strong_core(w: int, facets: Iterable[int]) -> int:
                         break
             if common != bit:  # another vertex lies in every facet through v
                 w ^= bit
-                tops = _maximal_masks({f & w for f in tops})
+                tops = _inclusion_maximal({f & w for f in tops})
                 removed = True
     return w
+
+
+def _inclusion_maximal(masks: set[int]) -> list[int]:
+    """The masks that no other mask contains: by decreasing size, a mask
+    is kept unless one kept before it, which is no smaller, contains it."""
+    out = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in out:
+            if m & k == m:
+                break
+        else:
+            out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------

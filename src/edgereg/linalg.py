@@ -6,10 +6,11 @@ pivot row per leading column and reduces each incoming row against the
 pivots until it vanishes or owns a new leading column.
 
 * GF(2): a row is a Python integer and the update is xor.
-* GF(3): a row is two bit planes (ones, twos), the columns holding 1 and
-  the columns holding 2.  A pivot is stored with lead 1; a row adds the
-  pivot, or its negation (the same planes swapped), by a bitsliced GF(3)
-  addition of a few word operations.
+* GF(3) (`rank_gf3`): a row is two bit planes (ones, twos), the columns
+  holding 1 and the columns holding 2.  A pivot is stored with lead 1; a
+  row adds the pivot, or its negation (the same planes swapped), by a
+  bitsliced GF(3) addition of a few word operations.  `matrix_rank` in
+  characteristic 3 converts its dict rows to planes and calls it.
 * The rationals and primes p >= 5: a row is a dict {column: nonzero int},
   copied once and then updated in place, deleting entries that become
   zero.  Over GF(p) a pivot is stored with lead 1 and the update is
@@ -46,32 +47,43 @@ def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
     return {c: x for c, x in row.items() if x}
 
 
+def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
+    """Rank over GF(3) of a matrix whose rows are bit-plane pairs
+    (ones, twos): the columns holding 1 and the columns holding 2, which
+    never share a bit."""
+    planes: dict[int, tuple[int, int]] = {}
+    for ones, twos in rows:
+        while ones | twos:
+            lead = (ones | twos).bit_length() - 1
+            pivot = planes.get(lead)
+            if pivot is None:
+                planes[lead] = (ones, twos) if ones >> lead & 1 else (twos, ones)
+                break
+            # add the pivot to a row with lead 2, its negation to one with lead 1
+            a, b = pivot if twos >> lead & 1 else pivot[::-1]
+            t = (ones | b) ^ (twos | a)
+            ones, twos = (twos | b) ^ t, (ones | a) ^ t
+    return len(planes)
+
+
+def _gf3_planes(row: dict[int, int]) -> tuple[int, int]:
+    ones = twos = 0
+    for c, x in row.items():
+        x %= 3
+        if x == 1:
+            ones |= 1 << c
+        elif x == 2:
+            twos |= 1 << c
+    return ones, twos
+
+
 def matrix_rank(rows: Iterable[dict[int, int]], characteristic: int) -> int:
     """Rank of a matrix of sparse rows {column: int} over the rationals
     (characteristic 0) or GF(p) for an odd prime p.  The rows are not
-    modified."""
+    modified; over GF(3) they become bit planes for `rank_gf3`."""
     p = characteristic
     if p == 3:
-        planes: dict[int, tuple[int, int]] = {}
-        for row in rows:
-            ones = twos = 0
-            for c, x in row.items():
-                x %= 3
-                if x == 1:
-                    ones |= 1 << c
-                elif x == 2:
-                    twos |= 1 << c
-            while ones | twos:
-                lead = (ones | twos).bit_length() - 1
-                pivot = planes.get(lead)
-                if pivot is None:
-                    planes[lead] = (ones, twos) if ones >> lead & 1 else (twos, ones)
-                    break
-                # add the pivot to a row with lead 2, its negation to one with lead 1
-                a, b = pivot if twos >> lead & 1 else pivot[::-1]
-                t = (ones | b) ^ (twos | a)
-                ones, twos = (twos | b) ^ t, (ones | a) ^ t
-        return len(planes)
+        return rank_gf3(map(_gf3_planes, rows))
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = _normalized(row, p)

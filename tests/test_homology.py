@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from edgereg import homology
+from edgereg import homology, linalg
 from edgereg.graphs import (_bits, cycle_graph, disjoint_edges, enumerate_graphs,
                             from_edge_list, induced_subgraph, path_graph)
 from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
@@ -83,14 +83,21 @@ def _rank_mismatches(rank, p) -> int:
     return bad
 
 
-# each mutant still cancels every leading entry, so its elimination ends
-@pytest.mark.parametrize("old, new, p", [
-    ("t = (ones | b) ^ (twos | a)", "t = (ones | b) | (twos | a)", 3),
-    ("v = row.get(c, 0) - f * y", "v = row.get(c, 0) - f * a", 0),
+# each mutant still cancels every leading entry, so its elimination ends;
+# `matrix_rank` reaches `rank_gf3` through the module, so either can be patched
+@pytest.mark.parametrize("name, old, new, p", [
+    ("rank_gf3", "t = (ones | b) ^ (twos | a)", "t = (ones | b) | (twos | a)", 3),
+    ("matrix_rank", "v = row.get(c, 0) - f * y", "v = row.get(c, 0) - f * a", 0),
 ], ids=["gf3-planes-add-with-or", "qq-update-scales-by-lead"])
-def test_mutated_matrix_rank_is_caught(old, new, p):
-    assert _rank_mismatches(oracles.mutant(matrix_rank, old, old), p) == 0
-    assert _rank_mismatches(oracles.mutant(matrix_rank, old, new), p) > 0
+def test_mutated_matrix_rank_is_caught(name, old, new, p, monkeypatch):
+    def rank(rows, p):  # the patched module's entry, looked up at call time
+        return linalg.matrix_rank(rows, p)
+
+    func = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, oracles.mutant(func, old, old))
+    assert _rank_mismatches(rank, p) == 0
+    monkeypatch.setattr(linalg, name, oracles.mutant(func, old, new))
+    assert _rank_mismatches(rank, p) > 0
 
 
 def test_field_spec_validation():
@@ -213,6 +220,67 @@ def test_betti_table_json():
     d = t.to_json_dict()
     assert d["field"] == 2 and d["reg"] == 2
     assert [0, 2, 4] in d["betti"]
+
+
+# the oracle's bitmaps of vertex subsets --------------------------------------------
+
+support_sets = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=8)))
+
+
+def _is_face(f, supports):
+    return not any(s & f == s for s in supports)
+
+
+@given(support_sets)
+@settings(max_examples=150, deadline=None)
+def test_face_bitmap_holds_the_subsets_with_no_support(case):
+    n, supports = case
+    faces = homology._face_bitmap(supports, homology._without(n))
+    assert homology._members(faces) == [f for f in range(1 << n) if _is_face(f, supports)]
+
+
+@given(support_sets)
+@settings(max_examples=150, deadline=None)
+def test_facet_bitmap_holds_the_maximal_faces(case):
+    n, supports = case
+    without = homology._without(n)
+    facets = homology._facet_bitmap(homology._face_bitmap(supports, without), without)
+    faces = [f for f in range(1 << n) if _is_face(f, supports)]
+    assert homology._members(facets) == [
+        f for f in faces if not any(f != g and f & g == f for g in faces)]
+
+
+@given(support_sets)
+@settings(max_examples=150, deadline=None)
+def test_union_bitmap_holds_the_subsets_with_no_cone_vertex(case):
+    n, supports = case
+    unions = homology._union_bitmap(supports, homology._without(n))
+
+    def covered(w):  # the vertices of W in some support inside W
+        out = 0
+        for s in supports:
+            if s & w == s:
+                out |= s
+        return out
+
+    assert homology._members(unions) == [w for w in range(1, 1 << n) if covered(w) == w]
+
+
+def test_oracle_shares_only_linalg_with_the_primary_route():
+    primary = {"_profile_from_masks", "_maximal_masks", "_closure"}
+
+    def names(code):
+        out = set(code.co_names)
+        for const in code.co_consts:
+            if hasattr(const, "co_names"):
+                out |= names(const)
+        return out
+
+    for func in (hochster_oracle, _strong_core, homology._core_homology,
+                 homology._inclusion_maximal, homology._face_bitmap,
+                 homology._facet_bitmap, homology._union_bitmap):
+        assert not names(func.__code__) & primary, func.__name__
 
 
 # the dual oracle ---------------------------------------------------------------
@@ -446,6 +514,9 @@ def test_betti_depends_on_field_rp2(fresh_memo):
     ("graded_betti", '("complexes", nv, field.characteristic)', '("complexes", nv)',
      _field_mismatches),
     ("graded_betti", "& all_hi & divisors", "& all_hi", _dual_oracle_mismatches),
+    # the primary route's homology alone is wrong: the oracle builds its own
+    ("_profile_from_masks", "-1 if pos % 2 else 1", "1", _dual_oracle_mismatches),
+    ("_profile_from_masks", "for f in faces:", "for f in faces - {0}:", _dual_oracle_mismatches),
     # two-word slots read as one-word slots, as if the flag bit still fit
     ("unpack_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
     # the closure's step k leaves g_k itself out of the lattice
@@ -456,7 +527,8 @@ def test_betti_depends_on_field_rp2(fresh_memo):
      "points = pack_slots([b | hi for b in new], size)\n        count = len(new)",
      _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
-        "memo-key-drops-characteristic", "nondivisor-mask-dropped", "slot-width-off-by-one",
+        "memo-key-drops-characteristic", "nondivisor-mask-dropped",
+        "profile-qq-sign-dropped", "profile-drops-empty-face", "slot-width-off-by-one",
         "closure-drops-generator", "closure-joins-last-step-only"])
 def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
     func = getattr(homology, name)
@@ -467,14 +539,14 @@ def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, 
     assert mismatches(homology.graded_betti) > 0
 
 
-ORACLE_KEY = "key = frozenset(sum(1 << k for k, v in enumerate(pos) if s >> v & 1) for s in inner)"
+ORACLE_KEY = "return frozenset(renumbered)"
 
 
 def test_mutated_oracle_table_key_is_caught():
     # keyed on the number of supports inside W, different complexes collide
     assert _dual_oracle_mismatches(graded_betti,
                                    oracles.mutant(hochster_oracle, ORACLE_KEY, ORACLE_KEY)) == 0
-    mutated = oracles.mutant(hochster_oracle, ORACLE_KEY, "key = len(inner)")
+    mutated = oracles.mutant(hochster_oracle, ORACLE_KEY, "return len(inner)")
     assert _dual_oracle_mismatches(graded_betti, mutated) > 0
 
 
@@ -494,9 +566,16 @@ def _linear_rescan_mismatches() -> int:
 
 @pytest.mark.parametrize("name, old, new, mismatches", [
     ("_strong_core", "if common != bit:", "if common:", _core_dual_mismatches),
-    ("hochster_oracle", "profile = {} if core in face_set else {-1: 1}", "profile = {}",
-     _linear_rescan_mismatches),
-], ids=["core-deletes-undominated-vertex", "nonface-core-read-as-point"])
+    ("hochster_oracle", "profile = {} if face_bytes[core >> 3] >> (core & 7) & 1 else {-1: 1}",
+     "profile = {}", _linear_rescan_mismatches),
+    # the nonfaces closed upward by v positions instead of 2^v
+    ("_face_bitmap", "(nonfaces & low) << (1 << v)", "(nonfaces & low) << v",
+     _core_dual_mismatches),
+    ("_union_bitmap", "unions |= moved | 1 << s", "unions |= moved", _core_dual_mismatches),
+    # the oracle's own QQ boundary loses its signs
+    ("_core_homology", "sign = -sign", "sign = sign", _core_dual_mismatches),
+], ids=["core-deletes-undominated-vertex", "nonface-core-read-as-point",
+        "superset-closure-shifts-by-v", "union-closure-drops-support", "oracle-qq-sign-dropped"])
 def test_mutated_oracle_core_is_caught(name, old, new, mismatches, monkeypatch):
     func = getattr(homology, name)
     monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))
