@@ -135,17 +135,6 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
                     row |= 1 << target[f ^ (1 << v)]
                 rows.append(row)
             boundary_rank[d] = rank_gf2(rows)
-        elif characteristic == 3:
-            rows = []
-            for f in by_dim[d]:
-                ones = twos = 0
-                for pos, v in enumerate(_bits(f)):
-                    if pos % 2:
-                        twos |= 1 << target[f ^ (1 << v)]
-                    else:
-                        ones |= 1 << target[f ^ (1 << v)]
-                rows.append((ones, twos))
-            boundary_rank[d] = rank_gf3(rows)
         else:
             rows = [{target[f ^ (1 << v)]: -1 if pos % 2 else 1
                      for pos, v in enumerate(_bits(f))} for f in by_dim[d]]

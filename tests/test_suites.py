@@ -152,7 +152,7 @@ def test_mutated_induced_matching_is_caught(monkeypatch, fresh_memo):
 
 
 @pytest.mark.parametrize("rank_name, characteristic",
-                         [("rank_gf2", 2), ("matrix_rank", 0), ("rank_gf3", 3)])
+                         [("rank_gf2", 2), ("matrix_rank", 0), ("matrix_rank", 3)])
 def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic, fresh_memo):
     true_rank = getattr(homology, rank_name)
 
