@@ -5,10 +5,11 @@ bitmasks.  Every graph carries per-vertex labels which downstream modules
 use as polynomial variable names, so induced subgraphs keep the labels of
 the surviving vertices.
 
-Isomorphism is decided through a canonical form computed by exhaustive
-search over the permutations compatible with an iteratively refined vertex
-colouring.  That is hopeless for big graphs and entirely adequate below
-ten vertices, which is the scale everything here runs at.
+Isomorphism is decided through a canonical form, the least adjacency code
+over the vertex orders that respect an iteratively refined colouring, found
+by an exact row-by-row search (`_canonical_key`).  Cycles, the Petersen
+graph and other regular graphs of a dozen vertices take milliseconds; many
+small components, as in seven disjoint edges, take seconds.
 """
 from __future__ import annotations
 
@@ -121,32 +122,16 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((b >> k) & 1 for k in range(5, -1, -1))
     if any(bits[nbits:]):
         raise GraphError("nonzero padding bits in graph6 payload")
-    edges = []
-    pos = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[pos]:
-                edges.append((u, v))
-            pos += 1
-    return from_edge_list(n, edges)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return from_edge_list(n, [e for e, bit in zip(pairs, bits) if bit])
 
 
 def emit_graph6(g: Graph) -> str:
     if g.n > 62:
         raise GraphError("graph6 long form (n > 62) not supported")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        byte = 0
-        for b in bits[i:i + 6]:
-            byte = byte << 1 | b
-        out.append(chr(byte + 63))
-    return "".join(out)
+    bits = "".join(str(g.adj[u] >> v & 1) for v in range(1, g.n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def from_json_dict(d: dict) -> Graph:
@@ -231,43 +216,54 @@ def _refinement_classes(n: int, adj: tuple[int, ...]) -> list[list[int]]:
     order is derived from sorted, isomorphism-invariant keys, so any
     isomorphism maps the i-th class of one graph onto the i-th class of
     the other."""
-    colors = [adj[v].bit_count() for v in range(n)]
+    nbrs = [list(_bits(adj[v])) for v in range(n)]
+    colors = [len(nb) for nb in nbrs]
     while True:
-        keys = [(colors[v], tuple(sorted(colors[u] for u in _bits(adj[v]))))
-                for v in range(n)]
+        keys = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
         order = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [order[keys[v]] for v in range(n)]
-        if len(set(new)) == len(set(colors)):
-            colors = new
-            break
-        colors = new
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
-
-
-def _encode(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
-    # perm[new] = old; bit per pair (i < j) in lexicographic pair order
-    code = 0
-    for i in range(n):
-        row = adj[perm[i]]
-        for j in range(i + 1, n):
-            code <<= 1
-            code |= row >> perm[j] & 1
-    return code
+        stable, colors = len(order) == len(set(colors)), [order[key] for key in keys]
+        if stable:
+            return [[v for v in range(n) if colors[v] == c] for c in range(len(order))]
 
 
 @cache
 def _canonical_key(n: int, adj: tuple[int, ...]) -> tuple[int, int]:
-    classes = _refinement_classes(n, adj)
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        perm = tuple(itertools.chain.from_iterable(parts))
-        code = _encode(n, adj, perm)
-        if best is None or code < best:
-            best = code
-    return (n, best or 0)
+    """`(n, code)`: `code` is the least adjacency code over the vertex
+    orders that list the refinement classes in turn, each in any order.
+    The code is rows 0..n-2 in turn (row i: one bit per pair (i, j > i)),
+    so it is least when row 0 is least, then row 1, and so on.  A branch
+    is a list of cells, vertex sets filling positions i, i+1, ... in turn,
+    and all live branches share rows 0..i-1.  Putting v of the first cell
+    at position i, row i is least when every remaining cell lists v's
+    non-neighbours, then its neighbours, which become the child's cells.
+    Children whose row i exceeds the least at depth i are dropped, since
+    only larger codes lie below them.  Rows after i read only positions
+    after i, so the rest of the code depends on the cell list alone, and
+    children with equal cell lists merge (K_n and the edgeless graph keep
+    at most 2^n branches, not n! orders).  The result is the least code
+    over all those orders, the permutation product's, bit for bit."""
+    branches = {tuple(sum(1 << v for v in c) for c in _refinement_classes(n, adj))}
+    code = 0
+    for i in range(n - 1):
+        best, survivors = None, set()
+        for head, *rest in branches:
+            for v in _bits(head):
+                nb = adj[v]
+                row, cells = 0, []
+                for c in (head ^ (1 << v), *rest):
+                    inside = c & nb
+                    row = row << c.bit_count() | (1 << inside.bit_count()) - 1
+                    if c ^ inside:
+                        cells.append(c ^ inside)
+                    if inside:
+                        cells.append(inside)
+                if best is None or row < best:
+                    best, survivors = row, {tuple(cells)}
+                elif row == best:
+                    survivors.add(tuple(cells))
+        code = code << (n - 1 - i) | best
+        branches = survivors
+    return (n, code)
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -285,13 +281,17 @@ def _canonical_reps(n: int) -> list[Graph]:
         return [Graph(0, (), ())]
     found: dict[tuple[int, int], Graph] = {}
     for h in _canonical_reps(n - 1):
+        # swapping twins u < w fixes h, so a mask holding w but not u extends
+        # h as its swap, a smaller mask met before, does: skip it
+        twins = [(1 << u, 1 << w) for u, w in itertools.combinations(range(n - 1), 2)
+                 if h.adj[u] & ~(1 << w) == h.adj[w] & ~(1 << u)]
         for mask in range(1 << (n - 1)):
-            adj = tuple(h.adj[v] | ((mask >> v & 1) << (n - 1))
-                        for v in range(n - 1)) + (mask,)
-            g = Graph(n, adj, _default_labels(n))
-            key = canonical_key(g)
+            if any(mask & w and not mask & u for u, w in twins):
+                continue
+            adj = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(h.adj)) + (mask,)
+            key = _canonical_key(n, adj)
             if key not in found:
-                found[key] = g
+                found[key] = Graph(n, adj, _default_labels(n))
     return [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
 
 
@@ -300,8 +300,8 @@ def enumerate_graphs(n: int) -> list[Graph]:
     vertices, n <= DEFAULT_ENUMERATION_BOUND, as a fresh list: the classes
     are all built before the call returns, and a caller may change the
     list without touching the cached classes.  Enumeration works by
-    extending the (n-1)-vertex classes by one vertex in all possible ways
-    and deduplicating canonically."""
+    extending the (n-1)-vertex classes by one vertex in every way, up to
+    swapping twin vertices, and deduplicating canonically."""
     if n > DEFAULT_ENUMERATION_BOUND:
         raise GraphError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUMERATION_BOUND}")
     return list(_canonical_reps(n))

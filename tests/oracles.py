@@ -8,7 +8,9 @@ The one exception is `lattice_rescan_betti`, an earlier form of the Betti
 kernel kept as a reference for the lattice and facet steps only: it shares
 face closure and homology ranks with `homology`.
 `frozenset_isolated_reduction_failures` is the earlier, set-based form of
-`evenconn.isolated_reduction_failures`, kept as its reference.  `mutant`
+`evenconn.isolated_reduction_failures`, kept as its reference, and
+`permutation_product_key` the earlier, exhaustive form of
+`graphs._canonical_key`, sharing its refinement classes.  `mutant`
 builds the one-fragment mutants that the mutation tests run against these
 oracles.
 """
@@ -19,7 +21,7 @@ import itertools
 from fractions import Fraction
 
 from edgereg.evenconn import colon_graph
-from edgereg.graphs import Graph, induced_subgraph
+from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
                               BudgetError, FieldSpec, _closure, _profile_from_masks)
 from edgereg.monomials import LANE, MonomialIdeal, lane_masks, packed_degree
@@ -302,3 +304,38 @@ def mutant(func, old: str, new: str):
     namespace = dict(vars(module))
     exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[func.__name__]
+
+
+# Reference for `graphs._canonical_key`: the least adjacency code over every
+# product of permutations of the refinement classes, one `_encode` per order.
+# It shares only `_refinement_classes` with `graphs`, since the class order is
+# part of what the code means.
+
+def _encode(n: int, adj: tuple[int, ...], perm: tuple[int, ...]) -> int:
+    # perm[new] = old; bit per pair (i < j) in lexicographic pair order
+    code = 0
+    for i in range(n):
+        row = adj[perm[i]]
+        for j in range(i + 1, n):
+            code <<= 1
+            code |= row >> perm[j] & 1
+    return code
+
+
+def permutation_product_key(n: int, adj: tuple[int, ...]) -> tuple[int, int]:
+    classes = _refinement_classes(n, adj)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        perm = tuple(itertools.chain.from_iterable(parts))
+        code = _encode(n, adj, perm)
+        if best is None or code < best:
+            best = code
+    return (n, best or 0)
+
+
+def one_vertex_extensions(n: int):
+    """(n, adj) for every way to join a new vertex n - 1 to a class
+    representative on n - 1 vertices."""
+    for h in enumerate_graphs(n - 1):
+        for mask in range(1 << (n - 1)):
+            yield n, tuple(h.adj[v] | (mask >> v & 1) << (n - 1) for v in range(n - 1)) + (mask,)

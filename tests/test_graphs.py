@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 import oracles
-from edgereg.graphs import (GraphError, canonical_key, claw,
-                            closed_neighborhood, complement, complete_graph,
-                            cricket, cycle_graph, delete_closed_neighborhood,
-                            delete_vertices, emit_graph6, enumerate_graphs,
+from edgereg.graphs import (GraphError, _canonical_key, _canonical_reps, canonical_key, claw,
+                            closed_neighborhood, complement, complete_bipartite,
+                            complete_graph, cricket, cycle_graph,
+                            delete_closed_neighborhood, delete_vertices,
+                            disjoint_union, emit_graph6, enumerate_graphs,
                             from_edge_list, from_json_dict, induced_subgraph,
                             is_isomorphic, parse_graph6, path_graph)
 
@@ -227,6 +230,30 @@ def test_enumeration_matches_networkx_atlas():
     assert set(keys) == {canonical_key(g) for n in range(8) for g in enumerate_graphs(n)}
 
 
+# sha256 of the graph6 lines of every class with n <= 7, in enumeration
+# order, as the permutation-product key and the plain extension loop gave
+# them: the sweeps, their reports and perfbench's betti-n7 sample all read
+# the graphs in this order
+ENUMERATION_SHA256 = "43b4220ef10d2393ba7d195e77a0cefb0db1cdc9ead4fb06312d145800e2a33e"
+
+
+def _enumeration_sha256(reps) -> str:
+    lines = "\n".join(emit_graph6(g) for n in range(8) for g in reps(n))
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+def test_enumeration_order_and_representatives_are_pinned():
+    assert _enumeration_sha256(enumerate_graphs) == ENUMERATION_SHA256
+
+
+def test_mutated_twin_skip_is_caught():
+    # skipping the smaller mask of a twin swap keeps the classes but not
+    # the first representative of each
+    bad = oracles.mutant(_canonical_reps, "mask & w and not mask & u", "mask & u and not mask & w")
+    assert [len(bad(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert _enumeration_sha256(bad) != ENUMERATION_SHA256
+
+
 def test_enumeration_yields_pairwise_nonisomorphic():
     graphs = list(enumerate_graphs(4))
     for i, g in enumerate(graphs):
@@ -236,13 +263,16 @@ def test_enumeration_yields_pairwise_nonisomorphic():
 
 # canonical forms ----------------------------------------------------------
 
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_canonical_key_invariant_under_relabeling():
     rng = random.Random(5)
     for g in enumerate_graphs(5):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-        assert canonical_key(h) == canonical_key(g)
+        assert canonical_key(_relabelled(g, rng)) == canonical_key(g)
 
 
 def test_is_isomorphic_matches_permutation_oracle():
@@ -251,3 +281,103 @@ def test_is_isomorphic_matches_permutation_oracle():
     for _ in range(300):
         g, h = rng.choice(graphs), rng.choice(graphs)
         assert is_isomorphic(g, h) == oracles.permutation_isomorphic(g, h)
+
+
+# Exactness of the row-by-row search: the same (n, code) as the permutation
+# product, which the sweep memo keys, the disk caches and perfbench's
+# references were all written with.
+
+def _exactness_inputs():
+    """Every one-vertex extension with n <= 6, and a seeded sample of 500
+    of the 9,984 with n = 7."""
+    small = [e for n in range(1, 7) for e in oracles.one_vertex_extensions(n)]
+    return small + random.Random(24).sample(list(oracles.one_vertex_extensions(7)), 500)
+
+
+def _key_mismatches(key) -> int:
+    return sum(key(n, adj) != oracles.permutation_product_key(n, adj)
+               for n, adj in _exactness_inputs())
+
+
+def test_canonical_key_equals_permutation_product():
+    assert len(_exactness_inputs()) == 1307 + 500
+    assert _key_mismatches(_canonical_key) == 0
+
+
+@pytest.mark.parametrize("old, new", [
+    ("""if c ^ inside:
+                        cells.append(c ^ inside)
+                    if inside:
+                        cells.append(inside)""",
+     """if inside:
+                        cells.append(inside)
+                    if c ^ inside:
+                        cells.append(c ^ inside)"""),
+    ("elif row == best:", "else:"),
+], ids=["split-puts-neighbours-first", "keeps-larger-rows"])
+def test_mutated_canonical_search_is_caught(old, new):
+    assert _key_mismatches(oracles.mutant(_canonical_key, old, new)) > 0
+
+
+# the literal codes: a drift here makes every disk cache and perfbench
+# reference stale; Petersen's and C10's were computed by the permutation
+# product, at about 30 s each
+PINNED_KEYS = [("C5", cycle_graph(5), (5, 236)),
+               ("K4", complete_graph(4), (4, 63)),
+               ("bull", from_edge_list(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]), (5, 87)),
+               ("claw", claw(), (4, 11)),
+               ("P4", path_graph(4), (4, 13)),
+               ("cricket", cricket(), (5, 79)),
+               ("K0", from_edge_list(0, []), (0, 0)),
+               ("C9", cycle_graph(9), (9, 816140800)),
+               ("C10", cycle_graph(10), (10, 207522258944)),
+               ("Petersen", parse_graph6("IheA@GUAo"), (10, 487837009056))]
+
+
+@pytest.mark.parametrize("g, key", [(g, key) for _, g, key in PINNED_KEYS],
+                         ids=[name for name, _, _ in PINNED_KEYS])
+def test_canonical_key_literal_codes(g, key):
+    assert canonical_key(g) == key
+
+
+# Past the enumeration bound, where the permutation product took 30 s or
+# more per key, or never finished.
+
+SYMMETRIC = [("C10", cycle_graph(10)), ("C12", cycle_graph(12)),
+             ("Petersen", parse_graph6("IheA@GUAo")),
+             ("icosahedron", parse_graph6("KhFKFCrEk[n_")),
+             ("K6,6", complete_bipartite(6, 6)),
+             ("4K3", disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)),
+                                    disjoint_union(complete_graph(3), complete_graph(3))))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in SYMMETRIC], ids=[name for name, _ in SYMMETRIC])
+def test_canonical_key_invariant_under_relabeling_of_symmetric_graphs(g):
+    rng = random.Random(g.n)
+    assert all(canonical_key(_relabelled(g, rng)) == canonical_key(g) for _ in range(5))
+
+
+def test_is_isomorphic_matches_networkx_past_the_enumeration_bound():
+    # each graph against a relabelling of itself, a copy with one edge
+    # toggled, and a copy with one edge moved (same edge count)
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(2014)
+    verdicts = []
+    for _ in range(60):
+        n = rng.randint(9, 12)
+        g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < rng.choice((0.3, 0.5))])
+        edges = set(g.edges())
+        absent = sorted(set(itertools.combinations(range(n), 2)) - edges)
+        toggled = from_edge_list(n, edges ^ {rng.choice(sorted(edges | set(absent)))})
+        moved = from_edge_list(n, (edges - {rng.choice(sorted(edges))}) | {rng.choice(absent)})
+        for h in (_relabelled(g, rng), toggled, moved):
+            verdicts.append(is_isomorphic(g, h))
+            assert verdicts[-1] == nx.is_isomorphic(to_nx(g), to_nx(h))
+    assert True in verdicts and False in verdicts
