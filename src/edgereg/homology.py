@@ -26,14 +26,19 @@ Two independent routes compute the same Betti table:
   vertices one at a time keeps the reduced homology over every field
   (Barmak-Minian, "Strong homotopy types, nerves and collapses", 2012).
   A core of one vertex is a point when that vertex is a face and
-  {emptyset}, with rank(H_-1) = 1, when it is a nonface.
+  {emptyset}, with rank(H_-1) = 1, when it is a nonface.  Over QQ a core
+  is ranked over GF(2) first: dim H_k(QQ) <= dim H_k(GF(2)) in every
+  degree k (universal coefficients, Hatcher, "Algebraic Topology", 3.A)
+  and both sum with signs (-1)^k to the reduced Euler characteristic, so
+  GF(2) homology in at most one degree is the rational homology.
 
 The two routes build their complexes independently, so comparing them
 detects silent bugs in either construction.  Neither reads the other's
 tables: `graded_betti` keeps its complexes in the process-wide memo,
 while `hochster_oracle` keeps its table for the length of one call and
 never touches the memo, so a stale or wrongly keyed entry on one route
-cannot reach the other.  They share only the rank routines of `linalg`.
+cannot reach the other.  They share only the rank routines of `linalg`,
+and over QQ most oracle cores go through `rank_gf2`, not `matrix_rank`.
 The primary route closes facets into faces (`_closure`), maximizes with
 `_maximal_masks` and builds boundaries in `_profile_from_masks`; the
 oracle reads faces and facets off its bitmap, maximizes with
@@ -197,9 +202,10 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     is the same.  A minimal generator is exactly a point whose only facet
     is the empty one, so the generators (minimal, as `MonomialIdeal`
     keeps them) count in beta_0 by their degrees and are not scanned;
-    every other point has only nonempty facets.  No vertex lies in every
-    facet (each lane of b is attained by some divisor, whose facet misses
-    it), so no complex is a cone that could be skipped.
+    every other point has only nonempty facets.  No lane lies in every
+    facet read (each lane of b is attained by some divisor, whose facet
+    misses it), but a lane can lie in every maximal facet: that complex is
+    a cone, with no reduced homology, and is still closed and ranked.
 
     Each distinct set of maximal facets is closed and ranked once per
     process: its face work and ranks are kept in the memo, one table per
@@ -348,10 +354,11 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     homology over every field.  A core of two or more vertices has no
     dominated vertex, so no cone vertex: it is looked up under its own key
     in the same table and, on a miss, ranked by `_core_homology` from the
-    subsets of W' that the bitmap marks as faces.  A one-vertex core is a
-    point, with no reduced homology, when its vertex is a face; when it is
-    a nonface the complex is {emptyset}, with rank(H_-1) = 1.  Either way
-    the result is stored under W's key too.
+    subsets of W' that the bitmap marks as faces (over QQ, from GF(2) ranks
+    when they certify it).  A one-vertex core is a point, with no reduced
+    homology, when its vertex is a face; when it is a nonface the complex
+    is {emptyset}, with rank(H_-1) = 1.  Either way the result is stored
+    under W's key too.
 
     Independent of `graded_betti` by construction: its faces, facets,
     boundary matrices and facet maximization are its own, and only the
@@ -478,7 +485,15 @@ def _core_homology(core: int, face_bytes: bytes, characteristic: int) -> dict[in
     -1.  The boundary of a face with vertices v_0 < ... < v_k holds the
     face without v_p with sign (-1)^p.  Its rows are built straight into
     the encodings of `linalg`: ints for `rank_gf2`, (ones, twos) planes
-    for `rank_gf3` and dicts for `matrix_rank` over every other field."""
+    for `rank_gf3` and dicts for `matrix_rank` over every other field.
+
+    Over QQ the core is ranked over GF(2) first.  By the universal
+    coefficient theorem (Hatcher, "Algebraic Topology", 3.A) each rational
+    rank is at most the GF(2) rank in its degree, and both alternating sums
+    are the reduced Euler characteristic, so a GF(2) profile in at most one
+    degree is the QQ profile.  GF(p) ranks do not follow from GF(2) ranks,
+    so only QQ does this; a core whose GF(2) homology has two degrees (or
+    2-torsion, as RP^2) is ranked again over QQ by `matrix_rank`."""
     by_size: dict[int, list[int]] = {}
     sub = core
     while True:
@@ -488,42 +503,45 @@ def _core_homology(core: int, face_bytes: bytes, characteristic: int) -> dict[in
             break
         sub = (sub - 1) & core
     top = max(by_size)  # faces are closed under subsets: every size up to top occurs
-    ranks = [0] * (top + 2)  # ranks[k]: rank of the boundary of the faces of k vertices
-    for k in range(1, top + 1):
-        col = {f: c for c, f in enumerate(by_size[k - 1])}
-        if characteristic in (2, 3):
-            planes = []
+    cols = [{f: c for c, f in enumerate(by_size[k])} for k in range(top)]
+    for p in (2, 0) if characteristic == 0 else (characteristic,):
+        ranks = [0] * (top + 2)  # ranks[k]: rank of the boundary of the faces of k vertices
+        for k in range(1, top + 1):
+            col = cols[k - 1]
+            if p in (2, 3):
+                planes = []
+                for f in by_size[k]:
+                    plus = minus = 0  # the columns of sign 1 and of sign -1
+                    rest = f
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        plus |= 1 << col[f ^ low]
+                        if rest:
+                            low = rest & -rest
+                            rest ^= low
+                            minus |= 1 << col[f ^ low]
+                    planes.append((plus, minus))
+                ranks[k] = (rank_gf3(planes) if p == 3
+                            else rank_gf2([plus | minus for plus, minus in planes]))
+                continue
+            rows = []
             for f in by_size[k]:
-                plus = minus = 0  # the columns of sign 1 and of sign -1
-                rest = f
+                row, rest, sign = {}, f, 1
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    plus |= 1 << col[f ^ low]
-                    if rest:
-                        low = rest & -rest
-                        rest ^= low
-                        minus |= 1 << col[f ^ low]
-                planes.append((plus, minus))
-            ranks[k] = (rank_gf3(planes) if characteristic == 3
-                        else rank_gf2([plus | minus for plus, minus in planes]))
-            continue
-        rows = []
-        for f in by_size[k]:
-            row, rest, sign = {}, f, 1
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                row[col[f ^ low]] = sign
-                sign = -sign
-            rows.append(row)
-        ranks[k] = matrix_rank(rows, characteristic)
-    profile = {}
-    for k, fs in by_size.items():
-        h = len(fs) - ranks[k] - ranks[k + 1]
-        if h:
-            profile[k - 1] = h
-    return profile
+                    row[col[f ^ low]] = sign
+                    sign = -sign
+                rows.append(row)
+            ranks[k] = matrix_rank(rows, p)
+        profile = {}
+        for k, fs in by_size.items():
+            h = len(fs) - ranks[k] - ranks[k + 1]
+            if h:
+                profile[k - 1] = h
+        if p == characteristic or len(profile) <= 1:  # GF(2) homology in one degree is QQ's
+            return profile
 
 
 def _strong_core(w: int, facets: Iterable[int]) -> int:

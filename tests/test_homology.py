@@ -554,6 +554,12 @@ def _core_dual_mismatches() -> int:
     return _dual_oracle_mismatches(graded_betti, lambda i, f: homology.hochster_oracle(i, f))
 
 
+def _core_dual_rp2_mismatches() -> int:
+    # RP^2's GF(2) homology has two degrees, so the oracle ranks its QQ cores
+    # over QQ; no graph with n <= 4 reaches that path
+    return _core_dual_mismatches() + _field_mismatches(graded_betti)
+
+
 # ideals with linear generators, whose variables are nonfaces
 LINEAR_IDEALS = (ideal([M("x0")]), ideal([M("x0"), M("x1*x2")]),
                  ideal([M("x0"), M("x1"), M("x2^2*x3")]))
@@ -573,15 +579,35 @@ def _linear_rescan_mismatches() -> int:
      _core_dual_mismatches),
     ("_union_bitmap", "unions |= moved | 1 << s", "unions |= moved", _core_dual_mismatches),
     # the oracle's own QQ boundary loses its signs
-    ("_core_homology", "sign = -sign", "sign = sign", _core_dual_mismatches),
+    ("_core_homology", "sign = -sign", "sign = sign", _core_dual_rp2_mismatches),
+    # over QQ, any GF(2) profile is taken for the rational one
+    ("_core_homology", "len(profile) <= 1", "True", _core_dual_rp2_mismatches),
 ], ids=["core-deletes-undominated-vertex", "nonface-core-read-as-point",
-        "superset-closure-shifts-by-v", "union-closure-drops-support", "oracle-qq-sign-dropped"])
+        "superset-closure-shifts-by-v", "union-closure-drops-support", "oracle-qq-sign-dropped",
+        "certificate-accepts-any-gf2-profile"])
 def test_mutated_oracle_core_is_caught(name, old, new, mismatches, monkeypatch):
     func = getattr(homology, name)
     monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))
     assert mismatches() == 0
     monkeypatch.setattr(homology, name, oracles.mutant(func, old, new))
     assert mismatches() > 0
+
+
+def test_oracle_qq_from_gf2_ranks_is_exact(monkeypatch):
+    uncertified = oracles.mutant(homology._core_homology, "len(profile) <= 1", "False")
+    ideals = [power(edge_ideal(g), s) for n in range(2, 7) for g in enumerate_graphs(n)
+              if not g.is_edgeless() for s in ((1, 2) if n <= 5 else (1,))]
+    ideals.append(_rp2_ideal())
+    tables = [hochster_oracle(i, QQ) for i in ideals]
+    assert tables == [graded_betti(i, QQ) for i in ideals]
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_core_homology", uncertified)
+        assert tables == [hochster_oracle(i, QQ) for i in ideals]
+    # RP^2's GF(2) homology sits in degrees 1 and 2: its QQ ranks are recomputed
+    calls = []
+    monkeypatch.setattr(homology, "matrix_rank", lambda rows, p: calls.append(p) or matrix_rank(rows, p))
+    hochster_oracle(_rp2_ideal(), QQ)
+    assert calls and set(calls) == {0}
 
 
 # classical cross-checks ----------------------------------------------------------
