@@ -308,29 +308,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# builders used all over the test suites
-
-def edgeless(n: int, labels: tuple[str, ...] | None = None) -> Graph:
-    return from_edge_list(n, [], labels)
-
-
-def complete_graph(n: int, labels: tuple[str, ...] | None = None) -> Graph:
-    return from_edge_list(n, list(itertools.combinations(range(n), 2)), labels)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite(m: int, n: int) -> Graph:
-    return from_edge_list(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
+# the named graphs of the invariants
 
 def star(k: int) -> Graph:
     """K_{1,k} with the center at vertex 0."""
@@ -343,19 +321,3 @@ def claw() -> Graph:
 
 def cricket() -> Graph:
     return from_edge_list(5, [(0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-
-
-def disjoint_edges(k: int) -> Graph:
-    return from_edge_list(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return from_edge_list(g.n + h.n, edges)
-
-
-def graph_join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus every edge between the two sides."""
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
-    return from_edge_list(g.n + h.n, edges)

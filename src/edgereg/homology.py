@@ -111,44 +111,49 @@ def _closure(facet_masks: Iterable[int], face_budget: int) -> set[int]:
 
 
 def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
-    """Reduced homology ranks of an explicit face set (void set -> empty).
+    """Reduced homology ranks of a face set closed under subsets, as
+    `_closure` makes it (void set -> empty).
 
-    The empty face participates as the single (-1)-dimensional cell, which
-    realizes the augmented chain complex: a nonvoid complex therefore gets
-    rank(H_-1) = 1 exactly when it has no vertices.
+    Level k holds the faces of k vertices in increasing order, and every
+    level from 0 up to the largest face is nonempty.  The empty face, level
+    0, is the single (-1)-dimensional cell, which realizes the augmented
+    chain complex: a nonvoid complex therefore gets rank(H_-1) = 1 exactly
+    when it has no vertices.  The boundary of a face with vertices
+    v_0 < ... < v_k holds the face without v_p with sign (-1)^p.  Each field
+    has one row encoding: ints for `rank_gf2`, (plus, minus) planes for
+    `rank_gf3` and dicts for `matrix_rank` over QQ and primes p >= 5.
     """
     if not faces:
         return {}
-    by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for d in by_dim:
-        by_dim[d].sort()
-    dims = sorted(by_dim)
-    max_d = dims[-1]
-    boundary_rank: dict[int, int] = {}
-    for d in range(0, max_d + 1):
-        if d not in by_dim or d - 1 not in by_dim:
-            boundary_rank[d] = 0
-            continue
-        target = {f: i for i, f in enumerate(by_dim[d - 1])}
+    levels: list[list[int]] = [[] for _ in range(max(map(int.bit_count, faces)) + 1)]
+    for f in sorted(faces):
+        levels[f.bit_count()].append(f)
+    ranks = [0] * (len(levels) + 1)  # ranks[k]: rank of the boundary of level k
+    for k in range(1, len(levels)):
+        target = {f: i for i, f in enumerate(levels[k - 1])}
         if characteristic == 2:
             rows = []
-            for f in by_dim[d]:
+            for f in levels[k]:
                 row = 0
                 for v in _bits(f):
                     row |= 1 << target[f ^ (1 << v)]
                 rows.append(row)
-            boundary_rank[d] = rank_gf2(rows)
+            ranks[k] = rank_gf2(rows)
+        elif characteristic == 3:
+            planes = []
+            for f in levels[k]:
+                cols = [1 << target[f ^ (1 << v)] for v in _bits(f)]
+                planes.append((sum(cols[::2]), sum(cols[1::2])))
+            ranks[k] = rank_gf3(planes)
         else:
             rows = [{target[f ^ (1 << v)]: -1 if pos % 2 else 1
-                     for pos, v in enumerate(_bits(f))} for f in by_dim[d]]
-            boundary_rank[d] = matrix_rank(rows, characteristic)
+                     for pos, v in enumerate(_bits(f))} for f in levels[k]]
+            ranks[k] = matrix_rank(rows, characteristic)
     profile: dict[int, int] = {}
-    for d in dims:
-        h = len(by_dim[d]) - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
+    for k, level in enumerate(levels):
+        h = len(level) - ranks[k] - ranks[k + 1]
         if h:
-            profile[d] = h
+            profile[k - 1] = h
     return profile
 
 

@@ -3,19 +3,19 @@ rationals.
 
 Floats are banned everywhere in this project.  Every routine keeps one
 pivot row per leading column and reduces each incoming row against the
-pivots until it vanishes or owns a new leading column.
+pivots until it vanishes or owns a new leading column.  Each field has
+one row encoding, which the caller builds; nothing here converts rows.
 
-* GF(2): a row is a Python integer and the update is xor.
+* GF(2) (`rank_gf2`): a row is a Python integer and the update is xor.
 * GF(3) (`rank_gf3`): a row is two bit planes (ones, twos), the columns
   holding 1 and the columns holding 2.  A pivot is stored with lead 1; a
   row adds the pivot, or its negation (the same planes swapped), by a
-  bitsliced GF(3) addition of a few word operations.  `matrix_rank` in
-  characteristic 3 converts its dict rows to planes and calls it.
-* The rationals and primes p >= 5: a row is a dict {column: nonzero int},
-  copied once and then updated in place, deleting entries that become
-  zero.  Over GF(p) a pivot is stored with lead 1 and the update is
-  row - f*pivot modulo p.  Over the rationals a pivot whose lead is +-1
-  is subtracted as is; any other takes the fraction-free step
+  bitsliced GF(3) addition of a few word operations.
+* The rationals and primes p >= 5 (`matrix_rank`): a row is a dict
+  {column: nonzero int}, copied once and then updated in place, deleting
+  entries that become zero.  Over GF(p) a pivot is stored with lead 1 and
+  the update is row - f*pivot modulo p.  Over the rationals a pivot whose
+  lead is +-1 is subtracted as is; any other takes the fraction-free step
   a*row - b*pivot, after which the row is divided by its gcd so that its
   entries stay small.
 """
@@ -66,24 +66,12 @@ def rank_gf3(rows: Iterable[tuple[int, int]]) -> int:
     return len(planes)
 
 
-def _gf3_planes(row: dict[int, int]) -> tuple[int, int]:
-    ones = twos = 0
-    for c, x in row.items():
-        x %= 3
-        if x == 1:
-            ones |= 1 << c
-        elif x == 2:
-            twos |= 1 << c
-    return ones, twos
-
-
 def matrix_rank(rows: Iterable[dict[int, int]], characteristic: int) -> int:
     """Rank of a matrix of sparse rows {column: int} over the rationals
-    (characteristic 0) or GF(p) for an odd prime p.  The rows are not
-    modified; over GF(3) they become bit planes for `rank_gf3`."""
+    (characteristic 0) or GF(p) for a prime p.  The rows are not modified.
+    It serves the rationals and p >= 5: GF(2) and GF(3) rows have their
+    own encodings, for `rank_gf2` and `rank_gf3`."""
     p = characteristic
-    if p == 3:
-        return rank_gf3(map(_gf3_planes, rows))
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = _normalized(row, p)

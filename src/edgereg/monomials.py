@@ -114,10 +114,6 @@ def _plane_degree(g: int, ones: int) -> int:
             + 4 * (g >> 2 & ones).bit_count() + 8 * (g >> 3 & ones).bit_count())
 
 
-def packed_degree(g: int) -> int:
-    return _plane_degree(g, lane_masks(-(-g.bit_length() // LANE))[2])
-
-
 def packed_divides(a: int, b: int, hi: int) -> bool:
     # no lane of b - a borrows  <=>  a <= b componentwise
     return ((b | hi) - a) & hi == hi

@@ -3,7 +3,8 @@
 These deliberately share no code with the package internals they check:
 isomorphism by raw permutation search, matchings by subset enumeration,
 chordality by induced-cycle search, ranks by Gaussian elimination over
-`fractions.Fraction` or modulo p.  Slow on purpose; only run at tiny sizes.
+`fractions.Fraction` or modulo p, with `gf3_planes` encoding integer rows
+for `linalg.rank_gf3`.  Slow on purpose; only run at tiny sizes.
 The one exception is `lattice_rescan_betti`, an earlier form of the Betti
 kernel kept as a reference for the lattice and facet steps only: it shares
 face closure and homology ranks with `homology`.
@@ -20,11 +21,12 @@ import inspect
 import itertools
 from fractions import Fraction
 
+from builders import packed_degree
 from edgereg.evenconn import colon_graph
 from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
                               BudgetError, FieldSpec, _closure, _profile_from_masks)
-from edgereg.monomials import LANE, MonomialIdeal, lane_masks, packed_degree
+from edgereg.monomials import LANE, MonomialIdeal, lane_masks
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -140,6 +142,18 @@ def fraction_rank(rows: list[list[int]], p: int = 0) -> int:
         if rank == len(mat):
             break
     return rank
+
+
+def gf3_planes(row: list[int]) -> tuple[int, int]:
+    """An integer row as the (ones, twos) bit planes of `linalg.rank_gf3`:
+    the columns holding 1 and the columns holding 2 modulo 3."""
+    ones = twos = 0
+    for c, x in enumerate(row):
+        if x % 3 == 1:
+            ones |= 1 << c
+        elif x % 3 == 2:
+            twos |= 1 << c
+    return ones, twos
 
 
 # Dense-tuple reference for the packed monomial kernels: exponent vectors

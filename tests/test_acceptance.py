@@ -9,9 +9,9 @@ computed by earlier sweeps.
 from __future__ import annotations
 
 import oracles
+from builders import complete_graph, disjoint_edges, graph_join
 from edgereg import homology, invariants, suites
-from edgereg.graphs import (complete_graph, disjoint_edges, emit_graph6,
-                            enumerate_graphs, graph_join, parse_graph6)
+from edgereg.graphs import emit_graph6, enumerate_graphs, parse_graph6
 from edgereg.homology import (GF2, QQ, graded_betti, hochster_oracle,
                               regularity_of_power)
 from edgereg.invariants import (induced_matching_number, is_co_chordal,

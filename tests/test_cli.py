@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from builders import cycle_graph, path_graph
 from edgereg.cli import main
-from edgereg.graphs import cycle_graph, emit_graph6, enumerate_graphs, path_graph
+from edgereg.graphs import emit_graph6, enumerate_graphs
 
 
 def _lines(capsys):

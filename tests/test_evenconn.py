@@ -4,10 +4,10 @@ import itertools
 
 import pytest
 
+from builders import cycle_graph, disjoint_union, path_graph
 from edgereg.evenconn import (EvenConnectionCertificate, colon_graph, even_connected_pairs,
                               even_connection_lengths, isolated_reduction_failures)
-from edgereg.graphs import (cricket, cycle_graph, disjoint_union,
-                            enumerate_graphs, from_edge_list, path_graph)
+from edgereg.graphs import cricket, enumerate_graphs, from_edge_list
 from edgereg.homology import regularity
 from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,

@@ -8,13 +8,12 @@ import random
 import pytest
 
 import oracles
+from builders import complete_bipartite, complete_graph, cycle_graph, disjoint_union, path_graph
 from edgereg.graphs import (GraphError, _canonical_key, _canonical_reps, canonical_key, claw,
-                            closed_neighborhood, complement, complete_bipartite,
-                            complete_graph, cricket, cycle_graph,
-                            delete_closed_neighborhood, delete_vertices,
-                            disjoint_union, emit_graph6, enumerate_graphs,
-                            from_edge_list, from_json_dict, induced_subgraph,
-                            is_isomorphic, parse_graph6, path_graph)
+                            closed_neighborhood, complement, cricket,
+                            delete_closed_neighborhood, delete_vertices, emit_graph6,
+                            enumerate_graphs, from_edge_list, from_json_dict,
+                            induced_subgraph, is_isomorphic, parse_graph6)
 
 
 def test_from_edge_list_cycle():

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from builders import cycle_graph, disjoint_edges, path_graph
 from edgereg import homology, linalg
-from edgereg.graphs import (_bits, cycle_graph, disjoint_edges, enumerate_graphs,
-                            from_edge_list, induced_subgraph, path_graph)
+from edgereg.graphs import _bits, enumerate_graphs, from_edge_list, induced_subgraph
 from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
                               _closure, _maximal_masks, _profile_from_masks,
                               _strong_core, graded_betti, hochster_oracle,
                               hochster_supports, regularity, regularity_of_power)
-from edgereg.linalg import matrix_rank, rank_gf2
+from edgereg.linalg import matrix_rank, rank_gf2, rank_gf3
 from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal,
                                lane_masks, pack, pack_capped, polarize, power,
                                squarefree, sum_ideals, zero_ideal)
@@ -73,26 +73,31 @@ def test_rank_mod_p_bounded_by_rational_rank(rows, p):
     assert rank <= oracles.fraction_rank(rows)
 
 
+@given(_int_matrices)
+@settings(max_examples=300)
+def test_rank_gf3_matches_elimination_mod_3(rows):
+    assert rank_gf3(map(oracles.gf3_planes, rows)) == oracles.fraction_rank(rows, 3)
+
+
 def _rank_mismatches(rank, p) -> int:
     rng = random.Random(0)
     bad = 0
     for _ in range(200):
         ncols = rng.randint(1, 6)
         rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
-        bad += rank(_sparse(rows), p) != oracles.fraction_rank(rows, p)
+        bad += rank(rows) != oracles.fraction_rank(rows, p)
     return bad
 
 
 # each mutant still cancels every leading entry, so its elimination ends;
-# `matrix_rank` reaches `rank_gf3` through the module, so either can be patched
-@pytest.mark.parametrize("name, old, new, p", [
-    ("rank_gf3", "t = (ones | b) ^ (twos | a)", "t = (ones | b) | (twos | a)", 3),
-    ("matrix_rank", "v = row.get(c, 0) - f * y", "v = row.get(c, 0) - f * a", 0),
+# each rank reads the patched function off the module at call time
+@pytest.mark.parametrize("name, old, new, p, rank", [
+    ("rank_gf3", "t = (ones | b) ^ (twos | a)", "t = (ones | b) | (twos | a)", 3,
+     lambda rows: linalg.rank_gf3(map(oracles.gf3_planes, rows))),
+    ("matrix_rank", "v = row.get(c, 0) - f * y", "v = row.get(c, 0) - f * a", 0,
+     lambda rows: linalg.matrix_rank(_sparse(rows), 0)),
 ], ids=["gf3-planes-add-with-or", "qq-update-scales-by-lead"])
-def test_mutated_matrix_rank_is_caught(name, old, new, p, monkeypatch):
-    def rank(rows, p):  # the patched module's entry, looked up at call time
-        return linalg.matrix_rank(rows, p)
-
+def test_mutated_matrix_rank_is_caught(name, old, new, p, rank, monkeypatch):
     func = getattr(linalg, name)
     monkeypatch.setattr(linalg, name, oracles.mutant(func, old, old))
     assert _rank_mismatches(rank, p) == 0
@@ -308,7 +313,7 @@ def test_dual_oracle_agreement_small():
                 continue
             for s in (1, 2):
                 i = power(edge_ideal(g), s)
-                for field in (GF2, QQ):
+                for field in (GF2, QQ, FieldSpec(3), FieldSpec(5)):
                     assert graded_betti(i, field) == hochster_oracle(i, field)
 
 
@@ -516,7 +521,13 @@ def test_betti_depends_on_field_rp2(fresh_memo):
     ("graded_betti", "& all_hi & divisors", "& all_hi", _dual_oracle_mismatches),
     # the primary route's homology alone is wrong: the oracle builds its own
     ("_profile_from_masks", "-1 if pos % 2 else 1", "1", _dual_oracle_mismatches),
-    ("_profile_from_masks", "for f in faces:", "for f in faces - {0}:", _dual_oracle_mismatches),
+    # the empty face left out of the chain complex: no boundary from the
+    # vertices to it, so H_0 is unreduced
+    ("_profile_from_masks", "for k in range(1, len(levels)):", "for k in range(2, len(levels)):",
+     _dual_oracle_mismatches),
+    # GF(3) boundaries with their minus plane dropped
+    ("_profile_from_masks", "(sum(cols[::2]), sum(cols[1::2]))", "(sum(cols[::2]), 0)",
+     _field_mismatches),
     # two-word slots read as one-word slots, as if the flag bit still fit
     ("unpack_slots", "if size == 8:", "if size <= 16:", _wide_mismatches),
     # the closure's step k leaves g_k itself out of the lattice
@@ -528,7 +539,8 @@ def test_betti_depends_on_field_rp2(fresh_memo):
      _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
         "memo-key-drops-characteristic", "nondivisor-mask-dropped",
-        "profile-qq-sign-dropped", "profile-drops-empty-face", "slot-width-off-by-one",
+        "profile-qq-sign-dropped", "profile-drops-empty-face", "profile-gf3-minus-plane-dropped",
+        "slot-width-off-by-one",
         "closure-drops-generator", "closure-joins-last-step-only"])
 def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
     func = getattr(homology, name)
@@ -608,6 +620,19 @@ def test_oracle_qq_from_gf2_ranks_is_exact(monkeypatch):
     monkeypatch.setattr(homology, "matrix_rank", lambda rows, p: calls.append(p) or matrix_rank(rows, p))
     hochster_oracle(_rp2_ideal(), QQ)
     assert calls and set(calls) == {0}
+
+
+def test_primary_route_ranks_gf3_by_planes_only(monkeypatch, fresh_memo):
+    # GF(3) boundaries are built as planes for `rank_gf3`; `matrix_rank`
+    # serves only QQ and p >= 5, as GF(5) shows through the same patch
+    calls = []
+    monkeypatch.setattr(homology, "matrix_rank", lambda rows, p: calls.append(p) or matrix_rank(rows, p))
+    i = _rp2_ideal()
+    assert graded_betti(i, FieldSpec(3)) == hochster_oracle(i, FieldSpec(3))
+    assert graded_betti(power(edge_ideal(cycle_graph(5)), 2), FieldSpec(3)).regularity() == 4
+    assert calls == []
+    graded_betti(i, FieldSpec(5))
+    assert calls and set(calls) == {5}
 
 
 # classical cross-checks ----------------------------------------------------------

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
 import oracles
-from edgereg.graphs import (claw, complement, complete_bipartite, complete_graph,
-                            cricket, cycle_graph, disjoint_edges, edgeless,
-                            enumerate_graphs, graph_join, path_graph, star)
+from builders import (complete_bipartite, complete_graph, cycle_graph, disjoint_edges,
+                      edgeless, graph_join, path_graph)
+from edgereg.graphs import claw, complement, cricket, enumerate_graphs, star
 from edgereg.homology import regularity_of_power
 from edgereg.invariants import (has_induced_pattern, induced_matching_number,
                                 invariant_record, is_cameron_walker, is_chordal,

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from builders import complete_graph, cycle_graph, packed_degree, path_graph
 from edgereg import monomials
-from edgereg.graphs import (complete_graph, cycle_graph, enumerate_graphs,
-                            from_edge_list, path_graph)
+from edgereg.graphs import enumerate_graphs, from_edge_list
 from edgereg.monomials import (LANE_MAX, EdgeMultiset, Monomial, colon_by_monomial,
                                cover_square_intersection, edge_ideal, ideal,
                                intersect, lane_masks, minimal_vertex_covers,
-                               pack, pack_capped, packed_degree, packed_divides,
+                               pack, pack_capped, packed_divides,
                                packed_lcm, polar_name, polarize, power, squarefree,
                                sum_ideals, symbolic_square, unpack, zero_ideal)
 
