@@ -10,6 +10,13 @@ over the vertex orders that respect an iteratively refined colouring, found
 by an exact row-by-row search (`_canonical_key`).  Cycles, the Petersen
 graph and other regular graphs of a dozen vertices take milliseconds; many
 small components, as in seven disjoint edges, take seconds.
+
+Enumeration extends each class on n-1 vertices by a new vertex, in the
+order of the parents' (edge count, code), and keys only the extensions
+whose new vertex has top degree: any other one deletes, at the busier
+vertex, to an earlier parent that already reached its class.  So the
+first-found representative of every class, and the order, are those of
+the plain extension loop.
 """
 from __future__ import annotations
 
@@ -277,15 +284,34 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 @cache
 def _canonical_reps(n: int) -> list[Graph]:
+    """The classes on n vertices, each as the first extension of an
+    (n-1)-vertex class that reaches it, sorted by (edge count, code).
+
+    The parents are met in that order too, and two skips drop only
+    extensions whose class an earlier candidate reached, never a class's
+    first candidate, so every representative is the one the plain
+    extension loop finds:
+    - swapping twins u < w fixes the parent, so a mask holding w but not
+      u extends it as its swap, a smaller mask met before, does;
+    - if an old vertex u has a higher degree than the new one in the
+      extension G, then G - u has fewer edges than the parent, so its
+      class is an earlier parent, which G extends by u's neighbours (or by
+      their smaller twin swap).  With `top` the parent's largest degree
+      and `busiest` its vertices of that degree, the new vertex has top
+      degree when d > top, or d == top and it has no neighbour in
+      `busiest`."""
     if n == 0:
         return [Graph(0, (), ())]
     found: dict[tuple[int, int], Graph] = {}
     for h in _canonical_reps(n - 1):
-        # swapping twins u < w fixes h, so a mask holding w but not u extends
-        # h as its swap, a smaller mask met before, does: skip it
+        top = max(map(int.bit_count, h.adj), default=0)
+        busiest = sum(1 << v for v, a in enumerate(h.adj) if a.bit_count() == top)
         twins = [(1 << u, 1 << w) for u, w in itertools.combinations(range(n - 1), 2)
                  if h.adj[u] & ~(1 << w) == h.adj[w] & ~(1 << u)]
         for mask in range(1 << (n - 1)):
+            d = mask.bit_count()
+            if d < top or d == top and mask & busiest:
+                continue
             if any(mask & w and not mask & u for u, w in twins):
                 continue
             adj = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(h.adj)) + (mask,)
@@ -297,13 +323,16 @@ def _canonical_reps(n: int) -> list[Graph]:
 
 def enumerate_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class of simple graphs on n
-    vertices, n <= DEFAULT_ENUMERATION_BOUND, as a fresh list: the classes
-    are all built before the call returns, and a caller may change the
-    list without touching the cached classes.  Enumeration works by
+    vertices, 0 <= n <= DEFAULT_ENUMERATION_BOUND, as a fresh list: the
+    classes are all built before the call returns, and a caller may change
+    the list without touching the cached classes.  Enumeration works by
     extending the (n-1)-vertex classes by one vertex in every way, up to
-    swapping twin vertices, and deduplicating canonically."""
-    if n > DEFAULT_ENUMERATION_BOUND:
-        raise GraphError(f"enumeration bound exceeded: n={n} > {DEFAULT_ENUMERATION_BOUND}")
+    swapping twin vertices and giving the new vertex top degree, and
+    deduplicating canonically.  Both skips only drop extensions whose class
+    an earlier one reached, so each class keeps its first-found
+    representative (`_canonical_reps`)."""
+    if not 0 <= n <= DEFAULT_ENUMERATION_BOUND:
+        raise GraphError(f"enumeration bound: n={n} is not in 0..{DEFAULT_ENUMERATION_BOUND}")
     return list(_canonical_reps(n))
 
 

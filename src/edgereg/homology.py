@@ -134,9 +134,11 @@ def _profile_from_masks(faces: set[int], characteristic: int) -> dict[int, int]:
         if characteristic == 2:
             rows = []
             for f in levels[k]:
-                row = 0
-                for v in _bits(f):
-                    row |= 1 << target[f ^ (1 << v)]
+                row, rest = 0, f
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    row |= 1 << target[f ^ low]
                 rows.append(row)
             ranks[k] = rank_gf2(rows)
         elif characteristic == 3:

@@ -190,8 +190,11 @@ def test_delete_closed_neighborhood_star():
 
 # enumeration -------------------------------------------------------------
 
+CENSUS = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+
+
 def test_enumeration_census():
-    assert [len(list(enumerate_graphs(n))) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+    assert [len(list(enumerate_graphs(n))) for n in range(9)] == CENSUS
 
 
 def test_enumeration_connected_census():
@@ -200,14 +203,16 @@ def test_enumeration_connected_census():
 
 
 def test_enumeration_bound():
-    with pytest.raises(GraphError):
-        list(enumerate_graphs(9))
+    for n in (9, -1):
+        with pytest.raises(GraphError):
+            list(enumerate_graphs(n))
 
 
 def test_enumeration_is_a_fresh_list():
     # the classes are built at the call, so the bound is checked there too
-    with pytest.raises(GraphError):
-        enumerate_graphs(9)
+    for n in (9, -1):
+        with pytest.raises(GraphError):
+            enumerate_graphs(n)
     first = enumerate_graphs(4)
     assert isinstance(first, list)
     first.clear()
@@ -234,22 +239,58 @@ def test_enumeration_matches_networkx_atlas():
 # them: the sweeps, their reports and perfbench's betti-n7 sample all read
 # the graphs in this order
 ENUMERATION_SHA256 = "43b4220ef10d2393ba7d195e77a0cefb0db1cdc9ead4fb06312d145800e2a33e"
+# and of the 12,346 classes with n = 8 alone, as the extension loop without
+# the degree skip gave them
+ENUMERATION_N8_SHA256 = "90efcfebdbb32eda4627030206a62520d760e15ceeeaa35d0fe6ed9657113fba"
 
 
-def _enumeration_sha256(reps) -> str:
-    lines = "\n".join(emit_graph6(g) for n in range(8) for g in reps(n))
+def _enumeration_sha256(reps, sizes=range(8)) -> str:
+    lines = "\n".join(emit_graph6(g) for n in sizes for g in reps(n))
     return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def test_enumeration_order_and_representatives_are_pinned():
     assert _enumeration_sha256(enumerate_graphs) == ENUMERATION_SHA256
+    assert _enumeration_sha256(enumerate_graphs, [8]) == ENUMERATION_N8_SHA256
+
+
+def _keys_in_step(reps, n, monkeypatch) -> tuple[int, list]:
+    """The canonical keys that `reps`'s extension step to n computes, with
+    the classes on n - 1 vertices already built, and the step's classes."""
+    reps(n - 1)
+    calls = []
+    with monkeypatch.context() as m:
+        m.setitem(reps.__wrapped__.__globals__, "_canonical_key",
+                  lambda k, adj: calls.append(k) or _canonical_key(k, adj))
+        out = reps.__wrapped__(n)
+    return len(calls), out
+
+
+def test_degree_skip_keys_only_top_degree_extensions(monkeypatch):
+    # 6,412 keys without the degree skip
+    assert _keys_in_step(_canonical_reps, 7, monkeypatch) == (1808, enumerate_graphs(7))
+
+
+DEGREE_SKIP = "d < top or d == top and mask & busiest"
+
+
+def test_mutated_degree_skip_is_caught(monkeypatch):
+    # skipping only the new vertices of lower degree than the parent's top
+    # keeps every class and representative: only the key count shows it
+    weak = oracles.mutant(_canonical_reps, DEGREE_SKIP, "d < top")
+    assert _enumeration_sha256(weak) == ENUMERATION_SHA256
+    count, reps = _keys_in_step(weak, 7, monkeypatch)
+    assert reps == enumerate_graphs(7) and count == 2937  # not 1808
+    # skipping new vertices of the parent's top degree loses classes
+    eager = oracles.mutant(_canonical_reps, DEGREE_SKIP, "d <= top")
+    assert [len(eager(n)) for n in range(8)] != CENSUS[:8]
 
 
 def test_mutated_twin_skip_is_caught():
     # skipping the smaller mask of a twin swap keeps the classes but not
     # the first representative of each
     bad = oracles.mutant(_canonical_reps, "mask & w and not mask & u", "mask & u and not mask & w")
-    assert [len(bad(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [len(bad(n)) for n in range(8)] == CENSUS[:8]
     assert _enumeration_sha256(bad) != ENUMERATION_SHA256
 
 

@@ -525,6 +525,9 @@ def test_betti_depends_on_field_rp2(fresh_memo):
     # vertices to it, so H_0 is unreduced
     ("_profile_from_masks", "for k in range(1, len(levels)):", "for k in range(2, len(levels)):",
      _dual_oracle_mismatches),
+    # GF(2) boundaries without the face that drops the last vertex
+    ("_profile_from_masks", "row |= 1 << target[f ^ low]", "row |= 1 << target[f ^ low] if rest else 0",
+     _dual_oracle_mismatches),
     # GF(3) boundaries with their minus plane dropped
     ("_profile_from_masks", "(sum(cols[::2]), sum(cols[1::2]))", "(sum(cols[::2]), 0)",
      _field_mismatches),
@@ -539,7 +542,8 @@ def test_betti_depends_on_field_rp2(fresh_memo):
      _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
         "memo-key-drops-characteristic", "nondivisor-mask-dropped",
-        "profile-qq-sign-dropped", "profile-drops-empty-face", "profile-gf3-minus-plane-dropped",
+        "profile-qq-sign-dropped", "profile-drops-empty-face", "profile-gf2-drops-last-face",
+        "profile-gf3-minus-plane-dropped",
         "slot-width-off-by-one",
         "closure-drops-generator", "closure-joins-last-step-only"])
 def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
