@@ -1,9 +1,11 @@
 """Immutable small simple graphs with exact isomorphism handling.
 
 Vertices are the integers 0..n-1 and adjacency is stored as per-vertex
-bitmasks.  Every graph carries per-vertex labels which downstream modules
-use as polynomial variable names, so induced subgraphs keep the labels of
-the surviving vertices.
+bitmasks.  Vertex sets are bitmasks too: `closed_neighborhood` takes and
+returns one, and `induced_subgraph` keeps the vertices of one.  Every
+graph carries per-vertex labels which downstream modules use as
+polynomial variable names, so induced subgraphs keep the labels of the
+surviving vertices.
 
 Isomorphism is decided through a canonical form, the least adjacency code
 over the vertex orders that respect an iteratively refined colouring, found
@@ -160,59 +162,26 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, adj, g.labels)
 
 
-def induced_subgraph(g: Graph, verts: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on `verts`, compacted to 0..k-1 in increasing old
-    order.  Returns the graph and the old->new vertex map; labels of the
-    surviving vertices are kept."""
-    keep = sorted(set(verts))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-    mapping = {old: new for new, old in enumerate(keep)}
-    adj = [0] * len(keep)
-    for old_u in keep:
-        for old_v in _bits(g.adj[old_u]):
-            if old_v in mapping:
-                adj[mapping[old_u]] |= 1 << mapping[old_v]
-    labels = tuple(g.labels[v] for v in keep)
-    return Graph(len(keep), tuple(adj), labels), mapping
+def induced_subgraph(g: Graph, mask: int) -> Graph:
+    """Induced subgraph on the vertices of the bitmask `mask`, renumbered
+    0..k-1 in increasing old order; labels of the surviving vertices are
+    kept."""
+    if mask < 0 or mask >> g.n:
+        raise GraphError(f"vertex mask {mask:#x} out of range for n={g.n}")
+    keep = list(_bits(mask))
+    adj = tuple(sum(1 << j for j, u in enumerate(keep) if g.adj[v] >> u & 1) for v in keep)
+    return Graph(len(keep), adj, tuple(g.labels[v] for v in keep))
 
 
-def delete_vertices(g: Graph, verts: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    drop = set(verts)
-    return induced_subgraph(g, (v for v in range(g.n) if v not in drop))
-
-
-def closed_neighborhood(g: Graph, target) -> frozenset[int]:
-    """N[target] for a vertex, an edge (2-tuple), a vertex collection or an
-    edge collection; the union of closed neighborhoods of all constituents."""
-    verts = _target_vertices(g, target)
-    out = 0
-    for v in verts:
-        out |= g.adj[v] | (1 << v)
-    return frozenset(_bits(out))
-
-
-def _target_vertices(g: Graph, target) -> frozenset[int]:
-    if isinstance(target, int):
-        verts = {target}
-    else:
-        verts = set()
-        for item in target:
-            if isinstance(item, int):
-                verts.add(item)
-            else:
-                verts.update(item)
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range")
-    return frozenset(verts)
-
-
-def delete_closed_neighborhood(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
-    if not 0 <= x < g.n:
-        raise GraphError(f"vertex {x} out of range")
-    return delete_vertices(g, closed_neighborhood(g, x))
+def closed_neighborhood(g: Graph, mask: int) -> int:
+    """N[S] as a bitmask, for the vertex set S given as the bitmask `mask`:
+    S and every neighbor of a vertex of S."""
+    if mask < 0 or mask >> g.n:
+        raise GraphError(f"vertex mask {mask:#x} out of range for n={g.n}")
+    out = mask
+    for v in _bits(mask):
+        out |= g.adj[v]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +245,6 @@ def _canonical_key(n: int, adj: tuple[int, ...]) -> tuple[int, int]:
 def canonical_key(g: Graph) -> tuple[int, int]:
     """Hashable isomorphism invariant: equal keys iff isomorphic graphs."""
     return _canonical_key(g.n, g.adj)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return canonical_key(g) == canonical_key(h)
 
 
 @cache

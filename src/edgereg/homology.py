@@ -64,13 +64,13 @@ from .linalg import matrix_rank, rank_gf2, rank_gf3
 from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks, monus,
                         pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
 
-DEFAULT_FACE_BUDGET = 1 << 20
-DEFAULT_VAR_BUDGET = 22
-DEFAULT_LATTICE_BUDGET = 200_000
+FACE_BUDGET = 1 << 20
+VAR_BUDGET = 22
+LATTICE_BUDGET = 200_000
 
 
 class BudgetError(RuntimeError):
-    """A homology computation exceeded its configured size budget."""
+    """A homology computation exceeded one of the size budgets above."""
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,7 @@ class BettiTable:
         }
 
 
-def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
-                 face_budget: int = DEFAULT_FACE_BUDGET,
-                 lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
+def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """Betti table via upper Koszul homology at every lcm-lattice point.
 
     Two phases: `_lcm_lattice` closes the lattice one generator at a time,
@@ -216,14 +214,16 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
 
     Each distinct set of maximal facets is closed and ranked once per
     process: its face work and ranks are kept in the memo, one table per
-    number of variables and characteristic, until `clear_caches()`.  A
-    table hit checks the stored face work against the face budget, so a
-    call raises `BudgetError` exactly when closing its complexes would;
-    the closure raises it exactly when the lattice has more points than
-    the lattice budget.
+    number of variables and characteristic, until `clear_caches()`.  The
+    budgets are the module constants, read once per call.  A table hit
+    checks the stored face work against `FACE_BUDGET`, so a call raises
+    `BudgetError` exactly when closing its complexes would; the closure
+    raises it exactly when the lattice has more than `LATTICE_BUDGET`
+    points.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
+    face_budget = FACE_BUDGET
     nv = len(i.vars)
     hi, _, ones = lane_masks(nv)
     width = LANE * nv
@@ -239,7 +239,7 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2,
     for g in gens:
         deg = _plane_degree(g, ones)
         entries[(0, deg)] = entries.get((0, deg), 0) + 1
-    for b in _lcm_lattice(gens, nv, lattice_budget).difference(gens):
+    for b in _lcm_lattice(gens, nv, LATTICE_BUDGET).difference(gens):
         diff = (b * rep | all_hi) - all_gens
         ge = diff & all_hi  # guard bit of each lane where b >= g
         flag = ((ge ^ all_hi) + all_lanes) & all_top  # the flag bit of each non-divisor
@@ -314,13 +314,12 @@ def _maximal_masks(masks: set[int]) -> list[int]:
     return out
 
 
-def hochster_supports(i: MonomialIdeal, var_budget: int = DEFAULT_VAR_BUDGET,
-                      face_budget: int = DEFAULT_FACE_BUDGET) -> tuple[int, list[int]]:
+def hochster_supports(i: MonomialIdeal) -> tuple[int, list[int]]:
     """(n, supports) for `hochster_oracle`: the supports of the polarized
     generators as bitmasks over the n polarized variables they use,
-    renumbered 0..n-1.  Raises `BudgetError` when n exceeds var_budget or
-    the 2^n vertex subsets exceed face_budget, so a caller can check the
-    oracle's budgets before running it."""
+    renumbered 0..n-1.  Raises `BudgetError` when n exceeds `VAR_BUDGET`
+    or the 2^n vertex subsets exceed `FACE_BUDGET`, so a caller can check
+    the oracle's budgets before running it."""
     p, _ = polarize(i)
     nv = len(p.vars)
     # a polarized generator is squarefree: its set bits are the low bits
@@ -328,17 +327,15 @@ def hochster_supports(i: MonomialIdeal, var_budget: int = DEFAULT_VAR_BUDGET,
     supports_in_p = [sum(1 << (nv - 1 - b // LANE) for b in _bits(g)) for g in p.gens]
     used = sorted({k for m in supports_in_p for k in _bits(m)})
     n = len(used)
-    if n > var_budget:
-        raise BudgetError(f"variable budget {var_budget} exceeded: {n} polarized variables")
-    if (1 << n) > face_budget:
-        raise BudgetError(f"face budget {face_budget} exceeded")
+    if n > VAR_BUDGET:
+        raise BudgetError(f"variable budget {VAR_BUDGET} exceeded: {n} polarized variables")
+    if (1 << n) > FACE_BUDGET:
+        raise BudgetError(f"face budget {FACE_BUDGET} exceeded")
     remap = {orig: idx for idx, orig in enumerate(used)}
     return n, sorted({sum(1 << remap[k] for k in _bits(m)) for m in supports_in_p})
 
 
-def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
-                    var_budget: int = DEFAULT_VAR_BUDGET,
-                    face_budget: int = DEFAULT_FACE_BUDGET) -> BettiTable:
+def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """Betti table of the polarization read off the Stanley-Reisner complex:
     each vertex subset W contributes its induced subcomplex's reduced
     homology at dimension |W| - i - 2 to beta_{i,|W|}.
@@ -376,7 +373,7 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2,
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
-    n, supports = hochster_supports(i, var_budget, face_budget)
+    n, supports = hochster_supports(i)
     without = _without(n)
     faces = _face_bitmap(supports, without)
     facets = _members(_facet_bitmap(faces, without))

@@ -9,8 +9,7 @@ cleverness is attempted beyond what keeps ten-vertex graphs instant.
 Local regularity is the regularity of the colon ideal (I(G) : x), which
 the regularity engine computes directly; it is the quantity the power
 bounds are phrased in.  Every function returns a plain value; the checks
-built on these invariants, the hierarchy-function check among them, live
-in `suites`.
+built on these invariants live in `suites`.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import homology
-from .graphs import (Graph, canonical_key, claw, complement, cricket,
-                     delete_closed_neighborhood, induced_subgraph)
+from .graphs import (Graph, canonical_key, claw, closed_neighborhood, complement, cricket,
+                     induced_subgraph)
 from .monomials import colon_by_monomial, edge_ideal, squarefree
 
 
@@ -84,8 +83,7 @@ def has_induced_pattern(g: Graph, pattern: Graph) -> bool:
         return False
     pkey = canonical_key(pattern)
     for verts in itertools.combinations(range(g.n), pattern.n):
-        sub, _ = induced_subgraph(g, verts)
-        if canonical_key(sub) == pkey:
+        if canonical_key(induced_subgraph(g, sum(1 << v for v in verts))) == pkey:
             return True
     return False
 
@@ -186,7 +184,7 @@ def is_locally_linear(g: Graph) -> bool:
 
 def _colon_graph_cochordal(g: Graph, x: int) -> bool:
     # reg(I:x) <= 2 iff G - N[x] is edgeless or co-chordal
-    h, _ = delete_closed_neighborhood(g, x)
+    h = induced_subgraph(g, ((1 << g.n) - 1) ^ closed_neighborhood(g, 1 << x))
     return h.is_edgeless() or is_co_chordal(h)
 
 

@@ -59,10 +59,11 @@ class Monomial:
             return cls.one()
         d: dict[str, int] = {}
         for tok in text.split("*"):
-            name, _, e = tok.strip().partition("^")
-            if not name:
+            name, caret, e = tok.strip().partition("^")
+            # an exponent is a nonempty run of ASCII digits: no sign, no space
+            if not name or caret and not (e.isascii() and e.isdigit()):
                 raise ValueError(f"bad monomial token {tok!r}")
-            d[name] = d.get(name, 0) + (int(e) if e else 1)
+            d[name] = d.get(name, 0) + (int(e) if caret else 1)
         return cls.from_dict(d)
 
     def as_dict(self) -> dict[str, int]:

@@ -1,13 +1,13 @@
 """Theorem-verification suites over exhaustively enumerated small graphs.
 
-This is the one harness module: every theorem check, the hierarchy-function
-check and the reports live here, while `evenconn`, `invariants` and
-`homology` return plain values.  Each suite sweeps a graph source
-(enumeration up to n_max, or an explicit list) and asserts one statement
-about regularity of edge-ideal powers; a per-graph checker returns its
-violations as replayable {graph6, s, lhs, rhs, context} records.  A report
-keeps the first MAX_STORED_VIOLATIONS verbatim and counts every one; it
-passes exactly when that count is zero.  A violation in any theorem suite
+This is the one harness module: every theorem check and the reports live
+here, while `evenconn`, `invariants` and `homology` return plain values.
+Each suite sweeps a graph source (enumeration up to n_max, or an explicit
+list) and asserts one statement about regularity of edge-ideal powers; a
+per-graph checker returns its violations as replayable
+{graph6, s, lhs, rhs, context} records.  A report keeps the first
+MAX_STORED_VIOLATIONS verbatim and counts every one; it passes exactly
+when that count is zero.  A violation in any theorem suite
 means a bug in this toolkit, not in the mathematics being checked.
 
 A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
@@ -57,8 +57,8 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from . import evenconn, homology, invariants
-from .graphs import (DEFAULT_ENUMERATION_BOUND, Graph, canonical_key, closed_neighborhood,
-                     delete_closed_neighborhood, delete_vertices, emit_graph6, enumerate_graphs)
+from .graphs import (DEFAULT_ENUMERATION_BOUND, Graph, closed_neighborhood, emit_graph6,
+                     enumerate_graphs)
 from .monomials import (EdgeMultiset, MonomialIdeal, colon_by_monomial,
                         cover_square_intersection, edge_ideal, packed_ideal, polarize, power,
                         squarefree, sum_ideals, symbolic_square)
@@ -76,13 +76,14 @@ class SuiteReport:
     violations_total: int = 0
     wall_time: float = 0.0
     conjecture: bool = False
+    # no suite writes notes yet; the key stays so the report format is fixed
     notes: list[str] = dataclass_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.violations_total == 0
 
-    def add_violation(self, graph6: str, s: int | None, lhs, rhs, context: str) -> None:
+    def add_violation(self, graph6: str, s: int, lhs, rhs, context: str) -> None:
         self.violations_total += 1
         if len(self.violations) < MAX_STORED_VIOLATIONS:
             self.violations.append(
@@ -318,10 +319,10 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
                                      sorted(str(x) for x in j.generators()),
                                      sorted(str(x) for x in rhs.generators()),
                                      f"leaf reduction fails for m={list(m.edges)}, leaf={e}"))
-            shielded = closed_neighborhood(g, set(m.edges))
+            shielded = closed_neighborhood(g, sum({1 << v for e in m.edges for v in e}))
             word = m.packed_product(g.n)
             for w in range(g.n):
-                if w in shielded:
+                if shielded >> w & 1:
                     continue
                 if w not in parts:
                     parts[w] = _vertex_colon_parts(g, w, s)
@@ -341,9 +342,9 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
 def _vertex_colon_parts(g: Graph, w: int, s: int) -> tuple[MonomialIdeal, MonomialIdeal]:
     """I(G - N[w])^s and the ideal of the variables of the open
     neighborhood N(w), both over the full variable universe."""
-    blocked = closed_neighborhood(g, w)
-    sub = packed_ideal(g.labels, (squarefree(e, g.n) for e in g.edges()
-                                  if blocked.isdisjoint(e)))
+    blocked = closed_neighborhood(g, 1 << w)
+    sub = packed_ideal(g.labels, (squarefree((u, v), g.n) for u, v in g.edges()
+                                  if not (blocked >> u | blocked >> v) & 1))
     var_part = packed_ideal(g.labels, (squarefree((u,), g.n) for u in g.neighbors(w)))
     return sub if sub.is_zero else power(sub, s), var_part
 
@@ -430,46 +431,6 @@ _CHECKERS = {
 }
 
 THEOREM_SUITES = tuple(name for name in _CHECKERS if name not in CONJECTURE_SUITES)
-
-
-# ---------------------------------------------------------------------------
-# hierarchy functions
-
-def check_hierarchy_function(family: Sequence[Graph], f: Callable[[Graph], int],
-                             field: homology.FieldSpec = homology.GF2) -> SuiteReport:
-    """Verify that f is a regularity-controlling function on a family that
-    is closed under vertex deletion and closed-neighborhood deletion.
-
-    Violations are reported for: f(G - w) > f(G) or
-    f(G - N[w]) > max(f(G) - 1, 2) at a non-isolated w, and
-    reg I(G) > f(G) (skipped for edgeless members, whose edge ideal is
-    zero).  Closure failures are reported as notes, not violations."""
-    report = SuiteReport("hierarchy-function")
-    members = list(family)
-    keys = {canonical_key(g) for g in members}
-    for g in members:
-        report.graphs_tested += 1
-        fg = f(g)
-        if not g.is_edgeless():
-            reg = homology.regularity(edge_ideal(g), field)
-            if reg > fg:
-                report.add_violation(emit_graph6(g), None, reg, fg, "reg I(G) > f(G)")
-        for w in range(g.n):
-            minus_w, _ = delete_vertices(g, [w])
-            minus_nw, _ = delete_closed_neighborhood(g, w)
-            for h in (minus_w, minus_nw):
-                if canonical_key(h) not in keys:
-                    report.notes.append(
-                        f"family not closed: {emit_graph6(g)} at w={w} leaves the family")
-            if g.degree(w) == 0:
-                continue
-            if f(minus_w) > fg:
-                report.add_violation(emit_graph6(g), None, f(minus_w), fg,
-                                     f"f(G-w) > f(G) at w={w}")
-            if f(minus_nw) > max(fg - 1, 2):
-                report.add_violation(emit_graph6(g), None, f(minus_nw), max(fg - 1, 2),
-                                     f"f(G-N[w]) > max(f(G)-1, 2) at w={w}")
-    return report
 
 
 # ---------------------------------------------------------------------------

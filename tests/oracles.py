@@ -24,8 +24,8 @@ from fractions import Fraction
 from builders import packed_degree
 from edgereg.evenconn import colon_graph
 from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
-from edgereg.homology import (DEFAULT_FACE_BUDGET, DEFAULT_LATTICE_BUDGET, BettiTable,
-                              BudgetError, FieldSpec, _closure, _profile_from_masks)
+from edgereg.homology import (FACE_BUDGET, LATTICE_BUDGET, BettiTable, BudgetError,
+                              FieldSpec, _closure, _profile_from_masks)
 from edgereg.monomials import LANE, MonomialIdeal, lane_masks
 
 
@@ -74,8 +74,7 @@ def brute_induced_matching_number(g: Graph) -> int:
             verts = [v for e in combo for v in e]
             if len(verts) != len(set(verts)):
                 continue
-            span, _ = induced_subgraph(g, verts)
-            if span.edge_count() == size:
+            if induced_subgraph(g, sum(1 << v for v in verts)).edge_count() == size:
                 return size
     return best
 
@@ -83,7 +82,7 @@ def brute_induced_matching_number(g: Graph) -> int:
 def has_induced_cycle_of_length_at_least_4(g: Graph) -> bool:
     for size in range(4, g.n + 1):
         for verts in itertools.combinations(range(g.n), size):
-            sub, _ = induced_subgraph(g, verts)
+            sub = induced_subgraph(g, sum(1 << v for v in verts))
             if all(sub.degree(v) == 2 for v in range(sub.n)) and _connected(sub):
                 return True
     return False
@@ -242,8 +241,8 @@ def _maximal_masks(masks: set[int]) -> list[int]:
 
 
 def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
-                         face_budget: int = DEFAULT_FACE_BUDGET,
-                         lattice_budget: int = DEFAULT_LATTICE_BUDGET) -> BettiTable:
+                         face_budget: int = FACE_BUDGET,
+                         lattice_budget: int = LATTICE_BUDGET) -> BettiTable:
     nv = len(i.vars)
     hi, val, ones = lane_masks(nv)
     gens = list(i.gens)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from builders import cycle_graph, path_graph
+from edgereg import homology
 from edgereg.cli import main
 from edgereg.graphs import emit_graph6, enumerate_graphs
 
@@ -226,6 +227,18 @@ def test_reg_past_the_lattice_budget_is_a_usage_error(tmp_path, capsys):
     assert last.endswith(f"(graph {emit_graph6(cycle_graph(11))})")
 
 
+def test_reg_reads_the_lattice_budget_when_called(tmp_path, capsys, monkeypatch):
+    # C5's lcm lattice has 16 points
+    monkeypatch.setattr(homology, "LATTICE_BUDGET", 15)
+    path = tmp_path / "in.g6"
+    path.write_text(emit_graph6(cycle_graph(5)) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", str(path)])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("edgereg reg: error: --power 1: lcm lattice budget 15 exceeded")
+
+
 @pytest.mark.parametrize("content", [
     None, "!!\n", '{"n": 2.9, "edges": [[0, 1]]}\n', '{"n": true, "edges": []}\n',
     '{"n": "3", "edges": []}\n', '{"n": 3, "edges": [[true, 2]]}\n',
@@ -261,8 +274,8 @@ def test_colon_graph_rejects_bad_edge_spec_as_usage_error(spec, tmp_path, capsys
     assert last.startswith(f"edgereg colon-graph: error: --edges {spec}: ")
 
 
-@pytest.mark.parametrize("monomial", ["*", "x0^-1", "x0*x2"],
-                         ids=["not-a-monomial", "negative-exponent",
+@pytest.mark.parametrize("monomial", ["*", "x0^-1", "x0^", "x0*x2"],
+                         ids=["not-a-monomial", "negative-exponent", "caret-without-exponent",
                               "in-the-ideal-of-second-graph"])
 def test_ideal_rejects_bad_colon_as_usage_error(monomial, tmp_path, capsys):
     path = tmp_path / "in.g6"

@@ -11,7 +11,7 @@ import oracles
 from builders import cycle_graph, disjoint_edges, path_graph
 from edgereg import homology, linalg
 from edgereg.graphs import _bits, enumerate_graphs, from_edge_list, induced_subgraph
-from edgereg.homology import (DEFAULT_FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
+from edgereg.homology import (FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
                               _closure, _maximal_masks, _profile_from_masks,
                               _strong_core, graded_betti, hochster_oracle,
                               hochster_supports, regularity, regularity_of_power)
@@ -127,7 +127,7 @@ def test_packed_excess_mask_matches_tuples(pairs):
 
 # reduced homology of complexes given by facet masks ----------------------------
 
-def _homology(facet_masks, characteristic=2, face_budget=DEFAULT_FACE_BUDGET):
+def _homology(facet_masks, characteristic=2, face_budget=FACE_BUDGET):
     return _profile_from_masks(_closure(facet_masks, face_budget), characteristic)
 
 
@@ -166,7 +166,7 @@ def test_face_budget():
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=8), st.integers(1, 255))
 @settings(max_examples=200, deadline=None)
 def test_strong_core_keeps_reduced_homology(facet_masks, w):
-    faces = _closure(facet_masks, DEFAULT_FACE_BUDGET)
+    faces = _closure(facet_masks, FACE_BUDGET)
     core = _strong_core(w, _maximal_masks(faces))
     assert core and core & w == core
     on_w = {f for f in faces if f & w == f}
@@ -349,19 +349,23 @@ def test_hochster_variable_budget():
         hochster_oracle(squares)  # 24 polarized variables > 22
 
 
-def test_hochster_oracle_face_budget_is_the_subset_count():
+def test_hochster_oracle_face_budget_is_the_subset_count(monkeypatch):
     # the cores of C6^2 have overlapping facets, whose closures sum to more
     # than the 2^n vertex subsets: only `hochster_supports` checks the budget
     i = power(edge_ideal(cycle_graph(6)), 2)
     n, _ = hochster_supports(i)
-    assert hochster_oracle(i, face_budget=1 << n) == graded_betti(i)
+    expected = graded_betti(i)
+    monkeypatch.setattr(homology, "FACE_BUDGET", 1 << n)
+    assert hochster_oracle(i) == expected
+    monkeypatch.setattr(homology, "FACE_BUDGET", (1 << n) - 1)
     with pytest.raises(BudgetError):
-        hochster_oracle(i, face_budget=(1 << n) - 1)
+        hochster_oracle(i)
 
 
-def test_lattice_budget():
+def test_lattice_budget(monkeypatch):
+    monkeypatch.setattr(homology, "LATTICE_BUDGET", 3)
     with pytest.raises(BudgetError):
-        graded_betti(edge_ideal(cycle_graph(5)), lattice_budget=3)
+        graded_betti(edge_ideal(cycle_graph(5)))
 
 
 def _raises_budget(kernel, i, **budget) -> bool:
@@ -372,7 +376,7 @@ def _raises_budget(kernel, i, **budget) -> bool:
     return False
 
 
-def test_graded_betti_face_budget(fresh_memo):
+def test_graded_betti_face_budget(fresh_memo, monkeypatch):
     # the kernel runs out of faces exactly where the reference does,
     # whether its complexes are ranked afresh or found in the memo
     i = power(edge_ideal(cycle_graph(5)), 2)
@@ -380,17 +384,22 @@ def test_graded_betti_face_budget(fresh_memo):
                if not _raises_budget(oracles.lattice_rescan_betti, i, face_budget=b)]
     threshold = passing[0]
     assert threshold > 2
-    assert _raises_budget(graded_betti, i, face_budget=threshold - 1)
-    assert graded_betti(i, face_budget=threshold) == graded_betti(i)
-    assert _raises_budget(graded_betti, i, face_budget=threshold - 1)
+    monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
+    assert _raises_budget(graded_betti, i)
+    monkeypatch.setattr(homology, "FACE_BUDGET", threshold)
+    assert graded_betti(i) == oracles.lattice_rescan_betti(i, GF2)
+    monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
+    assert _raises_budget(graded_betti, i)
 
 
-def test_graded_betti_lattice_budget_threshold():
+def test_graded_betti_lattice_budget_threshold(monkeypatch):
     # C5^2 in one-word slots, and a 13-variable ideal in two-word slots
     for i in (power(edge_ideal(cycle_graph(5)), 2), WIDE_IDEALS[13]):
         size = len(oracles._lcm_lattice(list(i.gens), *lane_masks(len(i.vars))[:2], 1 << 20))
-        assert _raises_budget(graded_betti, i, lattice_budget=size - 1)
-        assert not _raises_budget(graded_betti, i, lattice_budget=size)
+        monkeypatch.setattr(homology, "LATTICE_BUDGET", size - 1)
+        assert _raises_budget(graded_betti, i)
+        monkeypatch.setattr(homology, "LATTICE_BUDGET", size)
+        assert not _raises_budget(graded_betti, i)
 
 
 @st.composite
@@ -657,7 +666,7 @@ def test_induced_subgraph_monotone_regularity():
         reg_g = regularity_of_power(g, 1)
         for size in range(2, g.n):
             for verts in itertools.combinations(range(g.n), size):
-                h, _ = induced_subgraph(g, verts)
+                h = induced_subgraph(g, sum(1 << v for v in verts))
                 if h.is_edgeless():
                     continue
                 assert regularity(edge_ideal(h)) <= reg_g

@@ -10,7 +10,6 @@ from edgereg.invariants import (has_induced_pattern, induced_matching_number,
                                 is_claw_free, is_co_chordal, is_cricket_free,
                                 is_gap_free, is_locally_linear, local_regularity, local_regularity_max,
                                 matching_number)
-from edgereg.suites import check_hierarchy_function
 
 
 def test_matching_number_examples():
@@ -136,10 +135,10 @@ def test_local_regularity_matches_colon_formula():
         i = edge_ideal(g)
         for x in range(g.n):
             colon = colon_by_monomial(i, squarefree((x,), g.n))
-            blocked = closed_neighborhood(g, x)
+            blocked = closed_neighborhood(g, 1 << x)
             expected = sum_ideals(
                 ideal([Monomial.parse(f"{g.labels[u]}*{g.labels[v]}")
-                       for u, v in g.edges() if u not in blocked and v not in blocked],
+                       for u, v in g.edges() if not blocked & (1 << u | 1 << v)],
                       vars=g.labels),
                 ideal([Monomial.parse(g.labels[u]) for u in g.neighbors(x)],
                       vars=g.labels))
@@ -179,44 +178,3 @@ def test_invariant_record_fields():
                    "cameron_walker": True, "locally_linear": True,
                    "local_reg_max": 1}
 
-
-# hierarchy checks --------------------------------------------------------------
-
-def _all_graphs_up_to(n):
-    out = []
-    for k in range(n + 1):
-        out.extend(enumerate_graphs(k))
-    return out
-
-
-def test_hierarchy_matching_plus_one():
-    family = _all_graphs_up_to(4)
-    report = check_hierarchy_function(family, lambda g: matching_number(g) + 1)
-    assert report.passed
-    assert not report.notes
-
-
-def test_hierarchy_regularity_on_locally_linear():
-    family = [g for g in _all_graphs_up_to(4) if is_locally_linear(g)]
-    def f(g):
-        return 2 if g.is_edgeless() else regularity_of_power(g, 1)
-    report = check_hierarchy_function(family, f)
-    assert report.passed
-    assert not report.notes
-
-
-def test_hierarchy_empty_family():
-    report = check_hierarchy_function([], lambda g: 1)
-    assert report.passed and report.graphs_tested == 0
-
-
-def test_hierarchy_reports_closure_gaps():
-    # C5 alone is not closed under vertex deletion
-    report = check_hierarchy_function([cycle_graph(5)], lambda g: 5)
-    assert report.notes
-
-
-def test_hierarchy_flags_bad_function():
-    family = _all_graphs_up_to(3)
-    report = check_hierarchy_function(family, lambda g: 1 if g.edge_count() else 5)
-    assert not report.passed

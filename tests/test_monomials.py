@@ -38,6 +38,13 @@ def test_monomial_parse_and_str():
     assert M("1") == Monomial.one()
 
 
+@pytest.mark.parametrize("text", ["x0^", "x0*x1^", "x0^+2", "x0^ 2", "x0^-1", "x0^2.0", "*"])
+def test_monomial_parse_rejects_a_bad_exponent(text):
+    # an exponent is a nonempty run of digits: "x0^" once parsed as x0
+    with pytest.raises(ValueError):
+        M(text)
+
+
 # ideals --------------------------------------------------------------------
 
 def test_edge_ideal_triangle():

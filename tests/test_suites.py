@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from builders import complete_graph, cycle_graph, disjoint_edges, packed_degree
-from edgereg import evenconn, homology, invariants, monomials, suites
+from edgereg import evenconn, graphs, homology, invariants, monomials, suites
 from edgereg.graphs import canonical_key, emit_graph6, enumerate_graphs, parse_graph6, star
 from edgereg.monomials import edge_ideal
 from edgereg.suites import (CONJECTURE_SUITES, MAX_STORED_VIOLATIONS, THEOREM_SUITES,
@@ -186,6 +186,17 @@ def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
         monkeypatch.setattr(module, "colon_by_monomial", untruncated)
     # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
     assert not _single("colon-structure", n_max=4, s_max=2).passed
+
+
+@pytest.mark.parametrize("new, caught", [("for v in _bits(mask):", False),
+                                         ("for v in list(_bits(mask))[:1]:", True)],
+                         ids=["unmutated", "lowest-vertex-only"])
+def test_mutated_closed_neighborhood_is_caught(monkeypatch, fresh_memo, new, caught):
+    # N[m] of the lowest vertex of m's edges only: colon-structure checks
+    # J : w at vertices w that a later endpoint of m shields
+    monkeypatch.setattr(suites, "closed_neighborhood",
+                        oracles.mutant(graphs.closed_neighborhood, "for v in _bits(mask):", new))
+    assert _single("colon-structure", n_max=5, s_max=2).passed is not caught
 
 
 def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
