@@ -82,6 +82,10 @@ def _cmd_ideal(args) -> int:
     for g in graphs:
         i = _power(args, symbolic_square(g) if args.symbolic_square else edge_ideal(g), g)
         if m is not None:
+            outside = sorted(m.support().difference(i.vars))
+            if outside:
+                args.usage_error(f"--colon {args.colon}: variable {outside[0]} is not in the "
+                                 f"ideal's universe (graph {emit_graph6(g)})")
             try:
                 i = colon_by_monomial(i, pack_capped(m, i.vars))
             except ValueError as exc:  # m lies in the ideal: the colon is the unit ideal

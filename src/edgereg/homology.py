@@ -12,9 +12,14 @@ Two independent routes compute the same Betti table:
   64 bits up to 12 variables, else the fewest whole 8-byte words.  So a
   closure step costs a fixed number of big-int operations against the
   whole lattice (one `monus`), a facet read the same against every
-  generator, and their words are unpacked into ints in C.  Each distinct
-  set of maximal facets is closed and ranked once per process, in the
-  memo;
+  generator, and their words are unpacked into ints in C.  Only one point
+  per orbit of the ideal's variable swaps is read: u and v share a swap
+  class when the transposition (u v) maps the generator set onto itself,
+  the permutations within classes map the lattice and each point's
+  complex onto isomorphic ones of the same degree, so the scan reads the
+  points whose lanes do not increase along each class and weighs each
+  by its orbit size.  Each distinct set of maximal facets is closed and
+  ranked once per process, in the memo;
 * the oracle route polarizes the ideal, forms the associated
   Stanley-Reisner complex, and sums reduced homology of induced
   subcomplexes over the vertex subsets that are unions of minimal
@@ -56,13 +61,13 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import factorial, isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, _bits, canonical_key
 from .linalg import matrix_rank, rank_gf2, rank_gf3
-from .monomials import (LANE, MonomialIdeal, _plane_degree, edge_ideal, lane_masks, monus,
-                        pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
+from .monomials import (LANE, LANE_MAX, MonomialIdeal, _plane_degree, edge_ideal, lane_masks,
+                        monus, pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
 
 FACE_BUDGET = 1 << 20
 VAR_BUDGET = 22
@@ -212,6 +217,21 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     misses it), but a lane can lie in every maximal facet: that complex is
     a cone, with no reduced homology, and is still closed and ranked.
 
+    Points are read one per orbit of the ideal's swap classes
+    (`_swap_classes`): u and v share a class when the transposition (u v)
+    maps the minimal generators onto themselves.  The swaps generate the
+    product of the symmetric groups on the classes, and each of its
+    permutations maps the lcm lattice onto itself and a point's upper
+    Koszul complex onto an isomorphic one at a point of the same degree,
+    so beta_{i,b} is constant on orbits.  The representative of an orbit
+    is its one point whose lanes do not increase along each class in
+    universe order; `_orbit_marks` flags the other points and the equal
+    adjacent lanes of the representatives, and a representative's ranks
+    count times its orbit size, the product over classes of k! over the
+    factorials of the multiplicities of its lanes (`_orbit_size`, kept
+    per marks word in a dict local to the call).  With no class of two or
+    more variables every point is read, with weight 1.
+
     Each distinct set of maximal facets is closed and ranked once per
     process: its face work and ranks are kept in the memo, one table per
     number of variables and characteristic, until `clear_caches()`.  The
@@ -219,7 +239,10 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     checks the stored face work against `FACE_BUDGET`, so a call raises
     `BudgetError` exactly when closing its complexes would; the closure
     raises it exactly when the lattice has more than `LATTICE_BUDGET`
-    points.
+    points.  Skipping orbit-mates keeps both: the whole lattice is still
+    closed, and orbit-mates have isomorphic complexes with the same face
+    work, so some complex exceeds the face budget exactly when some
+    representative's does.
     """
     if i.is_zero:
         raise ValueError("Betti table of the zero ideal is undefined here")
@@ -239,7 +262,15 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     for g in gens:
         deg = _plane_degree(g, ones)
         entries[(0, deg)] = entries.get((0, deg), 0) + 1
-    for b in _lcm_lattice(gens, nv, LATTICE_BUDGET).difference(gens):
+    classes = _swap_classes(gens, all_gens, nv, size)
+    points = list(_lcm_lattice(gens, nv, LATTICE_BUDGET).difference(gens))
+    weights: dict[int, int] = {}  # orbit size by the marks of a representative
+    for b, marks in zip(points, _orbit_marks(points, classes, size)):
+        if marks & hi:
+            continue  # lanes increase along a class: not its orbit's representative
+        weight = weights.get(marks)
+        if weight is None:
+            weight = weights[marks] = _orbit_size(marks, classes)
         diff = (b * rep | all_hi) - all_gens
         ge = diff & all_hi  # guard bit of each lane where b >= g
         flag = ((ge ^ all_hi) + all_lanes) & all_top  # the flag bit of each non-divisor
@@ -264,8 +295,78 @@ def graded_betti(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
             raise BudgetError(f"face budget {face_budget} exceeded")
         deg = _plane_degree(b, ones)
         for d, r in entry[1]:
-            entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r
+            entries[(d + 1, deg)] = entries.get((d + 1, deg), 0) + r * weight
     return BettiTable.from_dict(field, entries)
+
+
+def _swap_classes(gens: tuple[int, ...], packed: int, nv: int, size: int) -> list[list[int]]:
+    """The ideal's swap classes of two or more variables, each as its lanes
+    in universe order (descending).  u and v share a class when the
+    transposition (u v) maps the generator set onto itself, tested by one
+    lane swap over the generators packed a slot each (`packed`) and one
+    `unpack_slots`.  That is an equivalence, since (u w) = (u v)(v w)(u v),
+    so each variable joins the class of the first variable it swaps with
+    and is tested against the first variable of each class before it."""
+    count = len(gens)
+    rep = slot_ones(count, size)
+    gen_set = set(gens)
+    left = list(range(nv - 1, -1, -1))
+    classes = []
+    while left:
+        a = left.pop(0)
+        at_a = (LANE_MAX << LANE * a) * rep
+        lanes = [a]
+        for b in left:
+            shift = LANE * (a - b)
+            at_b = at_a >> shift
+            swapped = (packed & ~(at_a | at_b) | (packed & at_a) >> shift
+                       | (packed & at_b) << shift)
+            if set(unpack_slots(swapped, count, size)) == gen_set:
+                lanes.append(b)
+        if len(lanes) > 1:
+            classes.append(lanes)
+            left = [b for b in left if b not in lanes]
+    return classes
+
+
+def _orbit_marks(points: list[int], classes: list[list[int]], size: int):
+    """One word of marks per point, from a few big-int lane comparisons
+    over the points packed a slot each.  For each lane b after the first
+    of its class, with a the lane before it, the guard bit of b is set when
+    lane a is less than lane b (the lanes increase: the point is not its
+    orbit's representative) and the bit below it when the two are equal.
+    With no class every word is 0."""
+    count = len(points)
+    rep = slot_ones(count, size)
+    packed = pack_slots(points, size)
+    guards = ahead = 0
+    for lanes in classes:
+        for a, b in zip(lanes, lanes[1:]):
+            guards |= 1 << LANE * b + LANE - 1
+            ahead |= packed >> LANE * (a - b) & (LANE_MAX << LANE * b) * rep  # lane a at b
+    here = packed & (guards >> LANE - 1) * LANE_MAX * rep  # lane b
+    guards *= rep
+    ge = ((ahead | guards) - here) & guards  # lane a >= lane b
+    le = ((here | guards) - ahead) & guards  # lane a <= lane b
+    return unpack_slots(ge ^ guards | (ge & le) >> 1, count, size)
+
+
+def _orbit_size(marks: int, classes: list[list[int]]) -> int:
+    """The orbit size of a representative with these marks: the product
+    over classes of k! / prod(m!), for a class of k lanes whose equal lanes
+    come in runs of m (a representative's equal lanes are adjacent)."""
+    orbit = 1
+    for lanes in classes:
+        orbit *= factorial(len(lanes))
+        run = 1
+        for b in lanes[1:]:
+            if marks >> LANE * b + LANE - 2 & 1:
+                run += 1
+            else:
+                orbit //= factorial(run)
+                run = 1
+        orbit //= factorial(run)
+    return orbit
 
 
 def _lcm_lattice(gens: Iterable[int], nv: int, lattice_budget: int) -> set[int]:

@@ -60,8 +60,10 @@ class Monomial:
         d: dict[str, int] = {}
         for tok in text.split("*"):
             name, caret, e = tok.strip().partition("^")
-            # an exponent is a nonempty run of ASCII digits: no sign, no space
-            if not name or caret and not (e.isascii() and e.isdigit()):
+            # a name holds no whitespace, and an exponent is a nonempty run
+            # of ASCII digits: no sign, no space
+            if (not name or any(c.isspace() for c in name)
+                    or caret and not (e.isascii() and e.isdigit())):
                 raise ValueError(f"bad monomial token {tok!r}")
             d[name] = d.get(name, 0) + (int(e) if caret else 1)
         return cls.from_dict(d)

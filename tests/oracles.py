@@ -271,6 +271,18 @@ def lattice_rescan_betti(i: MonomialIdeal, field: FieldSpec,
     return BettiTable.from_dict(field, entries)
 
 
+def twin_classes(g: Graph) -> set[frozenset[int]]:
+    """The classes of two or more twins, true or false: u and v are twins
+    when N(u) - {v} = N(v) - {u}, compared for every pair."""
+    hoods = [set(g.neighbors(u)) for u in range(g.n)]
+    classes = set()
+    for u in range(g.n):
+        twins = frozenset(v for v in range(g.n) if hoods[u] - {v} == hoods[v] - {u})
+        if len(twins) > 1:
+            classes.add(twins)
+    return classes
+
+
 # Reference for `evenconn.isolated_reduction_failures`: vertex sets as
 # frozensets, the longest-walk endpoints recomputed from the pairs for
 # every W, and every edge of the colon graph G', built by `colon_graph`,

@@ -274,12 +274,14 @@ def test_colon_graph_rejects_bad_edge_spec_as_usage_error(spec, tmp_path, capsys
     assert last.startswith(f"edgereg colon-graph: error: --edges {spec}: ")
 
 
-@pytest.mark.parametrize("monomial", ["*", "x0^-1", "x0^", "x0*x2"],
+@pytest.mark.parametrize("monomial", ["*", "x0^-1", "x0^", "x0*x2", "x0 ^2", "y", "x4"],
                          ids=["not-a-monomial", "negative-exponent", "caret-without-exponent",
-                              "in-the-ideal-of-second-graph"])
+                              "in-the-ideal-of-second-graph", "space-before-caret",
+                              "outside-the-universe", "outside-the-universe-of-second-graph"])
 def test_ideal_rejects_bad_colon_as_usage_error(monomial, tmp_path, capsys):
     path = tmp_path / "in.g6"
-    # x0*x2 lies in the ideal of the triangle only: nothing may be printed for the path
+    # x0*x2 lies in the ideal of the triangle only, and x4 lies outside its
+    # universe only: nothing may be printed for the path
     path.write_text(emit_graph6(path_graph(5)) + "\n" + emit_graph6(cycle_graph(3)) + "\n")
     with pytest.raises(SystemExit) as exc:
         main(["ideal", str(path), "--colon", monomial])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from builders import cycle_graph, disjoint_edges, path_graph
+from builders import complete_bipartite, cycle_graph, disjoint_edges, path_graph
 from edgereg import homology, linalg
 from edgereg.graphs import _bits, enumerate_graphs, from_edge_list, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
@@ -17,8 +17,8 @@ from edgereg.homology import (FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
                               hochster_supports, regularity, regularity_of_power)
 from edgereg.linalg import matrix_rank, rank_gf2, rank_gf3
 from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal,
-                               lane_masks, pack, pack_capped, polarize, power,
-                               squarefree, sum_ideals, zero_ideal)
+                               lane_masks, pack, pack_capped, pack_slots, polarize, power,
+                               slot_size, squarefree, sum_ideals, unpack, zero_ideal)
 
 M = Monomial.parse
 
@@ -376,25 +376,32 @@ def _raises_budget(kernel, i, **budget) -> bool:
     return False
 
 
+# C5^2 has no swap class; K_{2,3}^2 has two, of two and three variables, so
+# its kernel reads one point per orbit while the reference reads them all
+BUDGET_IDEALS = (power(edge_ideal(cycle_graph(5)), 2), power(edge_ideal(complete_bipartite(2, 3)), 2))
+
+
 def test_graded_betti_face_budget(fresh_memo, monkeypatch):
     # the kernel runs out of faces exactly where the reference does,
     # whether its complexes are ranked afresh or found in the memo
-    i = power(edge_ideal(cycle_graph(5)), 2)
-    passing = [b for b in range(1, 129)
-               if not _raises_budget(oracles.lattice_rescan_betti, i, face_budget=b)]
-    threshold = passing[0]
-    assert threshold > 2
-    monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
-    assert _raises_budget(graded_betti, i)
-    monkeypatch.setattr(homology, "FACE_BUDGET", threshold)
-    assert graded_betti(i) == oracles.lattice_rescan_betti(i, GF2)
-    monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
-    assert _raises_budget(graded_betti, i)
+    for i in BUDGET_IDEALS:
+        homology.clear_caches()
+        passing = [b for b in range(1, 129)
+                   if not _raises_budget(oracles.lattice_rescan_betti, i, face_budget=b)]
+        threshold = passing[0]
+        assert threshold > 2
+        monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
+        assert _raises_budget(graded_betti, i)
+        monkeypatch.setattr(homology, "FACE_BUDGET", threshold)
+        assert graded_betti(i) == oracles.lattice_rescan_betti(i, GF2)
+        monkeypatch.setattr(homology, "FACE_BUDGET", threshold - 1)
+        assert _raises_budget(graded_betti, i)
 
 
 def test_graded_betti_lattice_budget_threshold(monkeypatch):
-    # C5^2 in one-word slots, and a 13-variable ideal in two-word slots
-    for i in (power(edge_ideal(cycle_graph(5)), 2), WIDE_IDEALS[13]):
+    # C5^2 and K_{2,3}^2 in one-word slots, and a 13-variable ideal in
+    # two-word slots
+    for i in (*BUDGET_IDEALS, WIDE_IDEALS[13]):
         size = len(oracles._lcm_lattice(list(i.gens), *lane_masks(len(i.vars))[:2], 1 << 20))
         monkeypatch.setattr(homology, "LATTICE_BUDGET", size - 1)
         assert _raises_budget(graded_betti, i)
@@ -416,6 +423,70 @@ def random_ideals(draw, max_vars=6, max_exponent=3, min_vars=1):
 @settings(max_examples=200, deadline=None)
 def test_graded_betti_matches_lattice_rescan_reference(i, field):
     assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+# ideals with forced swap classes ------------------------------------------------
+
+@st.composite
+def graphs_with_twins(draw):
+    """A random graph on 2 to 4 vertices with the edge 01, and one or two
+    twin copies added, each joined to the current neighbours of its
+    original and, for a true twin, to the original itself."""
+    n = draw(st.integers(2, 4))
+    edges = [e for e in itertools.combinations(range(n), 2) if e == (0, 1) or draw(st.booleans())]
+    for _ in range(draw(st.integers(1, 2))):
+        x = draw(st.integers(0, n - 1))
+        edges += [(u if v == x else v, n) for u, v in edges if x in (u, v)]
+        if draw(st.booleans()):
+            edges.append((x, n))
+        n += 1
+    return from_edge_list(n, edges)
+
+
+def _swap_class_vertices(i) -> set[frozenset[int]]:
+    nv = len(i.vars)
+    size = slot_size(nv)
+    classes = homology._swap_classes(i.gens, pack_slots(i.gens, size), nv, size)
+    return {frozenset(nv - 1 - lane for lane in lanes) for lanes in classes}
+
+
+@given(graphs_with_twins(), st.sampled_from([1, 2]), st.sampled_from([GF2, QQ, FieldSpec(3)]))
+@settings(max_examples=60, deadline=None)
+def test_graded_betti_matches_lattice_rescan_reference_with_twins(g, s, field):
+    i = power(edge_ideal(g), s)
+    assert _swap_class_vertices(i) == oracles.twin_classes(g) != set()
+    assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+@st.composite
+def ideals_closed_under_a_swap(draw):
+    """A random ideal together with its image under a random transposition
+    (u v) of its variables, which the minimal generators then share."""
+    i = draw(random_ideals(5, 3, min_vars=2))
+    nv = len(i.vars)
+    u, v = draw(st.lists(st.integers(0, nv - 1), min_size=2, max_size=2, unique=True))
+    rows = [list(unpack(g, nv)) for g in i.gens]
+    for row in rows[:]:
+        row = row[:]
+        row[u], row[v] = row[v], row[u]
+        rows.append(row)
+    return ideal([Monomial.from_dict(dict(zip(i.vars, r))) for r in rows], vars=i.vars), u, v
+
+
+@given(ideals_closed_under_a_swap(), st.sampled_from([GF2, QQ, FieldSpec(3)]))
+@settings(max_examples=100, deadline=None)
+def test_graded_betti_matches_lattice_rescan_reference_under_a_swap(case, field):
+    i, u, v = case
+    assert any({u, v} <= c for c in _swap_class_vertices(i))
+    assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+def test_swap_classes_are_the_twin_classes():
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            twins = oracles.twin_classes(g)
+            for s in (1, 2):
+                assert _swap_class_vertices(power(edge_ideal(g), s)) == twins, (g.adj, s)
 
 
 def _closure_matches_frontier_reference(i) -> bool:
@@ -549,12 +620,20 @@ def test_betti_depends_on_field_rp2(fresh_memo):
                      "        count += len(new)",
      "points = pack_slots([b | hi for b in new], size)\n        count = len(new)",
      _dual_oracle_mismatches),
+    # each orbit's representative counted once, not times its orbit size
+    ("graded_betti", "r * weight", "r", _dual_oracle_mismatches),
+    # every variable in one class, whether or not its swaps keep the generators
+    ("_swap_classes", "if set(unpack_slots(swapped, count, size)) == gen_set:", "if True:",
+     _dual_oracle_mismatches),
+    # a representative with equal lanes in a class skipped as if they increased
+    ("graded_betti", "if marks & hi:", "if marks:", _dual_oracle_mismatches),
 ], ids=["memo-keyed-on-facet-count", "facet-mask-off-by-one", "memo-key-ors-facets",
         "memo-key-drops-characteristic", "nondivisor-mask-dropped",
         "profile-qq-sign-dropped", "profile-drops-empty-face", "profile-gf2-drops-last-face",
         "profile-gf3-minus-plane-dropped",
         "slot-width-off-by-one",
-        "closure-drops-generator", "closure-joins-last-step-only"])
+        "closure-drops-generator", "closure-joins-last-step-only",
+        "orbit-weight-one", "swap-classes-untested", "representative-strict"])
 def test_mutated_betti_kernel_is_caught(name, old, new, mismatches, fresh_memo, monkeypatch):
     func = getattr(homology, name)
     monkeypatch.setattr(homology, name, oracles.mutant(func, old, old))

@@ -45,6 +45,17 @@ def test_monomial_parse_rejects_a_bad_exponent(text):
         M(text)
 
 
+@pytest.mark.parametrize("text", ["x0 ^2", "x0\t^2", "x 0", "x0 x1", "x0*x1 ^3"])
+def test_monomial_parse_rejects_whitespace_in_a_name(text):
+    # "x0 ^2" once parsed as the variable "x0 " squared
+    with pytest.raises(ValueError):
+        M(text)
+
+
+def test_monomial_parse_strips_whitespace_around_tokens():
+    assert M(" x0 * x1^2 ") == M("x0*x1^2") == Monomial.from_dict({"x0": 1, "x1": 2})
+
+
 # ideals --------------------------------------------------------------------
 
 def test_edge_ideal_triangle():
@@ -111,6 +122,7 @@ def test_membership_trivia():
     i = ideal([M("x*y")])
     assert i.contains(M("x^2*y"))
     assert not i.contains(M("x*z"))
+    assert i.contains(M("x*y*z"))  # a variable outside the universe is dropped
     assert not zero_ideal(("x",)).contains(M("x"))
 
 
