@@ -91,7 +91,7 @@ def _cmd_ideal(args) -> int:
             except ValueError as exc:  # m lies in the ideal: the colon is the unit ideal
                 args.usage_error(f"--colon {args.colon}: {exc} (graph {emit_graph6(g)})")
         if args.polarize:
-            i, _ = polarize(i)
+            i = polarize(i)
         records.append(i.to_json_dict())
     for record in records:
         print(json.dumps(record))

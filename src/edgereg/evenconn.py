@@ -57,28 +57,6 @@ class EvenConnectionCertificate:
     def k(self) -> int:
         return (len(self.path) - 2) // 2
 
-    def endpoints(self) -> tuple[int, int]:
-        return self.path[0], self.path[-1]
-
-    def check(self, g: Graph, m: EdgeMultiset) -> bool:
-        """All four defining conditions, verified from scratch."""
-        path = self.path
-        if len(path) < 4 or len(path) % 2:
-            return False
-        if any(not g.has_edge(path[r], path[r + 1]) for r in range(len(path) - 1)):
-            return False
-        assigned = dict(self.assignments)
-        k = self.k
-        if sorted(assigned) != [2 * l + 1 for l in range(k)]:
-            return False
-        usage: dict[tuple[int, int], int] = {}
-        for pos, e in assigned.items():
-            if {path[pos], path[pos + 1]} != set(e):
-                return False
-            usage[e] = usage.get(e, 0) + 1
-        counts = m.counts()
-        return all(counts.get(e, 0) >= c for e, c in usage.items())
-
 
 def _check_multiset(g: Graph, m: EdgeMultiset) -> None:
     m.validate_in(g)

@@ -304,13 +304,9 @@ def enumerate_graphs(n: int) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # the named graphs of the invariants
 
-def star(k: int) -> Graph:
-    """K_{1,k} with the center at vertex 0."""
-    return from_edge_list(k + 1, [(0, i) for i in range(1, k + 1)])
-
-
 def claw() -> Graph:
-    return star(3)
+    """K_{1,3} with the center at vertex 0."""
+    return from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
 
 
 def cricket() -> Graph:

@@ -178,12 +178,6 @@ class BettiTable:
     def from_dict(cls, field: FieldSpec, d: dict[tuple[int, int], int]) -> "BettiTable":
         return cls(field, tuple(sorted((k, v) for k, v in d.items() if v)))
 
-    def betti(self, i: int, j: int) -> int:
-        return dict(self.entries).get((i, j), 0)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
-
     def regularity(self) -> int:
         return max(j - i for (i, j), _ in self.entries)
 
@@ -421,7 +415,7 @@ def hochster_supports(i: MonomialIdeal) -> tuple[int, list[int]]:
     renumbered 0..n-1.  Raises `BudgetError` when n exceeds `VAR_BUDGET`
     or the 2^n vertex subsets exceed `FACE_BUDGET`, so a caller can check
     the oracle's budgets before running it."""
-    p, _ = polarize(i)
+    p = polarize(i)
     nv = len(p.vars)
     # a polarized generator is squarefree: its set bits are the low bits
     # LANE * j of its lanes j, and lane j holds variable nv - 1 - j

@@ -11,13 +11,13 @@ bit), the first variable of the universe in the highest lane.
 Componentwise sums, truncated differences, maxima and divisibility tests
 are then a handful of integer operations, a divisor never exceeds its
 multiple as an integer, and descending integer order is lexicographic
-order.  The price is an exponent cap of LANE_MAX = 15: `ideal` and `power`
+order.  The price is an exponent cap of LANE_MAX = 15: `pack` and `power`
 raise ValueError above it.  Words are made here alone (`squarefree`,
 `packed_ideal`, `EdgeMultiset.packed_product`), and `colon_by_monomial`
 takes a word.  Many words share one int in `pack_slots`' slots, on which
 `monus` acts as on one word.  `Monomial` and strings remain only where
-text enters or leaves: `pack_capped` for the CLI's `--colon` and
-`contains`, and `generators()` for printed ideals and violation records.
+text enters or leaves: `pack_capped` for the CLI's `--colon`, and
+`generators()` for printed ideals and violation records.
 """
 from __future__ import annotations
 
@@ -48,15 +48,11 @@ class Monomial:
         return cls(tuple(sorted((v, e) for v, e in d.items() if e)))
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
     def parse(cls, text: str) -> "Monomial":
         """Accepts "1" or products like "x0*x1^2"."""
         text = text.strip()
         if text in ("", "1"):
-            return cls.one()
+            return cls(())
         d: dict[str, int] = {}
         for tok in text.split("*"):
             name, caret, e = tok.strip().partition("^")
@@ -70,9 +66,6 @@ class Monomial:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.exps)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
     def support(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.exps)
@@ -115,11 +108,6 @@ def _plane_degree(g: int, ones: int) -> int:
     # the sum of the lanes, from the popcounts of the four value bit planes
     return ((g & ones).bit_count() + 2 * (g >> 1 & ones).bit_count()
             + 4 * (g >> 2 & ones).bit_count() + 8 * (g >> 3 & ones).bit_count())
-
-
-def packed_divides(a: int, b: int, hi: int) -> bool:
-    # no lane of b - a borrows  <=>  a <= b componentwise
-    return ((b | hi) - a) & hi == hi
 
 
 def packed_lcm(a: int, b: int, hi: int) -> int:
@@ -172,9 +160,9 @@ def squarefree(verts: Iterable[int], nv: int) -> int:
 
 
 def pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
-    """`m` as a word over `vars`.  Variables outside the universe are
-    dropped and exponents capped at LANE_MAX: neither changes divisibility
-    by (or colons of) generators."""
+    """`m` as a word over `vars`, exponents capped at LANE_MAX, which
+    changes no colon of generators.  Variables outside `vars` are not
+    read: the CLI rejects them before it packs."""
     d = m.as_dict()
     return pack(min(d.get(v, 0), LANE_MAX) for v in vars)
 
@@ -213,7 +201,9 @@ def _minimal(gens: Iterable[int], nv: int) -> tuple[int, ...]:
 class MonomialIdeal:
     """Minimal generators over an ordered universe, each a packed integer
     with the first variable of `vars` in the highest lane and every
-    exponent at most LANE_MAX = 15."""
+    exponent at most LANE_MAX = 15.  `packed_ideal` keeps them in one
+    order (degree, then descending word), so two ideals over one universe
+    are equal exactly when they compare equal with `==`."""
 
     vars: tuple[str, ...]
     gens: tuple[int, ...]
@@ -236,50 +226,12 @@ class MonomialIdeal:
         ones = lane_masks(len(self.vars))[2]
         return [_plane_degree(g, ones) for g in self.gens]
 
-    def contains(self, m: Monomial) -> bool:
-        hi = lane_masks(len(self.vars))[0]
-        b = pack_capped(m, self.vars)
-        return any(packed_divides(g, b, hi) for g in self.gens)
-
-    def same_ideal_as(self, other: "MonomialIdeal") -> bool:
-        """Equality of generating sets irrespective of universe order or of
-        unused variables."""
-        return self._named_gens() == other._named_gens()
-
-    def _named_gens(self) -> set[frozenset[tuple[str, int]]]:
-        nv = len(self.vars)
-        return {frozenset((v, e) for v, e in zip(self.vars, unpack(g, nv)) if e)
-                for g in self.gens}
-
     def to_json_dict(self) -> dict:
         nv = len(self.vars)
         return {"vars": list(self.vars), "gens": [list(unpack(g, nv)) for g in self.gens]}
 
     def __str__(self):
         return "(" + ", ".join(str(m) for m in self.generators()) + ")" if self.gens else "(0)"
-
-
-def ideal(gens: Iterable[Monomial | Mapping[str, int]],
-          vars: Iterable[str] | None = None) -> MonomialIdeal:
-    """Minimalize `gens` into a MonomialIdeal.  When `vars` is omitted the
-    universe is the sorted union of supports."""
-    monos = [g if isinstance(g, Monomial) else Monomial.from_dict(g) for g in gens]
-    if vars is None:
-        universe = tuple(sorted(set().union(*(m.support() for m in monos)) if monos else set()))
-    else:
-        universe = tuple(vars)
-    index = {v: k for k, v in enumerate(universe)}
-    packed = []
-    for m in monos:
-        exps = [0] * len(universe)
-        for v, e in m.exps:
-            if v not in index:
-                raise ValueError(f"variable {v} outside universe")
-            exps[index[v]] = e
-        packed.append(pack(exps))
-    if 0 in packed:
-        raise ValueError("unit generator: the unit ideal is out of scope")
-    return packed_ideal(universe, packed)
 
 
 def packed_ideal(vars: tuple[str, ...], words: Iterable[int]) -> MonomialIdeal:
@@ -359,23 +311,23 @@ def polar_name(v: str, k: int) -> str:
     return v if k == 1 else f"{v}.{k}"
 
 
-def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, dict[str, str]]:
+def polarize(i: MonomialIdeal) -> MonomialIdeal:
     """Squarefree polarization.  x_v^e becomes x_{v,1} ... x_{v,e} with the
     first copy identified with x_v; copies are inserted right after their
-    original in the universe order.  Returns (ideal, new var -> original)."""
+    original in the universe order."""
     nv = len(i.vars)
     hi = lane_masks(nv)[0]
     top = 0
     for g in i.gens:
         top = packed_lcm(top, g, hi)
     peak = [max(e, 1) for e in unpack(top, nv)]
-    vmap = {polar_name(v, k): v for v, p in zip(i.vars, peak) for k in range(1, p + 1)}
+    names = tuple(polar_name(v, k) for v, p in zip(i.vars, peak) for k in range(1, p + 1))
     starts = list(itertools.accumulate([0] + peak[:-1]))  # position of each copy 1
     gens = []
     for g in i.gens:
         copies = [s + k for s, e in zip(starts, unpack(g, nv)) for k in range(e)]
-        gens.append(squarefree(copies, len(vmap)))
-    return packed_ideal(tuple(vmap), gens), vmap
+        gens.append(squarefree(copies, len(names)))
+    return packed_ideal(names, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
-"""Graph families and a packed-word helper that only the tests use.
+"""Graph families, ideal builders and a packed-word helper that only the
+tests use.
 
-The package builds graphs from edge lists, graph6 text and enumeration;
-these named families (and `packed_degree`, the degree of one packed
+The package builds graphs from edge lists, graph6 text and enumeration,
+and ideals from graphs; these named families, `ideal` (a MonomialIdeal
+from written monomials) and `packed_degree` (the degree of one packed
 exponent word) exist for the test suites, so they live here rather than
 in `edgereg`.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Mapping
 
 from edgereg.graphs import Graph, GraphError, from_edge_list
-from edgereg.monomials import LANE, _plane_degree, lane_masks
+from edgereg.monomials import (LANE, Monomial, MonomialIdeal, _plane_degree, lane_masks,
+                               pack, packed_ideal)
 
 
 def edgeless(n: int, labels: tuple[str, ...] | None = None) -> Graph:
@@ -25,6 +29,11 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star(k: int) -> Graph:
+    """K_{1,k} with the center at vertex 0."""
+    return from_edge_list(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def path_graph(n: int) -> Graph:
@@ -49,6 +58,25 @@ def graph_join(g: Graph, h: Graph) -> Graph:
     edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
     edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
     return from_edge_list(g.n + h.n, edges)
+
+
+def ideal(gens: Iterable[Monomial | Mapping[str, int]],
+          vars: Iterable[str] | None = None) -> MonomialIdeal:
+    """Minimalize `gens` into a MonomialIdeal.  When `vars` is omitted the
+    universe is the sorted union of supports; a variable outside `vars`,
+    the unit monomial or an exponent above LANE_MAX raises ValueError."""
+    monos = [g if isinstance(g, Monomial) else Monomial.from_dict(g) for g in gens]
+    if vars is None:
+        vars = sorted(set().union(*(m.support() for m in monos)))
+    universe = tuple(vars)
+    words = []
+    for m in monos:
+        if not m.support() <= set(universe):
+            raise ValueError(f"{m} has a variable outside the universe")
+        words.append(pack(m.as_dict().get(v, 0) for v in universe))
+    if 0 in words:
+        raise ValueError("unit generator: the unit ideal is out of scope")
+    return packed_ideal(universe, words)
 
 
 def packed_degree(g: int) -> int:

@@ -11,7 +11,10 @@ face closure and homology ranks with `homology`.
 `frozenset_isolated_reduction_failures` is the earlier, set-based form of
 `evenconn.isolated_reduction_failures`, kept as its reference, and
 `permutation_product_key` the earlier, exhaustive form of
-`graphs._canonical_key`, sharing its refinement classes.  `mutant`
+`graphs._canonical_key`, sharing its refinement classes.  `contains`
+(membership on dense rows), `certificate_holds` (an even-connection walk
+checked against its definition) and the `brute_*` class predicates are
+definitions written out plainly for the tests to compare against.  `mutant`
 builds the one-fragment mutants that the mutation tests run against these
 oracles.
 """
@@ -22,11 +25,12 @@ import itertools
 from fractions import Fraction
 
 from builders import packed_degree
-from edgereg.evenconn import colon_graph
+from edgereg.evenconn import EvenConnectionCertificate, colon_graph
 from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, LATTICE_BUDGET, BettiTable, BudgetError,
-                              FieldSpec, _closure, _profile_from_masks)
-from edgereg.monomials import LANE, MonomialIdeal, lane_masks
+                              FieldSpec, _closure, _profile_from_masks, hochster_oracle)
+from edgereg.monomials import (LANE, EdgeMultiset, Monomial, MonomialIdeal, lane_masks, pack,
+                               unpack)
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -100,6 +104,31 @@ def _connected(g: Graph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == g.n
+
+
+def brute_gap_free(g: Graph) -> bool:
+    """No four vertices induce two disjoint edges (2K2)."""
+    for quad in itertools.combinations(range(g.n), 4):
+        edges = [e for e in itertools.combinations(quad, 2) if g.has_edge(*e)]
+        if len(edges) == 2 and not set(edges[0]) & set(edges[1]):
+            return False
+    return True
+
+
+def brute_cameron_walker(g: Graph) -> bool:
+    return brute_matching_number(g) == brute_induced_matching_number(g)
+
+
+def brute_locally_linear(g: Graph) -> bool:
+    """reg (I(G) : x) <= 2 for every non-isolated x, the colon taken on
+    dense rows and its regularity read from the Hochster oracle."""
+    rows = [tuple(int(v in e) for v in range(g.n)) for e in g.edges()]
+    for x in range(g.n):
+        if g.degree(x):
+            colon = tuple_colon(rows, tuple(int(v == x) for v in range(g.n)))
+            if hochster_oracle(MonomialIdeal(g.labels, tuple(map(pack, colon)))).regularity() > 2:
+                return False
+    return True
 
 
 def brute_minimal_vertex_covers(g: Graph) -> set[frozenset[int]]:
@@ -191,6 +220,14 @@ def tuple_colon(rows, m: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def tuple_intersect(rows_a, rows_b) -> list[tuple[int, ...]]:
     return tuple_minimal({tuple(max(a, b) for a, b in zip(r, s)) for r in rows_a for s in rows_b})
+
+
+def contains(i: MonomialIdeal, m: Monomial) -> bool:
+    """Some generator divides m, lane by lane; variables of m outside the
+    universe are ignored."""
+    exps = m.as_dict()
+    row = tuple(exps.get(v, 0) for v in i.vars)
+    return any(_divides_row(unpack(g, len(i.vars)), row) for g in i.gens)
 
 
 # Reference for `homology.graded_betti`: build the whole lcm lattice first,
@@ -290,6 +327,27 @@ def twin_classes(g: Graph) -> set[frozenset[int]]:
 
 def _closed_hood(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
+
+
+def certificate_holds(cert: EvenConnectionCertificate, g: Graph, m: EdgeMultiset) -> bool:
+    """The walk p_0 ... p_{2k+1} (k >= 1) runs along edges of G, and its
+    odd positions carry multiset edges joining their ends, within their
+    multiplicities."""
+    path = cert.path
+    if len(path) < 4 or len(path) % 2:
+        return False
+    if any(not g.has_edge(path[r], path[r + 1]) for r in range(len(path) - 1)):
+        return False
+    assigned = dict(cert.assignments)
+    if sorted(assigned) != list(range(1, len(path) - 2, 2)):
+        return False
+    if any({path[pos], path[pos + 1]} != set(e) for pos, e in assigned.items()):
+        return False
+    counts = m.counts()
+    usage: dict[tuple[int, int], int] = {}
+    for e in assigned.values():
+        usage[e] = usage.get(e, 0) + 1
+    return all(counts.get(e, 0) >= c for e, c in usage.items())
 
 
 def longest_walk_endpoints(pairs, w) -> set[int]:

@@ -13,7 +13,13 @@ from edgereg.invariants import is_gap_free
 from edgereg.monomials import (EdgeMultiset, Monomial, colon_by_monomial,
                                edge_ideal, polarize, power, squarefree)
 from edgereg.suites import SuiteSpec, run
-from oracles import frozenset_isolated_reduction_failures, longest_walk_endpoints
+from oracles import (certificate_holds, contains, frozenset_isolated_reduction_failures,
+                     longest_walk_endpoints)
+
+
+def _named_gens(i) -> set[str]:
+    # the generators by name: ideals over universes in different orders compare equal
+    return {str(m) for m in i.generators()}
 
 
 def _pairs_beyond_graph(g, pairs):
@@ -63,13 +69,13 @@ def test_certificates_validate_and_reverse():
             for combo in itertools.combinations_with_replacement(edges, 2):
                 m = EdgeMultiset.of(combo)
                 for u, v, cert in even_connected_pairs(g, m):
-                    assert cert.endpoints() in ((u, v), (v, u))
-                    assert cert.check(g, m)
+                    assert (cert.path[0], cert.path[-1]) in ((u, v), (v, u))
+                    assert certificate_holds(cert, g, m)
                     last = len(cert.path) - 2
                     back = EvenConnectionCertificate(
                         cert.path[::-1],
                         tuple(sorted((last - pos, e) for pos, e in cert.assignments)))
-                    assert back.check(g, m)
+                    assert certificate_holds(back, g, m)
 
 
 def test_multiset_must_live_in_graph():
@@ -129,8 +135,8 @@ def test_oracle_equality_small_sweep():
                     m = EdgeMultiset.of(combo)
                     colon = colon_by_monomial(big, m.packed_product(g.n))
                     assert all(d == 2 for d in colon.generator_degrees())
-                    pol, _ = polarize(colon)
-                    assert edge_ideal(_colon_graph(g, m)).same_ideal_as(pol)
+                    pol = polarize(colon)
+                    assert _named_gens(edge_ideal(_colon_graph(g, m))) == _named_gens(pol)
 
 
 def test_check_even_connection_theorem_examples():
@@ -152,10 +158,10 @@ def test_leaf_edge_reduction():
     other = (2, 3)
     with_leaf = _colon_graph(g, EdgeMultiset.of([iso, other]))
     without = _colon_graph(g, EdgeMultiset.of([other]))
-    assert edge_ideal(with_leaf).same_ideal_as(edge_ideal(without))
+    assert _named_gens(edge_ideal(with_leaf)) == _named_gens(edge_ideal(without))
     # and at the ideal level: (I^2 : e_iso) = I
     i = edge_ideal(g)
-    assert colon_by_monomial(power(i, 2), squarefree(iso, g.n)).same_ideal_as(i)
+    assert colon_by_monomial(power(i, 2), squarefree(iso, g.n)) == i
 
 
 def test_gap_freeness_preserved():
@@ -182,7 +188,7 @@ def test_neighbor_variables_enter_vertex_colon():
                 jw = colon_by_monomial(j, squarefree((w,), g.n))
                 for u in gp.neighbors(w):
                     if u < g.n:
-                        assert jw.contains(Monomial.parse(g.labels[u]))
+                        assert contains(jw, Monomial.parse(g.labels[u]))
 
 
 # the isolated-reduction lemma ------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import pytest
+
 import oracles
 from builders import (complete_bipartite, complete_graph, cycle_graph, disjoint_edges,
-                      edgeless, graph_join, path_graph)
-from edgereg.graphs import claw, complement, cricket, enumerate_graphs, star
+                      edgeless, graph_join, ideal, path_graph, star)
+from edgereg import invariants
+from edgereg.graphs import claw, complement, cricket, enumerate_graphs
 from edgereg.homology import regularity_of_power
 from edgereg.invariants import (has_induced_pattern, induced_matching_number,
                                 invariant_record, is_cameron_walker, is_chordal,
@@ -126,8 +129,7 @@ def test_local_regularity_edgeless():
 def test_local_regularity_matches_colon_formula():
     # (I : x) = I(G - N[x]) + (variables of N(x)); spot-verify the engine
     # input equals the direct colon on every small graph
-    from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal, ideal, squarefree,
-                                   sum_ideals)
+    from edgereg.monomials import Monomial, colon_by_monomial, edge_ideal, squarefree, sum_ideals
     from edgereg.graphs import closed_neighborhood
     for g in enumerate_graphs(4):
         if g.is_edgeless():
@@ -142,7 +144,7 @@ def test_local_regularity_matches_colon_formula():
                       vars=g.labels),
                 ideal([Monomial.parse(g.labels[u]) for u in g.neighbors(x)],
                       vars=g.labels))
-            assert colon.same_ideal_as(expected)
+            assert colon == expected
 
 
 def test_gap_free_cricket_free_implies_locally_linear():
@@ -169,6 +171,43 @@ def test_not_gapfree_locally_linear_has_regularity_three():
         found += 1
         assert regularity_of_power(g, 1) == 3
     assert found > 0
+
+
+# the class predicates of the paper's hypotheses, against their definitions:
+# (brute-force definition, graphs with an edge and n <= 6 where it holds)
+HYPOTHESIS_PREDICATES = {
+    "is_gap_free": (oracles.brute_gap_free, 139),
+    "is_cameron_walker": (oracles.brute_cameron_walker, 40),
+    "is_locally_linear": (oracles.brute_locally_linear, 196),
+}
+
+
+def _predicate_tally(name: str) -> tuple[int, int]:
+    """(graphs where the package predicate holds, graphs where it and the
+    definition disagree) over the graphs with an edge and n <= 6."""
+    predicate, brute = getattr(invariants, name), HYPOTHESIS_PREDICATES[name][0]
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n) if not g.is_edgeless()]
+    return sum(map(predicate, graphs)), sum(predicate(g) != brute(g) for g in graphs)
+
+
+@pytest.mark.parametrize("name", HYPOTHESIS_PREDICATES)
+def test_hypothesis_predicates_match_their_definitions(name):
+    assert _predicate_tally(name) == (HYPOTHESIS_PREDICATES[name][1], 0)
+
+
+@pytest.mark.parametrize("name, old", [
+    ("is_gap_free", "return True"),
+    ("is_cameron_walker", "return induced_matching_number(g) == matching_number(g)"),
+    ("is_locally_linear", "return result"),
+], ids=list(HYPOTHESIS_PREDICATES))
+def test_mutated_hypothesis_predicate_is_caught(monkeypatch, fresh_memo, name, old):
+    # a predicate that never holds leaves every suite it guards vacuous
+    expected = (HYPOTHESIS_PREDICATES[name][1], 0)
+    predicate = getattr(invariants, name)
+    monkeypatch.setattr(invariants, name, oracles.mutant(predicate, old, old))
+    assert _predicate_tally(name) == expected
+    monkeypatch.setattr(invariants, name, oracles.mutant(predicate, old, "return False"))
+    assert _predicate_tally(name) != expected
 
 
 def test_invariant_record_fields():

@@ -6,9 +6,9 @@ import json
 import pytest
 
 import oracles
-from builders import complete_graph, cycle_graph, disjoint_edges, packed_degree
+from builders import complete_graph, cycle_graph, disjoint_edges, packed_degree, star
 from edgereg import evenconn, graphs, homology, invariants, monomials, suites
-from edgereg.graphs import canonical_key, emit_graph6, enumerate_graphs, parse_graph6, star
+from edgereg.graphs import canonical_key, emit_graph6, enumerate_graphs, parse_graph6
 from edgereg.monomials import edge_ideal
 from edgereg.suites import (CONJECTURE_SUITES, MAX_STORED_VIOLATIONS, THEOREM_SUITES,
                             SuiteReport, SuiteSpec, run)
@@ -196,6 +196,28 @@ def test_mutated_closed_neighborhood_is_caught(monkeypatch, fresh_memo, new, cau
     # J : w at vertices w that a later endpoint of m shields
     monkeypatch.setattr(suites, "closed_neighborhood",
                         oracles.mutant(graphs.closed_neighborhood, "for v in _bits(mask):", new))
+    assert _single("colon-structure", n_max=5, s_max=2).passed is not caught
+
+
+@pytest.mark.parametrize("new, caught", [("for t in triangles(g)]", False),
+                                         ("for t in triangles(g)][:0]", True)],
+                         ids=["unmutated", "no-triangles"])
+def test_mutated_symbolic_square_is_caught(monkeypatch, fresh_memo, new, caught):
+    # I(G)^2 alone: the cubic generator of each triangle is lost, and the
+    # formula no longer equals the intersection of the squared covers
+    monkeypatch.setattr(suites, "symbolic_square",
+                        oracles.mutant(monomials.symbolic_square, "for t in triangles(g)]", new))
+    assert _single("symbolic-square", n_max=4, s_max=2).passed is not caught
+
+
+@pytest.mark.parametrize("new, caught", [("== 1", False), ("== 2", True)],
+                         ids=["unmutated", "degree-two-ends"])
+def test_mutated_leaf_edges_are_caught(monkeypatch, fresh_memo, new, caught):
+    # edges with an end of degree two are not leaves: the colon by such an
+    # edge does not reduce to the colon of one power lower
+    old = "g.degree(u) == 1 or g.degree(v) == 1"
+    monkeypatch.setattr(suites, "_leaf_edges",
+                        oracles.mutant(suites._leaf_edges, old, old.replace("== 1", new)))
     assert _single("colon-structure", n_max=5, s_max=2).passed is not caught
 
 
