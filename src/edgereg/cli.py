@@ -3,7 +3,8 @@
 Graphs come in as graph6 lines or as JSON edge-list objects
 {"n": ..., "edges": [[u, v], ...]}, one per line, from a file or stdin.
 All subcommands write JSON lines to stdout, except `verify`, which prints
-a TSV summary and exits nonzero when a theorem suite reports violations.
+a TSV summary and exits 1 when a theorem suite reports violations, and 3
+when a graph is past a budget of the Betti kernel.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 def _cmd_invariants(args) -> int:
     for g in _read_graphs(args, args.input):
         record = {"graph6": emit_graph6(g), "n": g.n}
-        record.update(invariants.invariant_record(g).to_json_dict())
+        record.update(invariants.invariant_record(g))
         print(json.dumps(record))
     return 0
 
@@ -175,7 +176,11 @@ def _cmd_verify(args) -> int:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             args.usage_error(f"--out {args.out}: {exc}")
-    reports, code = suites.run(spec)
+    try:
+        reports, code = suites.run(spec)
+    except homology.BudgetError as exc:  # no report or cache is written
+        print(f"edgereg verify: error: {exc}", file=sys.stderr)
+        return 3
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:
         print(f"{r.suite}\t{r.graphs_tested}\t{r.violations_total}"
@@ -216,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reg", help="graded Betti table and regularity of I(G)^s")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--power", type=_positive_int, default=1, metavar="S")
-    p.add_argument("--char", type=int, default=2, help="field characteristic (0 or prime)")
+    p.add_argument("--char", type=int, default=2,
+                   help="field characteristic (0 or a prime below 2^31)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the independent oracle and compare")
     p.set_defaults(fn=_cmd_reg, usage_error=p.error)

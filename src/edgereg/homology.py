@@ -72,6 +72,7 @@ from .monomials import (LANE, LANE_MAX, MonomialIdeal, _plane_degree, edge_ideal
 FACE_BUDGET = 1 << 20
 VAR_BUDGET = 22
 LATTICE_BUDGET = 200_000
+_CHAR_BOUND = 1 << 31  # trial division of a characteristic stays under 46,341 steps
 
 
 class BudgetError(RuntimeError):
@@ -80,16 +81,14 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: characteristic 0 (rationals) or a prime p."""
+    """Coefficient field: characteristic 0 (rationals) or a prime p < 2^31."""
 
     characteristic: int = 2
 
     def __post_init__(self):
         c = self.characteristic
-        if c == 0:
-            return
-        if c < 2 or any(c % d == 0 for d in range(2, isqrt(c) + 1)):
-            raise ValueError(f"characteristic must be 0 or prime, got {c}")
+        if c and not (1 < c < _CHAR_BOUND and all(c % d for d in range(2, isqrt(c) + 1))):
+            raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {c}")
 
 
 GF2 = FieldSpec(2)

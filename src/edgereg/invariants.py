@@ -2,9 +2,10 @@
 
 Everything here is exact and exhaustive: matching numbers by memoized
 branching on vertex subsets, induced matchings by the same recursion with
-closed neighborhoods removed, chordality by maximum cardinality search
-with a verified perfect elimination ordering.  No polynomial-time
-cleverness is attempted beyond what keeps ten-vertex graphs instant.
+closed neighborhoods removed.  Gap-free is decided as an induced matching
+number nu(G) <= 1 (no induced 2K2), and chordality by deleting simplicial
+vertices until none is left (Dirac).  No polynomial-time cleverness is
+attempted beyond what keeps ten-vertex graphs instant.
 
 Local regularity is the regularity of the colon ideal (I(G) : x), which
 the regularity engine computes directly; it is the quantity the power
@@ -14,11 +15,10 @@ built on these invariants live in `suites`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import homology
-from .graphs import (Graph, canonical_key, claw, closed_neighborhood, complement, cricket,
+from .graphs import (Graph, _bits, canonical_key, claw, closed_neighborhood, complement, cricket,
                      induced_subgraph)
 from .monomials import colon_by_monomial, edge_ideal, squarefree
 
@@ -65,14 +65,9 @@ def _matching_rec(g: Graph, alive: int, reach: tuple[int, ...], memo: dict[int, 
 
 
 def is_gap_free(g: Graph) -> bool:
-    """No two disjoint edges without a connecting edge between them."""
-    edges = g.edges()
-    for (a, b), (c, d) in itertools.combinations(edges, 2):
-        if len({a, b, c, d}) < 4:
-            continue
-        if not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)):
-            return False
-    return True
+    """No two disjoint edges without a connecting edge between them, that
+    is, no induced matching of two edges."""
+    return induced_matching_number(g) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,36 +92,22 @@ def is_cricket_free(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum cardinality search followed by verification that the
-    resulting ordering is a perfect elimination ordering."""
     return bool(_cached(g, "chordal", lambda: _chordal(g)))
 
 
 def _chordal(g: Graph) -> bool:
-    n = g.n
-    if n <= 2:
-        return True
-    weight = [0] * n
-    numbered = 0
-    visit: list[int] = []
-    for _ in range(n):
-        z = max((v for v in range(n) if not numbered >> v & 1),
-                key=lambda v: (weight[v], -v))
-        visit.append(z)
-        numbered |= 1 << z
-        for y in range(n):
-            if not numbered >> y & 1 and g.has_edge(y, z):
-                weight[y] += 1
-    peo = visit[::-1]
-    pos = {v: i for i, v in enumerate(peo)}
-    for i, v in enumerate(peo):
-        later = [u for u in g.neighbors(v) if pos[u] > i]
-        if not later:
-            continue
-        first = min(later, key=pos.__getitem__)
-        for u in later:
-            if u != first and not g.has_edge(first, u):
-                return False
+    """Dirac (1961): a graph is chordal iff every induced subgraph has a
+    simplicial vertex, so deleting simplicial vertices in any order empties
+    exactly the chordal graphs."""
+    alive = (1 << g.n) - 1
+    while alive:
+        for v in _bits(alive):
+            hood = g.adj[v] & alive
+            if all(hood & ~g.adj[u] == 1 << u for u in _bits(hood)):  # N(v) is a clique
+                alive ^= 1 << v
+                break
+        else:
+            return False
     return True
 
 
@@ -191,33 +172,17 @@ def _colon_graph_cochordal(g: Graph, x: int) -> bool:
 # ---------------------------------------------------------------------------
 # invariant records
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    beta: int
-    nu: int
-    gap_free: bool
-    claw_free: bool
-    cricket_free: bool
-    chordal: bool
-    co_chordal: bool
-    cameron_walker: bool
-    locally_linear: bool
-    local_reg_max: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def invariant_record(g: Graph) -> InvariantRecord:
-    return InvariantRecord(
-        beta=matching_number(g),
-        nu=induced_matching_number(g),
-        gap_free=is_gap_free(g),
-        claw_free=is_claw_free(g),
-        cricket_free=is_cricket_free(g),
-        chordal=is_chordal(g),
-        co_chordal=is_co_chordal(g),
-        cameron_walker=is_cameron_walker(g),
-        locally_linear=is_locally_linear(g),
-        local_reg_max=local_regularity_max(g),
-    )
+def invariant_record(g: Graph) -> dict:
+    """Every invariant of `g`, in the order the CLI prints them."""
+    return {
+        "beta": matching_number(g),
+        "nu": induced_matching_number(g),
+        "gap_free": is_gap_free(g),
+        "claw_free": is_claw_free(g),
+        "cricket_free": is_cricket_free(g),
+        "chordal": is_chordal(g),
+        "co_chordal": is_co_chordal(g),
+        "cameron_walker": is_cameron_walker(g),
+        "locally_linear": is_locally_linear(g),
+        "local_reg_max": local_regularity_max(g),
+    }

@@ -457,19 +457,25 @@ def _sweep(spec: SuiteSpec, graphs: Sequence[Graph]) -> tuple[list, list[list]]:
     regularities of powers.  `_run_one` is looked up at each call, so a
     stand-in bound there runs in pool workers too."""
     _COLONS.clear()  # left by an earlier run, or inherited from the parent by a worker
-    checks = [partial(_CHECKERS[name], spec=spec) for name in spec.suites]
+    checks = [(name, partial(_CHECKERS[name], spec=spec)) for name in spec.suites]
     rows = [[] for _ in graphs]
     for g, row in zip(graphs, rows):
-        for check in checks:
+        for name, check in checks:
             start = time.perf_counter()
-            row.append((_run_one(check, g), time.perf_counter() - start))
+            try:
+                viols = _run_one(check, g)
+            except homology.BudgetError as exc:
+                raise homology.BudgetError(f"{name} on {emit_graph6(g)}: {exc}") from exc
+            row.append((viols, time.perf_counter() - start))
     return rows, homology.cache_snapshot()
 
 
 def run(spec: SuiteSpec) -> tuple[list[SuiteReport], int]:
     """Sweep the spec's graphs through its suites, one report per suite in
     the spec's order; exit code 0 iff every theorem suite passes.
-    Conjecture suites never affect the exit code."""
+    Conjecture suites never affect the exit code.  A `BudgetError` names
+    the suite and the graph, and ends the run before the disk cache is
+    written."""
     _load_disk_cache()
     graphs = _graph_source(spec)
     workers = min(spec.jobs, os.cpu_count() or 1, len(graphs))

@@ -83,13 +83,14 @@ def brute_induced_matching_number(g: Graph) -> int:
     return best
 
 
-def has_induced_cycle_of_length_at_least_4(g: Graph) -> bool:
+def brute_chordal(g: Graph) -> bool:
+    """No set of four or more vertices induces a cycle."""
     for size in range(4, g.n + 1):
         for verts in itertools.combinations(range(g.n), size):
             sub = induced_subgraph(g, sum(1 << v for v in verts))
             if all(sub.degree(v) == 2 for v in range(sub.n)) and _connected(sub):
-                return True
-    return False
+                return False
+    return True
 
 
 def _connected(g: Graph) -> bool:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from builders import cycle_graph, path_graph
-from edgereg import homology
+from edgereg import homology, suites
 from edgereg.cli import main
 from edgereg.graphs import emit_graph6, enumerate_graphs
 
@@ -124,8 +125,6 @@ def test_verify_rejects_unreadable_graphs_file_as_usage_error(content, tmp_path,
 
 
 def test_verify_rejects_unwritable_out_as_usage_error(tmp_path, capsys, monkeypatch):
-    from edgereg import suites
-
     def no_sweep(spec):
         raise AssertionError("the sweep ran before --out was checked")
 
@@ -141,7 +140,7 @@ def test_verify_rejects_unwritable_out_as_usage_error(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("flags", [["--s", "4"], ["--n", "9"], ["--char", "6"],
                                    ["--suite", "nope"], ["--jobs", "0"], ["--jobs", "-3"],
-                                   ["--n", "0"], ["--n", "-3"]])
+                                   ["--n", "0"], ["--n", "-3"], ["--char", str(2 ** 61 - 1)]])
 def test_verify_rejects_invalid_flags_as_usage_errors(flags, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *flags])
@@ -237,6 +236,52 @@ def test_reg_reads_the_lattice_budget_when_called(tmp_path, capsys, monkeypatch)
     assert exc.value.code == 2
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("edgereg reg: error: --power 1: lcm lattice budget 15 exceeded")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_past_a_budget_exits_3_naming_suite_and_graph(jobs, tmp_path, capsys,
+                                                             monkeypatch, fresh_memo):
+    # C5's lcm lattice has 16 points; the edgeless graph gives a second worker its share
+    monkeypatch.setattr(homology, "LATTICE_BUDGET", 15)
+    monkeypatch.setenv(suites.CACHE_ENV_VAR, str(tmp_path))
+    cache = tmp_path / suites.CACHE_FILE
+    cache.write_text("[]")
+    out_file = tmp_path / "report.json"
+    out_file.write_text("[]\n")
+    path = tmp_path / "in.g6"
+    c5 = emit_graph6(cycle_graph(5))
+    path.write_text(f"@\n{c5}\n")
+    code = main(["verify", "--suite", "lower-bound", "--graphs", str(path), "--s", "1",
+                 "--jobs", jobs, "--out", str(out_file)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"edgereg verify: error: lower-bound on {c5}: lcm lattice budget 15 ")
+    assert out_file.read_text() == "[]\n" and cache.read_text() == "[]"
+
+
+@pytest.mark.parametrize("char", [100000000000031, 2 ** 61 - 1], ids=["1e14+31", "2^61-1"])
+def test_reg_rejects_a_characteristic_past_2_to_the_31_at_once(char, tmp_path, capsys):
+    # both are prime: trial division up to their square roots took seconds to minutes
+    path = tmp_path / "in.g6"
+    path.write_text("A_\n")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["reg", str(path), "--char", str(char)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        f"edgereg reg: error: characteristic must be 0 or a prime below 2^31, got {char}")
+
+
+def test_reg_accepts_the_largest_characteristic(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text("A_\n")
+    assert main(["reg", str(path), "--char", str(2 ** 31 - 1)]) == 0
+    assert json.loads(_lines(capsys)[0])["field"] == 2 ** 31 - 1
 
 
 @pytest.mark.parametrize("content", [

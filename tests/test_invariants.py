@@ -5,7 +5,7 @@ import pytest
 import oracles
 from builders import (complete_bipartite, complete_graph, cycle_graph, disjoint_edges,
                       edgeless, graph_join, ideal, path_graph, star)
-from edgereg import invariants
+from edgereg import invariants, suites
 from edgereg.graphs import claw, complement, cricket, enumerate_graphs
 from edgereg.homology import regularity_of_power
 from edgereg.invariants import (has_induced_pattern, induced_matching_number,
@@ -48,11 +48,10 @@ def test_gap_free_examples():
 
 
 def test_gap_free_iff_nu_at_most_one():
-    for n in range(2, 7):
+    # the predicate is nu <= 1: check it against the no-induced-2K2 definition
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
-            if g.is_edgeless():
-                continue
-            assert is_gap_free(g) == (induced_matching_number(g) == 1)
+            assert is_gap_free(g) == oracles.brute_gap_free(g)
 
 
 def test_induced_patterns():
@@ -78,10 +77,21 @@ def test_chordal_examples():
 
 
 def test_chordal_against_induced_cycle_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in enumerate_graphs(n):
-            expected = not oracles.has_induced_cycle_of_length_at_least_4(g)
-            assert is_chordal(g) == expected
+            assert is_chordal(g) == oracles.brute_chordal(g)
+            assert is_co_chordal(g) == oracles.brute_chordal(complement(g))
+
+
+def test_mutated_chordal_is_caught(monkeypatch, fresh_memo):
+    # a clique test that always passes deletes every vertex, so every graph is chordal
+    old = "all(hood & ~g.adj[u] == 1 << u for u in _bits(hood))"
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    chordal = invariants._chordal
+    for new, caught in [(old, False), ("True", True)]:
+        suites.clear_all_caches()
+        monkeypatch.setattr(invariants, "_chordal", oracles.mutant(chordal, old, new))
+        assert any(is_chordal(g) != oracles.brute_chordal(g) for g in graphs) == caught
 
 
 def test_co_chordal_examples():
@@ -196,7 +206,7 @@ def test_hypothesis_predicates_match_their_definitions(name):
 
 
 @pytest.mark.parametrize("name, old", [
-    ("is_gap_free", "return True"),
+    ("is_gap_free", "return induced_matching_number(g) <= 1"),
     ("is_cameron_walker", "return induced_matching_number(g) == matching_number(g)"),
     ("is_locally_linear", "return result"),
 ], ids=list(HYPOTHESIS_PREDICATES))
@@ -211,9 +221,10 @@ def test_mutated_hypothesis_predicate_is_caught(monkeypatch, fresh_memo, name, o
 
 
 def test_invariant_record_fields():
-    rec = invariant_record(complete_graph(3)).to_json_dict()
-    assert rec == {"beta": 1, "nu": 1, "gap_free": True, "claw_free": True,
-                   "cricket_free": True, "chordal": True, "co_chordal": True,
-                   "cameron_walker": True, "locally_linear": True,
-                   "local_reg_max": 1}
+    # in the order `edgereg invariants` prints them
+    rec = invariant_record(complete_graph(3))
+    assert list(rec.items()) == [("beta", 1), ("nu", 1), ("gap_free", True), ("claw_free", True),
+                                 ("cricket_free", True), ("chordal", True), ("co_chordal", True),
+                                 ("cameron_walker", True), ("locally_linear", True),
+                                 ("local_reg_max", 1)]
 
