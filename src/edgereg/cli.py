@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterator
 
 from . import evenconn, homology, invariants, suites
 from .graphs import Graph, emit_graph6, from_json_dict, parse_graph6
-from .monomials import (EdgeMultiset, Monomial, colon_by_monomial, edge_ideal,
-                        pack_capped, polarize, power, symbolic_square)
+from .monomials import (colon_by_monomial, edge_ideal, pack_capped, parse_monomial, polarize,
+                        power, symbolic_square)
 
 
 def _parse_graphs(path: str) -> Iterator[Graph]:
@@ -44,8 +45,9 @@ def _read_graphs(args, path: str, flag: str = "") -> tuple[Graph, ...]:
         args.usage_error(f"{flag}{path}: {exc}")
 
 
-def _parse_edges(text: str) -> list[tuple[int, int]]:
-    """Edge multiset syntax: "0-1,1-2,1-2" (repetition = multiplicity)."""
+def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
+    """Edge multiset syntax: "0-1,1-2,1-2" (repetition = multiplicity), as
+    the sorted tuple of its edges (u, v), u < v."""
     if not text.strip():
         raise ValueError("no edge given")
     out = []
@@ -53,8 +55,10 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
         a, _, b = tok.strip().partition("-")
         if not (a.isdecimal() and b.isdecimal()):
             raise ValueError(f"bad edge {tok.strip()!r}, expected u-v")
-        out.append((int(a), int(b)))
-    return out
+        out.append(tuple(sorted((int(a), int(b)))))
+    if any(u == v for u, v in out):
+        raise ValueError("loop edge in multiset")
+    return tuple(sorted(out))
 
 
 def _cmd_invariants(args) -> int:
@@ -76,14 +80,14 @@ def _power(args, i, g):
 def _cmd_ideal(args) -> int:
     graphs = _read_graphs(args, args.input)
     try:
-        m = Monomial.parse(args.colon) if args.colon else None
+        m = parse_monomial(args.colon) if args.colon else None
     except ValueError as exc:
         args.usage_error(f"--colon {args.colon}: {exc}")
     records = []  # every record is computed before anything is printed
     for g in graphs:
         i = _power(args, symbolic_square(g) if args.symbolic_square else edge_ideal(g), g)
         if m is not None:
-            outside = sorted(m.support().difference(i.vars))
+            outside = sorted(set(m).difference(i.vars))
             if outside:
                 args.usage_error(f"--colon {args.colon}: variable {outside[0]} is not in the "
                                  f"ideal's universe (graph {emit_graph6(g)})")
@@ -137,9 +141,9 @@ def _cmd_reg(args) -> int:
 def _cmd_colon_graph(args) -> int:
     graphs = _read_graphs(args, args.input)
     try:  # the multiset must parse and lie in every graph before anything is printed
-        m = EdgeMultiset.of(_parse_edges(args.edges))
+        m = _parse_edges(args.edges)
         for g in graphs:
-            m.validate_in(g)
+            evenconn.check_multiset(g, m)
     except ValueError as exc:  # includes GraphError
         args.usage_error(f"--edges {args.edges}: {exc}")
     for g in graphs:
@@ -171,16 +175,22 @@ def _cmd_verify(args) -> int:
                                 jobs=args.jobs)
     except ValueError as exc:  # FieldSpec or SuiteSpec rejects the flags
         args.usage_error(str(exc))
+    probed = False  # whether the writability probe made --out
     if args.out:
         try:  # an unwritable --out fails before the sweep, leaving any old report intact
+            probed = not os.path.exists(args.out)
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             args.usage_error(f"--out {args.out}: {exc}")
+    reports = None
     try:
         reports, code = suites.run(spec)
     except homology.BudgetError as exc:  # no report or cache is written
         print(f"edgereg verify: error: {exc}", file=sys.stderr)
         return 3
+    finally:  # a sweep that ends early leaves no empty --out behind
+        if probed and reports is None:
+            os.remove(args.out)
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:
         print(f"{r.suite}\t{r.graphs_tested}\t{r.violations_total}"

@@ -10,6 +10,12 @@ degree two, by the edges of G together with the even-connected pairs; a
 self-connected vertex u contributes the square u^2, which polarizes to a
 whisker edge u-u'.
 
+A multiset is the plain sorted tuple of its edges (u, v), u < v, one
+entry per copy, as `itertools.combinations_with_replacement` yields it
+from `Graph.edges()`.  `check_multiset` is the one check of that form
+and of membership in G: both searches call it, and so does the CLI
+before it prints.
+
 Both searches run over states (current vertex, multiset usage vector,
 parity).  Condition (3) bounds usage componentwise, so the state space has
 at most n * prod(multiplicity_i + 1) * 2 elements and an exhaustive search
@@ -38,11 +44,11 @@ the pairs against monomial arithmetic and record violations live in
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edge_list
-from .monomials import EdgeMultiset, polar_name
+from .graphs import Graph, GraphError, from_edge_list
+from .monomials import polar_name
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,20 @@ class EvenConnectionCertificate:
         return (len(self.path) - 2) // 2
 
 
-def _check_multiset(g: Graph, m: EdgeMultiset) -> None:
-    m.validate_in(g)
-    if m.size < 1:
+def check_multiset(g: Graph, m: tuple[tuple[int, int], ...]) -> None:
+    """Raise ValueError unless m is a sorted tuple of edges (u, v), u < v,
+    of g, with at least one edge."""
+    if any(u > v for u, v in m) or list(m) != sorted(m):
+        raise ValueError("multiset edges must be pairs u < v in sorted order")
+    for u, v in m:
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+            raise GraphError(f"multiset edge {(u, v)} not in the graph")
+    if not m:
         raise ValueError("the edge multiset must contain at least one edge")
 
 
-def even_connection_lengths(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], int]:
+def even_connection_lengths(g: Graph, m: tuple[tuple[int, int], ...]
+                            ) -> dict[tuple[int, int], int]:
     """Every even-connected pair (u, v), u <= v and u = v allowed, mapped to
     the largest k of a walk p_0 ... p_{2k+1} joining them, in sorted order.
 
@@ -75,8 +88,8 @@ def even_connection_lengths(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], 
     neighbourhoods, whose every vertex ends a walk of length 2k + 1; a
     multiset edge (a, b) then carries a to b and b to a while its counter
     is below its multiplicity."""
-    _check_multiset(g, m)
-    counts = m.counts()
+    check_multiset(g, m)
+    counts = Counter(m)
     width = max(4, max(counts.values()).bit_length())
     moves = []  # (a, b, counter field, multiplicity, one use), each shifted into place
     for i, ((a, b), mult) in enumerate(sorted(counts.items())):
@@ -115,12 +128,13 @@ def even_connection_lengths(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], 
     return dict(sorted(found.items()))
 
 
-def _reachable_states(g: Graph, m: EdgeMultiset, start: int):
+def _reachable_states(g: Graph, m: tuple[tuple[int, int], ...], start: int):
     """BFS over (vertex, usage, parity); parity is the number of edges
     walked so far mod 2, so parity 0 moves along any edge of G and parity 1
     must consume a multiset edge at the current vertex."""
-    distinct = sorted(m.counts())
-    mult = [m.counts()[e] for e in distinct]
+    counts = Counter(m)
+    distinct = sorted(counts)
+    mult = [counts[e] for e in distinct]
     zero = (0,) * len(distinct)
     first = (start, zero, 0)
     pred: dict[tuple, tuple | None] = {first: None}
@@ -159,11 +173,11 @@ def _reconstruct(pred, state) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[i
     return path, assigns
 
 
-def even_connected_pairs(g: Graph, m: EdgeMultiset
+def even_connected_pairs(g: Graph, m: tuple[tuple[int, int], ...]
                          ) -> list[tuple[int, int, EvenConnectionCertificate]]:
     """All pairs (u, v), u <= v and u = v allowed, that are even-connected
     with respect to m, each with a certificate of maximal length."""
-    _check_multiset(g, m)
+    check_multiset(g, m)
     found: dict[tuple[int, int], EvenConnectionCertificate] = {}
     for start in range(g.n):
         pred = _reachable_states(g, m, start)

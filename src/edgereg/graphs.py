@@ -146,10 +146,12 @@ def emit_graph6(g: Graph) -> str:
 def from_json_dict(d: dict) -> Graph:
     """Edge-list schema {"n": int, "edges": [[u, v], ...]}.  `n` and every
     endpoint must be JSON integers: floats, booleans and strings raise
-    GraphError."""
+    GraphError, and so does n > 62, which graph6 output cannot name."""
     n, edges = d["n"], [tuple(e) for e in d["edges"]]
     if type(n) is not int or any(type(x) is not int for e in edges for x in e):
         raise GraphError(f"n and every edge endpoint must be integers in {d}")
+    if n > 62:
+        raise GraphError(f"n = {n}: graph6 long form (n > 62) not supported")
     return from_edge_list(n, edges)
 
 

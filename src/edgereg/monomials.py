@@ -1,23 +1,22 @@
 """Exact monomial-ideal arithmetic.
 
-A monomial is a finitely supported exponent map on string variables.  A
-monomial ideal stores an explicit ordered variable universe plus its
+A monomial ideal stores an explicit ordered variable universe plus its
 minimal generating antichain, sorted in graded lexicographic order so that
 serialized output is reproducible.
 
-Below the input/output boundary every exponent vector is one packed
-integer, a word, with a 5-bit lane per variable (4 value bits plus a guard
-bit), the first variable of the universe in the highest lane.
-Componentwise sums, truncated differences, maxima and divisibility tests
-are then a handful of integer operations, a divisor never exceeds its
-multiple as an integer, and descending integer order is lexicographic
-order.  The price is an exponent cap of LANE_MAX = 15: `pack` and `power`
-raise ValueError above it.  Words are made here alone (`squarefree`,
-`packed_ideal`, `EdgeMultiset.packed_product`), and `colon_by_monomial`
+Every exponent vector is one packed integer, a word, with a 5-bit lane
+per variable (4 value bits plus a guard bit), the first variable of the
+universe in the highest lane.  Componentwise sums, truncated differences,
+maxima and divisibility tests are then a handful of integer operations, a
+divisor never exceeds its multiple as an integer, and descending integer
+order is lexicographic order.  The price is an exponent cap of
+LANE_MAX = 15: `pack` and `power` raise ValueError above it.  Words are
+made here alone (`squarefree`, `packed_ideal`), and `colon_by_monomial`
 takes a word.  Many words share one int in `pack_slots`' slots, on which
-`monus` acts as on one word.  `Monomial` and strings remain only where
-text enters or leaves: `pack_capped` for the CLI's `--colon`, and
-`generators()` for printed ideals and violation records.
+`monus` acts as on one word.  Text enters through `parse_monomial`, whose
+exponent dict `pack_capped` turns into a word for the CLI's `--colon`,
+and leaves through `generators()` for printed ideals and violation
+records.
 """
 from __future__ import annotations
 
@@ -28,52 +27,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .graphs import Graph, GraphError
+from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Finitely supported exponent vector, e.g. Monomial.parse("x0^2*x1")."""
-
-    exps: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        if any(e <= 0 for _, e in self.exps):
-            raise ValueError("exponents must be positive in normalized form")
-        if list(self.exps) != sorted(self.exps):
-            raise ValueError("exponent entries must be sorted by variable")
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, int]) -> "Monomial":
-        return cls(tuple(sorted((v, e) for v, e in d.items() if e)))
-
-    @classmethod
-    def parse(cls, text: str) -> "Monomial":
-        """Accepts "1" or products like "x0*x1^2"."""
-        text = text.strip()
-        if text in ("", "1"):
-            return cls(())
-        d: dict[str, int] = {}
-        for tok in text.split("*"):
-            name, caret, e = tok.strip().partition("^")
-            # a name holds no whitespace, and an exponent is a nonempty run
-            # of ASCII digits: no sign, no space
-            if (not name or any(c.isspace() for c in name)
-                    or caret and not (e.isascii() and e.isdigit())):
-                raise ValueError(f"bad monomial token {tok!r}")
-            d[name] = d.get(name, 0) + (int(e) if caret else 1)
-        return cls.from_dict(d)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exps)
-
-    def support(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self.exps)
-
-    def __str__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
+def parse_monomial(text: str) -> dict[str, int]:
+    """The exponents of a written monomial, "1" or a product like
+    "x0*x1^2": repeated variables add up and zero exponents are dropped."""
+    text = text.strip()
+    if text in ("", "1"):
+        return {}
+    d: dict[str, int] = {}
+    for tok in text.split("*"):
+        name, caret, e = tok.strip().partition("^")
+        # a name holds no whitespace, and an exponent is a nonempty run
+        # of ASCII digits: no sign, no space
+        if (not name or any(c.isspace() for c in name)
+                or caret and not (e.isascii() and e.isdigit())):
+            raise ValueError(f"bad monomial token {tok!r}")
+        d[name] = d.get(name, 0) + (int(e) if caret else 1)
+    return {v: e for v, e in d.items() if e}
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +131,11 @@ def squarefree(verts: Iterable[int], nv: int) -> int:
     return sum(1 << (LANE * (nv - 1 - v)) for v in verts)
 
 
-def pack_capped(m: Monomial, vars: tuple[str, ...]) -> int:
-    """`m` as a word over `vars`, exponents capped at LANE_MAX, which
+def pack_capped(m: Mapping[str, int], vars: tuple[str, ...]) -> int:
+    """The exponents `m` as a word over `vars`, capped at LANE_MAX, which
     changes no colon of generators.  Variables outside `vars` are not
     read: the CLI rejects them before it packs."""
-    d = m.as_dict()
-    return pack(min(d.get(v, 0), LANE_MAX) for v in vars)
+    return pack(min(m.get(v, 0), LANE_MAX) for v in vars)
 
 
 def _check_words(words: Iterable[int], nv: int, what: str) -> None:
@@ -217,9 +188,12 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def generators(self) -> list[Monomial]:
+    def generators(self) -> list[str]:
+        """The generators as text, in `gens` order: variables sorted by
+        name, each "v" or "v^e", and "1" for the unit."""
         nv = len(self.vars)
-        return [Monomial(tuple(sorted((v, e) for v, e in zip(self.vars, unpack(g, nv)) if e)))
+        return ["*".join(v if e == 1 else f"{v}^{e}"
+                         for v, e in sorted(zip(self.vars, unpack(g, nv))) if e) or "1"
                 for g in self.gens]
 
     def generator_degrees(self) -> list[int]:
@@ -231,7 +205,7 @@ class MonomialIdeal:
         return {"vars": list(self.vars), "gens": [list(unpack(g, nv)) for g in self.gens]}
 
     def __str__(self):
-        return "(" + ", ".join(str(m) for m in self.generators()) + ")" if self.gens else "(0)"
+        return "(" + ", ".join(self.generators()) + ")" if self.gens else "(0)"
 
 
 def packed_ideal(vars: tuple[str, ...], words: Iterable[int]) -> MonomialIdeal:
@@ -371,50 +345,3 @@ def cover_square_intersection(g: Graph) -> MonomialIdeal:
         result = p2 if result is None else intersect(result, p2)
     assert result is not None
     return result
-
-
-# ---------------------------------------------------------------------------
-# edge multisets (the s-fold products defining colon ideals)
-
-@dataclass(frozen=True)
-class EdgeMultiset:
-    """A multiset of edges e_1 ... e_s, stored as a sorted tuple with
-    repetition."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        norm = tuple(sorted((min(u, v), max(u, v)) for u, v in self.edges))
-        if norm != self.edges:
-            raise ValueError("edges must be normalized and sorted; use EdgeMultiset.of")
-        if any(u == v for u, v in self.edges):
-            raise ValueError("loop edge in multiset")
-
-    @classmethod
-    def of(cls, edges: Iterable[tuple[int, int]]) -> "EdgeMultiset":
-        return cls(tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for e in self.edges:
-            out[e] = out.get(e, 0) + 1
-        return out
-
-    def without(self, edge: tuple[int, int]) -> "EdgeMultiset":
-        """Remove one copy of `edge`."""
-        edges = list(self.edges)
-        edges.remove((min(edge), max(edge)))
-        return EdgeMultiset(tuple(edges))
-
-    def validate_in(self, g: Graph) -> None:
-        for u, v in self.edges:
-            if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
-                raise GraphError(f"multiset edge {(u, v)} not in the graph")
-
-    def packed_product(self, nv: int) -> int:
-        """The word of e_1 ... e_s over nv variables, vertex v as variable v."""
-        return pack(sum(v in e for e in self.edges) for v in range(nv))

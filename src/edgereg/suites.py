@@ -5,14 +5,16 @@ here, while `evenconn`, `invariants` and `homology` return plain values.
 Each suite sweeps a graph source (enumeration up to n_max, or an explicit
 list) and asserts one statement about regularity of edge-ideal powers; a
 per-graph checker returns its violations as replayable
-{graph6, s, lhs, rhs, context} records.  A report keeps the first
+{graph6, s, lhs, rhs, context} records, an ideal in them as the sorted
+strings of its generators.  A report keeps the first
 MAX_STORED_VIOLATIONS verbatim and counts every one; it passes exactly
 when that count is zero.  A violation in any theorem suite
 means a bug in this toolkit, not in the mathematics being checked.
 
 A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
 `_power_bound` call; a colon suite iterates `_edge_colons`, the pairs
-(m, I(G)^{k+1} : m).  These are read from the current graph's table,
+(m, I(G)^{k+1} : m), each multiset m of k edges the sorted edge tuple
+that `combinations_with_replacement` yields.  These are read from the current graph's table,
 where I^{k+1} : e_1...e_j is built once, as (I^{k+1} : e_1...e_{j-1}) : e_j,
 however many suites and multisets ask for it; the even-connection and
 isolated-reduction suites read each multiset's even-connected pairs from
@@ -59,7 +61,7 @@ from typing import Callable, Iterator, Sequence
 from . import evenconn, homology, invariants
 from .graphs import (DEFAULT_ENUMERATION_BOUND, Graph, closed_neighborhood, emit_graph6,
                      enumerate_graphs)
-from .monomials import (EdgeMultiset, MonomialIdeal, colon_by_monomial,
+from .monomials import (MonomialIdeal, colon_by_monomial,
                         cover_square_intersection, edge_ideal, packed_ideal, polarize, power,
                         squarefree, sum_ideals, symbolic_square)
 
@@ -201,8 +203,9 @@ def _check_gapfree_locallinear(g: Graph, spec: SuiteSpec) -> list[dict]:
 
 
 # The table of one graph: (k, word of e_1...e_j) -> I(G)^{k+1} : e_1...e_j,
-# level j = 0 holding I(G)^{k+1} itself, and each EdgeMultiset m -> its
-# even-connected pairs.  A new graph and the start of every sweep empty it.
+# level j = 0 holding I(G)^{k+1} itself, and each edge multiset m (its
+# sorted edge tuple) -> its even-connected pairs.  A new graph and the
+# start of every sweep empty it.
 _COLONS: dict[Graph, dict] = {}
 
 
@@ -215,7 +218,7 @@ def _table(g: Graph) -> dict:
     return table
 
 
-def _pairs(g: Graph, m: EdgeMultiset) -> dict[tuple[int, int], int]:
+def _pairs(g: Graph, m: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
     """The even-connected pairs of m, searched once per graph's table."""
     table = _table(g)
     pairs = table.get(m)
@@ -245,11 +248,12 @@ def _colon(g: Graph, k: int, edges: Sequence[tuple[int, int]]) -> MonomialIdeal:
     return colon
 
 
-def _edge_colons(g: Graph, k: int) -> Iterator[tuple[EdgeMultiset, MonomialIdeal]]:
-    """(m, I(G)^{k+1} : m) for every multiset m of k edges of g, in
-    `combinations_with_replacement` order."""
-    for combo in itertools.combinations_with_replacement(g.edges(), k):
-        yield EdgeMultiset.of(combo), _colon(g, k, combo)
+def _edge_colons(g: Graph, k: int
+                 ) -> Iterator[tuple[tuple[tuple[int, int], ...], MonomialIdeal]]:
+    """(m, I(G)^{k+1} : m) for every multiset m of k edges of g, the
+    sorted edge tuples in `combinations_with_replacement` order."""
+    for m in itertools.combinations_with_replacement(g.edges(), k):
+        yield m, _colon(g, k, m)
 
 
 def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
@@ -260,7 +264,7 @@ def _check_square(g: Graph, spec: SuiteSpec) -> list[dict]:
     for m, colon in _edge_colons(g, 1):
         reg_colon = homology.regularity(colon, spec.field)
         if reg_colon > r:
-            out.append(_viol(g, 2, reg_colon, r, f"reg (I^2 : e) > r for e={m.edges[0]}"))
+            out.append(_viol(g, 2, reg_colon, r, f"reg (I^2 : e) > r for e={m[0]}"))
     reg2 = homology.regularity_of_power(g, 2, spec.field)
     if reg2 > r + 2:
         out.append(_viol(g, 2, reg2, r + 2, "reg I^2 > r + 2"))
@@ -273,8 +277,7 @@ def _check_symbolic_square(g: Graph, spec: SuiteSpec) -> list[dict]:
     oracle = cover_square_intersection(g)
     if sym != oracle:
         out.append(_viol(g, 2,
-                         sorted(str(m) for m in sym.generators()),
-                         sorted(str(m) for m in oracle.generators()),
+                         sorted(sym.generators()), sorted(oracle.generators()),
                          "symbolic square formula != intersection of squared covers"))
     if not g.is_edgeless():
         r = invariants.local_regularity_max(g, spec.field) + 1
@@ -312,15 +315,15 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
     for s in _s_values(g, spec.s_max, start=2):
         parts: dict[int, tuple[MonomialIdeal, MonomialIdeal]] = {}
         for m, j in _edge_colons(g, s - 1):
-            for e in set(m.edges) & leaves:
-                rhs = _colon(g, s - 2, m.without(e).edges)  # I^{s-1} : m / e
+            for e in set(m) & leaves:
+                rest = list(m)
+                rest.remove(e)
+                rhs = _colon(g, s - 2, rest)  # I^{s-1} : m / e
                 if j != rhs:
-                    out.append(_viol(g, s,
-                                     sorted(str(x) for x in j.generators()),
-                                     sorted(str(x) for x in rhs.generators()),
-                                     f"leaf reduction fails for m={list(m.edges)}, leaf={e}"))
-            shielded = closed_neighborhood(g, sum({1 << v for e in m.edges for v in e}))
-            word = m.packed_product(g.n)
+                    out.append(_viol(g, s, sorted(j.generators()), sorted(rhs.generators()),
+                                     f"leaf reduction fails for m={list(m)}, leaf={e}"))
+            shielded = closed_neighborhood(g, sum({1 << v for e in m for v in e}))
+            word = sum(squarefree(e, g.n) for e in m)
             for w in range(g.n):
                 if shielded >> w & 1:
                     continue
@@ -332,10 +335,8 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
                 rhs = sum_ideals(sub_power if sub_power.is_zero
                                  else colon_by_monomial(sub_power, word), var_part)
                 if lhs != rhs:
-                    out.append(_viol(g, s,
-                                     sorted(str(x) for x in lhs.generators()),
-                                     sorted(str(x) for x in rhs.generators()),
-                                     f"J:w identity fails for m={list(m.edges)}, w={w}"))
+                    out.append(_viol(g, s, sorted(lhs.generators()), sorted(rhs.generators()),
+                                     f"J:w identity fails for m={list(m)}, w={w}"))
     return out
 
 
@@ -371,15 +372,13 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
                 bad = [d for d in colon.generator_degrees() if d != 2]
                 if bad:
                     out.append(_viol(g, s, sorted(set(bad)), 2,
-                                     f"non-quadratic colon generators for m={list(m.edges)}"))
+                                     f"non-quadratic colon generators for m={list(m)}"))
                     continue
                 combinatorial = edge_ideal(evenconn.colon_graph(g, pairs))
                 algebraic = polarize(colon)
                 out.append(_viol(
-                    g, s,
-                    sorted(str(x) for x in combinatorial.generators()),
-                    sorted(str(x) for x in algebraic.generators()),
-                    f"colon graph does not match the direct colon for m={list(m.edges)}"))
+                    g, s, sorted(combinatorial.generators()), sorted(algebraic.generators()),
+                    f"colon graph does not match the direct colon for m={list(m)}"))
     return out
 
 
@@ -388,11 +387,10 @@ def _check_isolated_reduction(g: Graph, spec: SuiteSpec) -> list[dict]:
         return []
     out = []
     for s in _s_values(g, spec.s_max, start=2):
-        for combo in itertools.combinations_with_replacement(g.edges(), s - 1):
-            m = EdgeMultiset.of(combo)
+        for m in itertools.combinations_with_replacement(g.edges(), s - 1):
             for w, u in evenconn.isolated_reduction_failures(g, _pairs(g, m)):
                 out.append(_viol(g, s, sorted(w), u,
-                                 f"reduction keeps a foreign edge for m={list(m.edges)}"))
+                                 f"reduction keeps a foreign edge for m={list(m)}"))
     return out
 
 

@@ -3,7 +3,7 @@ tests use.
 
 The package builds graphs from edge lists, graph6 text and enumeration,
 and ideals from graphs; these named families, `ideal` (a MonomialIdeal
-from written monomials) and `packed_degree` (the degree of one packed
+from exponent dicts) and `packed_degree` (the degree of one packed
 exponent word) exist for the test suites, so they live here rather than
 in `edgereg`.
 """
@@ -13,8 +13,7 @@ import itertools
 from typing import Iterable, Mapping
 
 from edgereg.graphs import Graph, GraphError, from_edge_list
-from edgereg.monomials import (LANE, Monomial, MonomialIdeal, _plane_degree, lane_masks,
-                               pack, packed_ideal)
+from edgereg.monomials import LANE, MonomialIdeal, _plane_degree, lane_masks, pack, packed_ideal
 
 
 def edgeless(n: int, labels: tuple[str, ...] | None = None) -> Graph:
@@ -60,20 +59,20 @@ def graph_join(g: Graph, h: Graph) -> Graph:
     return from_edge_list(g.n + h.n, edges)
 
 
-def ideal(gens: Iterable[Monomial | Mapping[str, int]],
+def ideal(gens: Iterable[Mapping[str, int]],
           vars: Iterable[str] | None = None) -> MonomialIdeal:
     """Minimalize `gens` into a MonomialIdeal.  When `vars` is omitted the
     universe is the sorted union of supports; a variable outside `vars`,
     the unit monomial or an exponent above LANE_MAX raises ValueError."""
-    monos = [g if isinstance(g, Monomial) else Monomial.from_dict(g) for g in gens]
+    monos = [{v: e for v, e in g.items() if e} for g in gens]
     if vars is None:
-        vars = sorted(set().union(*(m.support() for m in monos)))
+        vars = sorted(set().union(*monos))
     universe = tuple(vars)
     words = []
     for m in monos:
-        if not m.support() <= set(universe):
+        if not set(m) <= set(universe):
             raise ValueError(f"{m} has a variable outside the universe")
-        words.append(pack(m.as_dict().get(v, 0) for v in universe))
+        words.append(pack(m.get(v, 0) for v in universe))
     if 0 in words:
         raise ValueError("unit generator: the unit ideal is out of scope")
     return packed_ideal(universe, words)

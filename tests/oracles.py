@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from builders import packed_degree
@@ -29,8 +30,7 @@ from edgereg.evenconn import EvenConnectionCertificate, colon_graph
 from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, LATTICE_BUDGET, BettiTable, BudgetError,
                               FieldSpec, _closure, _profile_from_masks, hochster_oracle)
-from edgereg.monomials import (LANE, EdgeMultiset, Monomial, MonomialIdeal, lane_masks, pack,
-                               unpack)
+from edgereg.monomials import LANE, MonomialIdeal, lane_masks, pack, unpack
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -223,11 +223,10 @@ def tuple_intersect(rows_a, rows_b) -> list[tuple[int, ...]]:
     return tuple_minimal({tuple(max(a, b) for a, b in zip(r, s)) for r in rows_a for s in rows_b})
 
 
-def contains(i: MonomialIdeal, m: Monomial) -> bool:
-    """Some generator divides m, lane by lane; variables of m outside the
-    universe are ignored."""
-    exps = m.as_dict()
-    row = tuple(exps.get(v, 0) for v in i.vars)
+def contains(i: MonomialIdeal, m: dict[str, int]) -> bool:
+    """Some generator divides the monomial with exponents m, lane by lane;
+    variables of m outside the universe are ignored."""
+    row = tuple(m.get(v, 0) for v in i.vars)
     return any(_divides_row(unpack(g, len(i.vars)), row) for g in i.gens)
 
 
@@ -330,7 +329,8 @@ def _closed_hood(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
 
 
-def certificate_holds(cert: EvenConnectionCertificate, g: Graph, m: EdgeMultiset) -> bool:
+def certificate_holds(cert: EvenConnectionCertificate, g: Graph,
+                      m: tuple[tuple[int, int], ...]) -> bool:
     """The walk p_0 ... p_{2k+1} (k >= 1) runs along edges of G, and its
     odd positions carry multiset edges joining their ends, within their
     multiplicities."""
@@ -344,7 +344,7 @@ def certificate_holds(cert: EvenConnectionCertificate, g: Graph, m: EdgeMultiset
         return False
     if any({path[pos], path[pos + 1]} != set(e) for pos, e in assigned.items()):
         return False
-    counts = m.counts()
+    counts = Counter(m)
     usage: dict[tuple[int, int], int] = {}
     for e in assigned.values():
         usage[e] = usage.get(e, 0) + 1

@@ -83,6 +83,26 @@ def test_colon_graph_command(tmp_path, capsys):
                                  "assignments": [[1, [1, 2]]]}]
 
 
+def test_colon_graph_reads_edges_in_any_order_and_orientation(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text("Bw\n")  # the triangle
+    assert main(["colon-graph", str(path), "--edges", "0-1,1-2,1-2"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["colon-graph", str(path), "--edges", "2-1,1-2,0-1"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("colon, same", [("x2*x1*x1", "x1^2*x2"), ("x0^20", "x0^15")],
+                         ids=["repeated-variable", "past-the-lane-cap"])
+def test_ideal_colon_reads_exponents_not_text(colon, same, tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text("Dhc\nBw\n")
+    assert main(["ideal", str(path), "--power", "3", "--colon", same]) == 0
+    expected = capsys.readouterr().out
+    assert main(["ideal", str(path), "--power", "3", "--colon", colon]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_command(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code = main(["verify", "--suite", "matching-bound", "--n", "4", "--s", "1",
@@ -248,17 +268,22 @@ def test_verify_past_a_budget_exits_3_naming_suite_and_graph(jobs, tmp_path, cap
     cache.write_text("[]")
     out_file = tmp_path / "report.json"
     out_file.write_text("[]\n")
+    missing = tmp_path / "new-report.json"
     path = tmp_path / "in.g6"
     c5 = emit_graph6(cycle_graph(5))
     path.write_text(f"@\n{c5}\n")
-    code = main(["verify", "--suite", "lower-bound", "--graphs", str(path), "--s", "1",
-                 "--jobs", jobs, "--out", str(out_file)])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    [line] = captured.err.splitlines()
-    assert line.startswith(f"edgereg verify: error: lower-bound on {c5}: lcm lattice budget 15 ")
+    for out in (out_file, missing):
+        code = main(["verify", "--suite", "lower-bound", "--graphs", str(path), "--s", "1",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith(
+            f"edgereg verify: error: lower-bound on {c5}: lcm lattice budget 15 ")
+    # an old report stays as it was, and no new one is left behind, not even empty
     assert out_file.read_text() == "[]\n" and cache.read_text() == "[]"
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("char", [100000000000031, 2 ** 61 - 1], ids=["1e14+31", "2^61-1"])
@@ -286,8 +311,9 @@ def test_reg_accepts_the_largest_characteristic(tmp_path, capsys):
 
 @pytest.mark.parametrize("content", [
     None, "!!\n", '{"n": 2.9, "edges": [[0, 1]]}\n', '{"n": true, "edges": []}\n',
-    '{"n": "3", "edges": []}\n', '{"n": 3, "edges": [[true, 2]]}\n',
-], ids=["missing-file", "bad-line", "float-n", "bool-n", "string-n", "bool-endpoint"])
+    '{"n": "3", "edges": []}\n', '{"n": 3, "edges": [[true, 2]]}\n', '{"n": 63, "edges": []}\n',
+], ids=["missing-file", "bad-line", "float-n", "bool-n", "string-n", "bool-endpoint",
+        "n-past-62"])
 @pytest.mark.parametrize("argv", [["invariants"], ["ideal"], ["reg"],
                                   ["colon-graph", "--edges", "0-1"]],
                          ids=["invariants", "ideal", "reg", "colon-graph"])

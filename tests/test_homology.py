@@ -16,11 +16,11 @@ from edgereg.homology import (FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
                               _strong_core, graded_betti, hochster_oracle,
                               hochster_supports, regularity, regularity_of_power)
 from edgereg.linalg import matrix_rank, rank_gf2, rank_gf3
-from edgereg.monomials import (Monomial, colon_by_monomial, edge_ideal,
-                               lane_masks, pack, pack_capped, pack_slots, polarize, power,
-                               slot_size, squarefree, sum_ideals, unpack, zero_ideal)
+from edgereg.monomials import (colon_by_monomial, edge_ideal, lane_masks, pack, pack_capped,
+                               pack_slots, parse_monomial, polarize, power, slot_size,
+                               squarefree, sum_ideals, unpack, zero_ideal)
 
-M = Monomial.parse
+M = parse_monomial
 
 
 # exact linear algebra -------------------------------------------------------
@@ -416,7 +416,7 @@ def random_ideals(draw, max_vars=6, max_exponent=3, min_vars=1):
     rows = draw(st.lists(st.lists(st.integers(0, max_exponent), min_size=nv,
                                   max_size=nv).filter(any),
                          min_size=1, max_size=6))
-    return ideal([Monomial.from_dict(dict(zip(names, r))) for r in rows], vars=names)
+    return ideal([dict(zip(names, r)) for r in rows], vars=names)
 
 
 @given(random_ideals(), st.sampled_from([GF2, QQ, FieldSpec(3)]))
@@ -470,7 +470,7 @@ def ideals_closed_under_a_swap(draw):
         row = row[:]
         row[u], row[v] = row[v], row[u]
         rows.append(row)
-    return ideal([Monomial.from_dict(dict(zip(i.vars, r))) for r in rows], vars=i.vars), u, v
+    return ideal([dict(zip(i.vars, r)) for r in rows], vars=i.vars), u, v
 
 
 @given(ideals_closed_under_a_swap(), st.sampled_from([GF2, QQ, FieldSpec(3)]))
@@ -776,7 +776,7 @@ def test_exact_sequence_lemma_general_monomials():
     reg_i = regularity(i)
     for m in (M("x0*x2"), M("x1^2"), M("x2^2*x4"), M("x3")):
         colon = colon_by_monomial(i, pack_capped(m, i.vars))
-        bound = max(regularity(colon) + sum(m.as_dict().values()),
+        bound = max(regularity(colon) + sum(m.values()),
                     regularity(sum_ideals(i, ideal([m], vars=i.vars))))
         assert reg_i <= bound
 

@@ -12,30 +12,34 @@ import oracles
 from builders import complete_graph, cycle_graph, ideal, packed_degree, path_graph
 from edgereg import monomials
 from edgereg.graphs import enumerate_graphs, from_edge_list
-from edgereg.monomials import (LANE_MAX, EdgeMultiset, Monomial, colon_by_monomial,
+from edgereg.monomials import (LANE_MAX, MonomialIdeal, colon_by_monomial,
                                cover_square_intersection, edge_ideal, intersect, lane_masks,
                                minimal_vertex_covers, pack, pack_capped, packed_ideal,
-                               packed_lcm, polar_name, polarize, power, squarefree,
-                               sum_ideals, symbolic_square, unpack)
+                               packed_lcm, parse_monomial, polar_name, polarize, power,
+                               squarefree, sum_ideals, symbolic_square, unpack)
 
-M = Monomial.parse
+M = parse_monomial
 
 
 def xyz_triangle():
     return complete_graph(3, labels=("x", "y", "z"))
 
 
-def _times(a: Monomial, b: Monomial) -> Monomial:
-    return Monomial.from_dict(Counter(a.as_dict()) + Counter(b.as_dict()))
+def _times(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    return dict(Counter(a) + Counter(b))
 
 
-# Monomial basics -----------------------------------------------------------
+# written monomials -----------------------------------------------------------
 
 def test_monomial_parse_and_str():
     m = M("x0^2*x1")
-    assert str(m) == "x0^2*x1"
-    assert m.as_dict() == {"x0": 2, "x1": 1}
-    assert M("1") == Monomial(())
+    assert m == {"x0": 2, "x1": 1}
+    assert ideal([m]).generators() == ["x0^2*x1"]
+    assert M("1") == M("") == M("x0^0") == {}
+    # repeated variables add up, and the text comes back with variables by name
+    assert M("x1*x0*x1^2") == {"x1": 3, "x0": 1}
+    assert ideal([M("y*x^2")], vars=("y", "x")).generators() == ["x^2*y"]
+    assert MonomialIdeal(("x",), (0,)).generators() == ["1"]
 
 
 @pytest.mark.parametrize("text", ["x0^", "x0*x1^", "x0^+2", "x0^ 2", "x0^-1", "x0^2.0", "*"])
@@ -53,35 +57,35 @@ def test_monomial_parse_rejects_whitespace_in_a_name(text):
 
 
 def test_monomial_parse_strips_whitespace_around_tokens():
-    assert M(" x0 * x1^2 ") == M("x0*x1^2") == Monomial.from_dict({"x0": 1, "x1": 2})
+    assert M(" x0 * x1^2 ") == M("x0*x1^2") == {"x0": 1, "x1": 2}
 
 
 # ideals --------------------------------------------------------------------
 
 def test_edge_ideal_triangle():
     i = edge_ideal(xyz_triangle())
-    assert {str(m) for m in i.generators()} == {"x*y", "x*z", "y*z"}
+    assert set(i.generators()) == {"x*y", "x*z", "y*z"}
 
 
 def test_edge_ideal_single_edge_and_edgeless():
-    assert [str(m) for m in edge_ideal(path_graph(2)).generators()] == ["x0*x1"]
+    assert edge_ideal(path_graph(2)).generators() == ["x0*x1"]
     assert edge_ideal(from_edge_list(3, [])).is_zero
 
 
 def test_minimalize():
-    assert [str(m) for m in ideal([M("x*y"), M("x*y*z")]).generators()] == ["x*y"]
+    assert ideal([M("x*y"), M("x*y*z")]).generators() == ["x*y"]
     i = ideal([M("x^2"), M("x*y"), M("y^2")])
-    assert {str(m) for m in i.generators()} == {"x^2", "x*y", "y^2"}
+    assert set(i.generators()) == {"x^2", "x*y", "y^2"}
     assert ideal([]).is_zero
 
 
 def test_power_principal():
     i = ideal([M("x*y")])
-    assert [str(m) for m in power(i, 2).generators()] == ["x^2*y^2"]
+    assert power(i, 2).generators() == ["x^2*y^2"]
 
 
 def test_power_triangle_square():
-    got = {str(m) for m in power(edge_ideal(xyz_triangle()), 2).generators()}
+    got = set(power(edge_ideal(xyz_triangle()), 2).generators())
     assert got == {"x^2*y^2", "x^2*z^2", "y^2*z^2",
                    "x^2*y*z", "x*y^2*z", "x*y*z^2"}
 
@@ -95,7 +99,7 @@ def test_power_identity_and_errors():
 
 def test_colon_simple():
     i = ideal([M("x*y"), M("y*z")])
-    assert {str(m) for m in colon_by_monomial(i, pack((0, 1, 0))).generators()} == {"x", "z"}
+    assert set(colon_by_monomial(i, pack((0, 1, 0))).generators()) == {"x", "z"}
 
 
 def test_colon_path_square_witness():
@@ -127,7 +131,7 @@ def small_ideals(draw):
     for _ in range(ngens):
         exps = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
         if any(exps):
-            gens.append(Monomial.from_dict(dict(zip(vars, exps))))
+            gens.append(dict(zip(vars, exps)))
     if not gens:
         gens = [M(vars[0])]
     return ideal(gens, vars=vars)
@@ -137,7 +141,7 @@ def small_ideals(draw):
 def small_monomials(draw, max_exp=3):
     nvars = draw(st.integers(1, 4))
     exps = draw(st.lists(st.integers(0, max_exp), min_size=nvars, max_size=nvars))
-    return Monomial.from_dict({f"x{i}": e for i, e in enumerate(exps)})
+    return {f"x{i}": e for i, e in enumerate(exps) if e}
 
 
 @given(small_ideals(), small_monomials(), small_monomials())
@@ -153,7 +157,7 @@ def test_colon_membership_duality(i, m, u):
 @given(small_ideals(), st.integers(1, 2))
 @settings(max_examples=60, deadline=None)
 def test_power_consistency(i, s):
-    stepped = ideal([_times(a, b) for a in power(i, s).generators()
+    stepped = ideal([_times(M(a), M(b)) for a in power(i, s).generators()
                           for b in i.generators()], vars=i.vars)
     assert power(i, s + 1) == stepped
 
@@ -260,13 +264,13 @@ def test_exponent_above_lane_max_is_rejected():
 
 def test_polarize_square():
     p = polarize(ideal([M("x^2")]))
-    assert [str(m) for m in p.generators()] == ["x*x.2"]
+    assert p.generators() == ["x*x.2"]
     assert p.vars == ("x", "x.2")
 
 
 def test_polarize_mixed():
     p = polarize(ideal([M("x^2*y"), M("x*y^2")]))
-    assert {str(m) for m in p.generators()} == {"x*x.2*y", "x*y*y.2"}
+    assert set(p.generators()) == {"x*x.2*y", "x*y*y.2"}
     assert p.vars == ("x", "x.2", "y", "y.2")
 
 
@@ -320,7 +324,7 @@ def test_symbolic_square_contained_in_edge_ideal():
         if g.is_edgeless():
             continue
         i = edge_ideal(g)
-        assert all(oracles.contains(i, m) for m in symbolic_square(g).generators())
+        assert all(oracles.contains(i, M(m)) for m in symbolic_square(g).generators())
 
 
 def test_intersect_idempotent():
@@ -337,9 +341,9 @@ def test_intersect_idempotent():
 
 def test_generator_order_is_graded_lex():
     i = ideal([M("y*z"), M("x"), M("x*y*z")], vars=("x", "y", "z"))
-    assert [str(m) for m in i.generators()] == ["x", "y*z"]
+    assert i.generators() == ["x", "y*z"]
     j = ideal([M("b^2"), M("a*c"), M("a*b")], vars=("a", "b", "c"))
-    assert [str(m) for m in j.generators()] == ["a*b", "a*c", "b^2"]
+    assert j.generators() == ["a*b", "a*c", "b^2"]
 
 
 @st.composite
@@ -389,18 +393,3 @@ def test_mutated_generator_order_is_caught(monkeypatch, old, new):
     with pytest.raises(AssertionError):
         _check_generator_order(phases=(Phase.generate,))  # a failure, not its shrunk form
 
-
-def test_edge_multiset():
-    m = EdgeMultiset.of([(2, 1), (1, 2), (0, 1)])
-    assert m.edges == ((0, 1), (1, 2), (1, 2))
-    assert m.size == 3
-    assert m.counts() == {(0, 1): 1, (1, 2): 2}
-    assert m.without((1, 2)).edges == ((0, 1), (1, 2))
-    assert unpack(m.packed_product(3), 3) == (1, 3, 2)
-    m.validate_in(path_graph(3))  # all entries are edges of the path
-
-
-def test_edge_multiset_validates_membership():
-    m = EdgeMultiset.of([(0, 2)])
-    with pytest.raises(Exception):
-        m.validate_in(path_graph(3))

@@ -466,9 +466,9 @@ def test_complex_table_lives_until_clear_and_is_never_persisted(tmp_path, monkey
 def _direct_colons(g, k):
     big = monomials.power(edge_ideal(g), k + 1)
     out = []
-    for combo in itertools.combinations_with_replacement(g.edges(), k):
-        m = monomials.EdgeMultiset.of(combo)
-        out.append((m, monomials.colon_by_monomial(big, m.packed_product(g.n))))
+    for m in itertools.combinations_with_replacement(g.edges(), k):
+        word = sum(monomials.squarefree(e, g.n) for e in m)
+        out.append((m, monomials.colon_by_monomial(big, word)))
     return out
 
 
@@ -507,8 +507,9 @@ def test_sweep_builds_each_table_colon_once(monkeypatch):
     # 19 distinct products of the 21 pairs (its 3 perfect matchings coincide);
     # (I - N[w])^2 : e is zero on K4, so colon-structure builds no other colon
     assert len(built) == len(set(built)) == 6 + 6 + 19
-    # with I^2 and I^3; K4 has no leaf edge, so colon-structure never reads I
-    colon_keys = [key for key in suites._COLONS[g] if isinstance(key, tuple)]
+    # with I^2 and I^3; K4 has no leaf edge, so colon-structure never reads I.
+    # A colon's key is (k, word), a multiset's the tuple of its edges
+    colon_keys = [key for key in suites._COLONS[g] if isinstance(key[0], int)]
     assert len(colon_keys) == 2 + len(built)
 
 
