@@ -4,7 +4,9 @@ Graphs come in as graph6 lines or as JSON edge-list objects
 {"n": ..., "edges": [[u, v], ...]}, one per line, from a file or stdin.
 All subcommands write JSON lines to stdout, except `verify`, which prints
 a TSV summary and exits 1 when a theorem suite reports violations, and 3
-when a graph is past a budget of the Betti kernel.
+when a graph is past a budget of the Betti kernel.  The others compute
+every record before printing one; a bad input or flag is a usage error
+(exit 2), and so is a graph past a budget, which the message names.
 """
 from __future__ import annotations
 
@@ -62,9 +64,13 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_invariants(args) -> int:
+    records = []  # every record is computed before anything is printed
     for g in _read_graphs(args, args.input):
-        record = {"graph6": emit_graph6(g), "n": g.n}
-        record.update(invariants.invariant_record(g))
+        try:
+            records.append({"graph6": emit_graph6(g), "n": g.n, **invariants.invariant_record(g)})
+        except homology.BudgetError as exc:
+            args.usage_error(f"{exc} (graph {emit_graph6(g)})")
+    for record in records:
         print(json.dumps(record))
     return 0
 
@@ -124,9 +130,7 @@ def _cmd_reg(args) -> int:
             table = homology.graded_betti(i, field)
         except homology.BudgetError as exc:
             args.usage_error(f"--power {args.power}: {exc} (graph {emit_graph6(g)})")
-        out = table.to_json_dict()
-        out["graph6"] = emit_graph6(g)
-        out["power"] = args.power
+        out = {**table.to_json_dict(), "graph6": emit_graph6(g), "power": args.power}
         if args.oracle:
             other = homology.hochster_oracle(i, field)
             out["oracle_agrees"] = other == table
@@ -149,14 +153,14 @@ def _cmd_colon_graph(args) -> int:
     for g in graphs:
         pairs = evenconn.even_connection_lengths(g, m)
         gp = evenconn.colon_graph(g, pairs)
-        certs = {(u, v): c for u, v, c in evenconn.even_connected_pairs(g, m)}
         print(json.dumps({
             "graph6": emit_graph6(gp),
             "labels": list(gp.labels),
             "new_pairs": [
-                {"u": u, "v": v, "path": list(certs[u, v].path),
-                 "assignments": [[pos, list(e)] for pos, e in certs[u, v].assignments]}
-                for u, v in pairs if u == v or not g.has_edge(u, v)
+                {"u": u, "v": v, "path": list(path),
+                 "assignments": [[pos, list(e)] for pos, e in assignments]}
+                for u, v, path, assignments in evenconn.even_connected_pairs(g, m)
+                if u == v or not g.has_edge(u, v)
             ],
         }))
     return 0
@@ -193,11 +197,11 @@ def _cmd_verify(args) -> int:
             os.remove(args.out)
     print("suite\tgraphs\tviolations\twall_time\tpass")
     for r in reports:
-        print(f"{r.suite}\t{r.graphs_tested}\t{r.violations_total}"
-              f"\t{r.wall_time:.2f}\t{'yes' if r.passed else 'NO'}")
+        print(f"{r['suite']}\t{r['graphs_tested']}\t{r['violations_total']}"
+              f"\t{r['wall_time']:.2f}\t{'yes' if r['pass'] else 'NO'}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([r.to_json_dict() for r in reports], fh, indent=2)
+            json.dump(reports, fh, indent=2)
     return code
 
 

@@ -30,10 +30,10 @@ is the one value of the colon graph: the even-connection suite compares
 it with the monomial colon, the isolated-reduction scan reads it, and
 `colon_graph` builds the labelled `Graph` from it where one is shown.
 The breadth-first search behind `even_connected_pairs` only certifies:
-each pair carries an explicit walk and edge assignment of maximal length,
-with ties broken by lexicographic path order for determinism.  It serves
-the `colon-graph` command and is the independent cross-check of the
-layer search.
+each pair comes as (u, v, path, assignments), an explicit walk of maximal
+length and the multiset edge at each odd position, with ties broken by
+lexicographic path order for determinism.  It serves the `colon-graph`
+command and is the independent cross-check of the layer search.
 
 The module also lists, for one pairs dict, every removed set W and
 endpoint u of a longest walk avoiding W at which the
@@ -45,23 +45,9 @@ the pairs against monomial arithmetic and record violations live in
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, from_edge_list
 from .monomials import polar_name
-
-
-@dataclass(frozen=True)
-class EvenConnectionCertificate:
-    """A witnessing walk p_0 ... p_{2k+1} plus the multiset edge assigned to
-    each odd position (edge index 2l+1 joins path[2l+1] and path[2l+2])."""
-
-    path: tuple[int, ...]
-    assignments: tuple[tuple[int, tuple[int, int]], ...]
-
-    @property
-    def k(self) -> int:
-        return (len(self.path) - 2) // 2
 
 
 def check_multiset(g: Graph, m: tuple[tuple[int, int], ...]) -> None:
@@ -173,12 +159,13 @@ def _reconstruct(pred, state) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[i
     return path, assigns
 
 
-def even_connected_pairs(g: Graph, m: tuple[tuple[int, int], ...]
-                         ) -> list[tuple[int, int, EvenConnectionCertificate]]:
-    """All pairs (u, v), u <= v and u = v allowed, that are even-connected
-    with respect to m, each with a certificate of maximal length."""
+def even_connected_pairs(g: Graph, m: tuple[tuple[int, int], ...]) -> list[tuple]:
+    """Every pair (u, v), u <= v and u = v allowed, that is even-connected
+    with respect to m, as (u, v, path, assignments): a witnessing walk
+    p_0 ... p_{2k+1} of maximal k, and the multiset edge assigned to each
+    odd position (edge 2l+1 joins path[2l+1] and path[2l+2])."""
     check_multiset(g, m)
-    found: dict[tuple[int, int], EvenConnectionCertificate] = {}
+    found: dict[tuple[int, int], tuple] = {}
     for start in range(g.n):
         pred = _reachable_states(g, m, start)
         accepts: dict[int, list] = {}
@@ -188,9 +175,9 @@ def even_connected_pairs(g: Graph, m: tuple[tuple[int, int], ...]
                 accepts.setdefault(v, []).append(state)
         for v, states in accepts.items():
             kmax = max(sum(st[1]) for st in states)
-            best = min(_reconstruct(pred, st) for st in states if sum(st[1]) == kmax)
-            found[(start, v)] = EvenConnectionCertificate(*best)
-    return [(u, v, found[(u, v)]) for u, v in sorted(found)]
+            found[(start, v)] = min(_reconstruct(pred, st) for st in states
+                                    if sum(st[1]) == kmax)
+    return [(u, v, *found[(u, v)]) for u, v in sorted(found)]
 
 
 def colon_graph(g: Graph, pairs: dict[tuple[int, int], int]) -> Graph:

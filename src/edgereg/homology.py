@@ -20,11 +20,11 @@ Two independent routes compute the same Betti table:
   points whose lanes do not increase along each class and weighs each
   by its orbit size.  Each distinct set of maximal facets is closed and
   ranked once per process, in the memo;
-* the oracle route polarizes the ideal, forms the associated
-  Stanley-Reisner complex, and sums reduced homology of induced
-  subcomplexes over the vertex subsets that are unions of minimal
-  nonfaces (every other subset induces a cone), ranking each distinct
-  induced complex once per call.  Its faces, facets and those unions are
+* the oracle route reads the polarized supports off the generator lanes
+  (`hochster_supports`), forms the associated Stanley-Reisner complex,
+  and sums reduced homology of induced subcomplexes over the vertex
+  subsets that are unions of minimal nonfaces (every other subset
+  induces a cone), ranking each distinct induced complex once per call.  Its faces, facets and those unions are
   each one bitmap of 2^n bits.  Before ranking, an induced complex
   shrinks to its strong-collapse core: a vertex v is dominated when every
   facet through v also holds some other vertex, and deleting dominated
@@ -42,8 +42,8 @@ detects silent bugs in either construction.  Neither reads the other's
 tables: `graded_betti` keeps its complexes in the process-wide memo,
 while `hochster_oracle` keeps its table for the length of one call and
 never touches the memo, so a stale or wrongly keyed entry on one route
-cannot reach the other.  They share only the rank routines of `linalg`,
-and over QQ most oracle cores go through `rank_gf2`, not `matrix_rank`.
+cannot reach the other.  They share only the input words and `linalg`'s
+ranks, and over QQ most oracle cores go through `rank_gf2`, not `matrix_rank`.
 The primary route closes facets into faces (`_closure`), maximizes with
 `_maximal_masks` and builds boundaries in `_profile_from_masks`; the
 oracle reads faces and facets off its bitmap, maximizes with
@@ -61,13 +61,15 @@ generators of degree j and regularity is max(j - i) over nonzero entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import factorial, isqrt
 from typing import Callable, Iterable
 
 from .graphs import Graph, _bits, canonical_key
 from .linalg import matrix_rank, rank_gf2, rank_gf3
 from .monomials import (LANE, LANE_MAX, MonomialIdeal, _plane_degree, edge_ideal, lane_masks,
-                        monus, pack_slots, polarize, power, slot_ones, slot_size, unpack_slots)
+                        monus, pack_slots, packed_lcm, power, slot_ones, slot_size, unpack,
+                        unpack_slots)
 
 FACE_BUDGET = 1 << 20
 VAR_BUDGET = 22
@@ -409,24 +411,26 @@ def _maximal_masks(masks: set[int]) -> list[int]:
 
 
 def hochster_supports(i: MonomialIdeal) -> tuple[int, list[int]]:
-    """(n, supports) for `hochster_oracle`: the supports of the polarized
-    generators as bitmasks over the n polarized variables they use,
-    renumbered 0..n-1.  Raises `BudgetError` when n exceeds `VAR_BUDGET`
-    or the 2^n vertex subsets exceed `FACE_BUDGET`, so a caller can check
-    the oracle's budgets before running it."""
-    p = polarize(i)
-    nv = len(p.vars)
-    # a polarized generator is squarefree: its set bits are the low bits
-    # LANE * j of its lanes j, and lane j holds variable nv - 1 - j
-    supports_in_p = [sum(1 << (nv - 1 - b // LANE) for b in _bits(g)) for g in p.gens]
-    used = sorted({k for m in supports_in_p for k in _bits(m)})
-    n = len(used)
+    """(n, supports) for `hochster_oracle`: the polarized generators' supports
+    over the n polarized variables they use, read off the lanes as bitmasks.
+    Variable v of largest exponent p_v takes the p_v bits after those of the
+    variables before it, and exponent e_v the first e_v of them.  Raises
+    `BudgetError` when n exceeds `VAR_BUDGET` or the 2^n vertex subsets
+    exceed `FACE_BUDGET`, so callers can check the budgets before a run."""
+    nv = len(i.vars)
+    hi = lane_masks(nv)[0]
+    top = 0
+    for g in i.gens:
+        top = packed_lcm(top, g, hi)
+    offsets = list(accumulate(unpack(top, nv), initial=0))
+    n = offsets.pop()
     if n > VAR_BUDGET:
         raise BudgetError(f"variable budget {VAR_BUDGET} exceeded: {n} polarized variables")
     if (1 << n) > FACE_BUDGET:
         raise BudgetError(f"face budget {FACE_BUDGET} exceeded")
-    remap = {orig: idx for idx, orig in enumerate(used)}
-    return n, sorted({sum(1 << remap[k] for k in _bits(m)) for m in supports_in_p})
+    supports = {sum(((1 << e) - 1) << offset for e, offset in zip(unpack(g, nv), offsets))
+                for g in i.gens}  # the variables' bits are disjoint: their sum is their union
+    return n, sorted(supports)
 
 
 def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
@@ -458,9 +462,9 @@ def hochster_oracle(i: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     is {emptyset}, with rank(H_-1) = 1.  Either way the result is stored
     under W's key too.
 
-    Independent of `graded_betti` by construction: its faces, facets,
-    boundary matrices and facet maximization are its own, and only the
-    rank routines of `linalg` are shared.  Used as the second route in
+    Independent of `graded_betti` by construction: its supports, faces,
+    facets, boundary matrices and facet maximization are its own, and
+    only the input words and the rank routines of `linalg` are shared.  Used as the second route in
     every dual-oracle check.  Only this route is cored: the primary route
     ranks its complexes whole, so a wrong core shows up as a disagreement
     between the two.

@@ -6,10 +6,11 @@ Each suite sweeps a graph source (enumeration up to n_max, or an explicit
 list) and asserts one statement about regularity of edge-ideal powers; a
 per-graph checker returns its violations as replayable
 {graph6, s, lhs, rhs, context} records, an ideal in them as the sorted
-strings of its generators.  A report keeps the first
-MAX_STORED_VIOLATIONS verbatim and counts every one; it passes exactly
-when that count is zero.  A violation in any theorem suite
-means a bug in this toolkit, not in the mathematics being checked.
+strings of its generators.  A suite's report is the dict that `--out`
+writes: it keeps the first MAX_STORED_VIOLATIONS records in graph order,
+counts every one, and passes exactly when that count is zero.  A
+violation in any theorem suite means a bug in this toolkit, not in the
+mathematics being checked.
 
 A bound suite (reg I^s against 2s + f(G) - c) is its guard plus one
 `_power_bound` call; a colon suite iterates `_edge_colons`, the pairs
@@ -54,7 +55,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
@@ -68,40 +68,6 @@ from .monomials import (MonomialIdeal, colon_by_monomial,
 CACHE_ENV_VAR = "EDGEREG_CACHE_DIR"
 CACHE_FILE = "regcache.json"
 MAX_STORED_VIOLATIONS = 50
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    graphs_tested: int = 0
-    violations: list[dict] = dataclass_field(default_factory=list)
-    violations_total: int = 0
-    wall_time: float = 0.0
-    conjecture: bool = False
-    # no suite writes notes yet; the key stays so the report format is fixed
-    notes: list[str] = dataclass_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.violations_total == 0
-
-    def add_violation(self, graph6: str, s: int, lhs, rhs, context: str) -> None:
-        self.violations_total += 1
-        if len(self.violations) < MAX_STORED_VIOLATIONS:
-            self.violations.append(
-                {"graph6": graph6, "s": s, "lhs": lhs, "rhs": rhs, "context": context})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "graphs_tested": self.graphs_tested,
-            "violations": self.violations,
-            "violations_total": self.violations_total,
-            "wall_time": self.wall_time,
-            "pass": self.passed,
-            "conjecture": self.conjecture,
-            "notes": self.notes,
-        }
 
 
 @dataclass(frozen=True)
@@ -468,12 +434,12 @@ def _sweep(spec: SuiteSpec, graphs: Sequence[Graph]) -> tuple[list, list[list]]:
     return rows, homology.cache_snapshot()
 
 
-def run(spec: SuiteSpec) -> tuple[list[SuiteReport], int]:
+def run(spec: SuiteSpec) -> tuple[list[dict], int]:
     """Sweep the spec's graphs through its suites, one report per suite in
-    the spec's order; exit code 0 iff every theorem suite passes.
-    Conjecture suites never affect the exit code.  A `BudgetError` names
-    the suite and the graph, and ends the run before the disk cache is
-    written."""
+    the spec's order, each the record that `--out` writes; exit code 0 iff
+    every theorem suite passes.  Conjecture suites never affect the exit
+    code.  A `BudgetError` names the suite and the graph, and ends the run
+    before the disk cache is written."""
     _load_disk_cache()
     graphs = _graph_source(spec)
     workers = min(spec.jobs, os.cpu_count() or 1, len(graphs))
@@ -488,15 +454,18 @@ def run(spec: SuiteSpec) -> tuple[list[SuiteReport], int]:
     else:
         rows, _ = _sweep(spec, graphs)
     _save_disk_cache()
-    reports = [SuiteReport(name, conjecture=name in CONJECTURE_SUITES) for name in spec.suites]
-    for row in rows:
-        for report, (viols, seconds) in zip(reports, row):
-            report.graphs_tested += 1
-            report.wall_time += seconds
-            for v in viols:
-                report.add_violation(**v)
-    failed = any(not r.passed for r in reports if not r.conjecture)
-    return reports, 1 if failed else 0
+    reports = []
+    for k, name in enumerate(spec.suites):
+        viols = [v for row in rows for v in row[k][0]]
+        reports.append({
+            "suite": name, "graphs_tested": len(rows),
+            "violations": viols[:MAX_STORED_VIOLATIONS], "violations_total": len(viols),
+            "wall_time": sum((row[k][1] for row in rows), 0.0), "pass": not viols,
+            "conjecture": name in CONJECTURE_SUITES,
+            # no suite writes notes yet; the key stays so the report format is fixed
+            "notes": [],
+        })
+    return reports, int(any(not r["pass"] for r in reports if not r["conjecture"]))
 
 
 def clear_all_caches() -> None:

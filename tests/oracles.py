@@ -9,7 +9,9 @@ The one exception is `lattice_rescan_betti`, an earlier form of the Betti
 kernel kept as a reference for the lattice and facet steps only: it shares
 face closure and homology ranks with `homology`.
 `frozenset_isolated_reduction_failures` is the earlier, set-based form of
-`evenconn.isolated_reduction_failures`, kept as its reference, and
+`evenconn.isolated_reduction_failures`, kept as its reference,
+`polarized_supports` the earlier, polarize-and-decode form of
+`homology.hochster_supports`, and
 `permutation_product_key` the earlier, exhaustive form of
 `graphs._canonical_key`, sharing its refinement classes.  `contains`
 (membership on dense rows), `certificate_holds` (an even-connection walk
@@ -26,11 +28,12 @@ from collections import Counter
 from fractions import Fraction
 
 from builders import packed_degree
-from edgereg.evenconn import EvenConnectionCertificate, colon_graph
-from edgereg.graphs import Graph, _refinement_classes, enumerate_graphs, induced_subgraph
+from edgereg import homology
+from edgereg.evenconn import colon_graph
+from edgereg.graphs import Graph, _bits, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, LATTICE_BUDGET, BettiTable, BudgetError,
                               FieldSpec, _closure, _profile_from_masks, hochster_oracle)
-from edgereg.monomials import LANE, MonomialIdeal, lane_masks, pack, unpack
+from edgereg.monomials import LANE, MonomialIdeal, lane_masks, pack, polarize, unpack
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -329,17 +332,16 @@ def _closed_hood(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
 
 
-def certificate_holds(cert: EvenConnectionCertificate, g: Graph,
-                      m: tuple[tuple[int, int], ...]) -> bool:
-    """The walk p_0 ... p_{2k+1} (k >= 1) runs along edges of G, and its
-    odd positions carry multiset edges joining their ends, within their
-    multiplicities."""
-    path = cert.path
+def certificate_holds(cert: tuple, g: Graph, m: tuple[tuple[int, int], ...]) -> bool:
+    """For a certificate (path, assignments): the walk p_0 ... p_{2k+1}
+    (k >= 1) runs along edges of G, and its odd positions carry multiset
+    edges joining their ends, within their multiplicities."""
+    path, assignments = cert
     if len(path) < 4 or len(path) % 2:
         return False
     if any(not g.has_edge(path[r], path[r + 1]) for r in range(len(path) - 1)):
         return False
-    assigned = dict(cert.assignments)
+    assigned = dict(assignments)
     if sorted(assigned) != list(range(1, len(path) - 2, 2)):
         return False
     if any({path[pos], path[pos + 1]} != set(e) for pos, e in assigned.items()):
@@ -375,6 +377,28 @@ def frozenset_isolated_reduction_failures(g: Graph, pairs) -> list[tuple[frozens
                    for a, b in kept if a not in removed and b not in removed):
                 out.append((w, u))
     return out
+
+
+# Reference for `homology.hochster_supports`: its earlier route, which
+# polarizes the ideal, decodes each polarized word bit by bit and renumbers
+# the polarized variables that some generator uses.  The budgets are read
+# from `homology` when called, so a test that patches them patches both.
+
+def polarized_supports(i: MonomialIdeal) -> tuple[int, list[int]]:
+    p = polarize(i)
+    nv = len(p.vars)
+    # a polarized generator is squarefree: its set bits are the low bits
+    # LANE * j of its lanes j, and lane j holds variable nv - 1 - j
+    supports_in_p = [sum(1 << (nv - 1 - b // LANE) for b in _bits(g)) for g in p.gens]
+    used = sorted({k for m in supports_in_p for k in _bits(m)})
+    n = len(used)
+    if n > homology.VAR_BUDGET:
+        raise BudgetError(f"variable budget {homology.VAR_BUDGET} exceeded: "
+                          f"{n} polarized variables")
+    if (1 << n) > homology.FACE_BUDGET:
+        raise BudgetError(f"face budget {homology.FACE_BUDGET} exceeded")
+    remap = {orig: idx for idx, orig in enumerate(used)}
+    return n, sorted({sum(1 << remap[k] for k in _bits(m)) for m in supports_in_p})
 
 
 # Mutation tests: a package function with one source fragment replaced.

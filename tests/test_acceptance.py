@@ -28,10 +28,10 @@ def _report(name: str, ok: bool) -> None:
 def _suite_passes(name: str, **kwargs) -> bool:
     reports, _ = run(SuiteSpec((name,), **kwargs))
     report = reports[0]
-    if not report.passed:
-        print(f"  {name}: {report.violations_total} violations, "
-              f"first: {report.violations[:3]}")
-    return report.passed
+    if not report["pass"]:
+        print(f"  {name}: {report['violations_total']} violations, "
+              f"first: {report['violations'][:3]}")
+    return report["pass"]
 
 
 def test_criterion_01_dual_oracle_betti_agreement():

@@ -32,6 +32,21 @@ def test_invariants_accepts_json_lines(tmp_path, capsys):
     assert rec["beta"] == 1
 
 
+def test_invariants_past_a_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, fresh_memo):
+    # C5's first local colon has 7 lcm-lattice points; K2's record is
+    # computed but not printed, since no record is printed before all are
+    monkeypatch.setattr(homology, "LATTICE_BUDGET", 2)
+    path = tmp_path / "in.g6"
+    path.write_text("A_\nDhc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == (
+        "edgereg invariants: error: lcm lattice budget 2 exceeded (graph Dhc)")
+
+
 def test_ideal_power_pipeline(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text("A_\n")

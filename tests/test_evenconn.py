@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from builders import cycle_graph, disjoint_union, path_graph
-from edgereg.evenconn import (EvenConnectionCertificate, colon_graph, even_connected_pairs,
-                              even_connection_lengths, isolated_reduction_failures)
+from edgereg.evenconn import (colon_graph, even_connected_pairs, even_connection_lengths,
+                              isolated_reduction_failures)
 from edgereg.graphs import cricket, enumerate_graphs, from_edge_list
 from edgereg.homology import regularity
 from edgereg.invariants import is_gap_free
@@ -32,17 +32,17 @@ def _colon_graph(g, m):
 def test_path_even_connection():
     p5 = path_graph(5)
     pairs = even_connected_pairs(p5, ((1, 2),))
-    certs = {(u, v): c for u, v, c in pairs}
-    assert (0, 3) in certs
-    assert certs[(0, 3)].path == (0, 1, 2, 3)
+    paths = {(u, v): path for u, v, path, _ in pairs}
+    assert (0, 3) in paths
+    assert paths[(0, 3)] == (0, 1, 2, 3)
     assert _pairs_beyond_graph(p5, pairs) == [(0, 3)]
 
 
 def test_c4_even_connection():
     c4 = cycle_graph(4)
     pairs = even_connected_pairs(c4, ((1, 2),))
-    certs = {(u, v): c for u, v, c in pairs}
-    assert certs[(0, 3)].path == (0, 1, 2, 3)
+    paths = {(u, v): path for u, v, path, _ in pairs}
+    assert paths[(0, 3)] == (0, 1, 2, 3)
 
 
 def test_single_edge_nothing_new():
@@ -66,13 +66,11 @@ def test_certificates_validate_and_reverse():
             if not edges:
                 continue
             for m in itertools.combinations_with_replacement(edges, 2):
-                for u, v, cert in even_connected_pairs(g, m):
-                    assert (cert.path[0], cert.path[-1]) in ((u, v), (v, u))
-                    assert certificate_holds(cert, g, m)
-                    last = len(cert.path) - 2
-                    back = EvenConnectionCertificate(
-                        cert.path[::-1],
-                        tuple(sorted((last - pos, e) for pos, e in cert.assignments)))
+                for u, v, path, assignments in even_connected_pairs(g, m):
+                    assert (path[0], path[-1]) in ((u, v), (v, u))
+                    assert certificate_holds((path, assignments), g, m)
+                    last = len(path) - 2
+                    back = (path[::-1], tuple(sorted((last - pos, e) for pos, e in assignments)))
                     assert certificate_holds(back, g, m)
 
 
@@ -90,7 +88,7 @@ def test_multiset_must_live_in_graph():
 
 
 def _certified_lengths(g, m):
-    return {(u, v): c.k for u, v, c in even_connected_pairs(g, m)}
+    return {(u, v): (len(path) - 2) // 2 for u, v, path, _ in even_connected_pairs(g, m)}
 
 
 def test_layer_search_matches_certified_bfs():
@@ -204,9 +202,9 @@ def test_isolated_reduction_vacuous():
 def test_isolated_reduction_c5():
     c5 = cycle_graph(5)
     m = ((0, 1),)
-    pairs = even_connected_pairs(c5, m)
-    kmax = max(c.k for _, _, c in pairs)
-    endpoints = {x for a, b, c in pairs if c.k == kmax for x in (a, b)}
+    ks = {(a, b): (len(path) - 2) // 2 for a, b, path, _ in even_connected_pairs(c5, m)}
+    kmax = max(ks.values())
+    endpoints = {x for (a, b), k in ks.items() if k == kmax for x in (a, b)}
     lengths = even_connection_lengths(c5, m)
     assert longest_walk_endpoints(lengths, frozenset()) == endpoints
     assert all(w != frozenset() for w, _ in isolated_reduction_failures(c5, lengths))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from builders import complete_bipartite, cycle_graph, disjoint_edges, ideal, path_graph
+from builders import (complete_bipartite, complete_graph, cycle_graph, disjoint_edges, ideal,
+                      path_graph)
 from edgereg import homology, linalg
 from edgereg.graphs import _bits, enumerate_graphs, from_edge_list, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, GF2, QQ, BudgetError, FieldSpec,
@@ -282,7 +283,7 @@ def test_oracle_shares_only_linalg_with_the_primary_route():
                 out |= names(const)
         return out
 
-    for func in (hochster_oracle, _strong_core, homology._core_homology,
+    for func in (hochster_oracle, hochster_supports, _strong_core, homology._core_homology,
                  homology._inclusion_maximal, homology._face_bitmap,
                  homology._facet_bitmap, homology._union_bitmap):
         assert not names(func.__code__) & primary, func.__name__
@@ -423,6 +424,52 @@ def random_ideals(draw, max_vars=6, max_exponent=3, min_vars=1):
 @settings(max_examples=200, deadline=None)
 def test_graded_betti_matches_lattice_rescan_reference(i, field):
     assert graded_betti(i, field) == oracles.lattice_rescan_betti(i, field)
+
+
+# the oracle's supports against the polarize-and-decode reference ------------------
+
+def _supports_or_error(route, i):
+    try:
+        return route(i)
+    except BudgetError as exc:
+        return str(exc)
+
+
+# every power up to 4 of every graph with an edge on at most 5 vertices; then
+# C7^3 at 21 polarized variables, past the face budget, and K6^4 at 24, past
+# the variable budget
+EDGE_POWERS = [power(edge_ideal(g), s) for n in range(2, 6) for g in enumerate_graphs(n)
+               if not g.is_edgeless() for s in range(1, 5)]
+EDGE_POWERS += [power(edge_ideal(cycle_graph(7)), 3), power(edge_ideal(complete_graph(6)), 4)]
+
+
+def _supports_mismatches(route) -> int:
+    return sum(_supports_or_error(route, i) != _supports_or_error(oracles.polarized_supports, i)
+               for i in EDGE_POWERS)
+
+
+def test_hochster_supports_match_the_reference_on_edge_ideal_powers():
+    assert _supports_mismatches(hochster_supports) == 0
+    assert "face budget" in _supports_or_error(hochster_supports, EDGE_POWERS[-2])
+    assert "variable budget" in _supports_or_error(hochster_supports, EDGE_POWERS[-1])
+
+
+# exponents up to 3 on at most 6 variables, under budgets small enough to bind
+@given(random_ideals(), st.integers(0, 18), st.integers(0, 19))
+@settings(max_examples=300, deadline=None)
+def test_hochster_supports_match_the_polarize_and_decode_reference(i, var_budget, face_bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "VAR_BUDGET", var_budget)
+        mp.setattr(homology, "FACE_BUDGET", 1 << face_bits)
+        assert (_supports_or_error(hochster_supports, i)
+                == _supports_or_error(oracles.polarized_supports, i))
+
+
+def test_mutated_hochster_supports_is_caught():
+    # one polarized copy too many of every variable a generator uses
+    old = "(1 << e) - 1"
+    assert _supports_mismatches(oracles.mutant(hochster_supports, old, old)) == 0
+    assert _supports_mismatches(oracles.mutant(hochster_supports, old, "(1 << e + 1) - 1")) > 0
 
 
 # ideals with forced swap classes ------------------------------------------------

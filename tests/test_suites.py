@@ -11,7 +11,7 @@ from edgereg import evenconn, graphs, homology, invariants, monomials, suites
 from edgereg.graphs import canonical_key, emit_graph6, enumerate_graphs, parse_graph6
 from edgereg.monomials import edge_ideal
 from edgereg.suites import (CONJECTURE_SUITES, MAX_STORED_VIOLATIONS, THEOREM_SUITES,
-                            SuiteReport, SuiteSpec, run)
+                            SuiteSpec, run)
 
 
 @pytest.fixture(autouse=True)
@@ -42,13 +42,13 @@ def test_spec_validation():
 def test_all_theorem_suites_pass_small():
     reports, code = run(SuiteSpec(THEOREM_SUITES, n_max=4, s_max=2))
     assert code == 0
-    assert all(r.passed for r in reports)
-    assert all(r.graphs_tested == 18 for r in reports)
+    assert all(r["pass"] for r in reports)
+    assert all(r["graphs_tested"] == 18 for r in reports)
 
 
 def test_lower_bound_tight_on_two_disjoint_edges():
     report = _single("lower-bound", graphs=(disjoint_edges(2),), s_max=1)
-    assert report.passed
+    assert report["pass"]
     # the bound is tight there: reg I = 3 = 2 + nu - 1
     assert homology.regularity_of_power(disjoint_edges(2), 1) == 3
     assert invariants.induced_matching_number(disjoint_edges(2)) == 2
@@ -61,8 +61,8 @@ def test_cameron_walker_star_square():
 def test_explicit_graph_list_and_file():
     # reading a file is the CLI's job (test_cli.py::test_verify_accepts_graphs_file)
     by_list = _single("matching-bound", graphs=tuple(enumerate_graphs(4)))
-    assert by_list.graphs_tested == 11
-    assert by_list.passed
+    assert by_list["graphs_tested"] == 11
+    assert by_list["pass"]
 
 
 def test_spec_rejects_an_empty_suite_tuple():
@@ -81,7 +81,7 @@ def test_parallel_jobs_match_serial(monkeypatch):
     def sweep(jobs):
         suites.clear_all_caches()
         reports, code = run(SuiteSpec(THEOREM_SUITES, n_max=4, s_max=2, jobs=jobs))
-        dicts = [{**r.to_json_dict(), "wall_time": None} for r in reports]
+        dicts = [{**r, "wall_time": None} for r in reports]
         return dicts, code, homology.cache_snapshot()
 
     serial = sweep(1)
@@ -119,18 +119,30 @@ def test_pool_is_capped_by_cpus_and_graphs(monkeypatch):
     monkeypatch.setattr(suites, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
     two = (cycle_graph(4), star(3))
-    assert _single("lower-bound", graphs=two, s_max=1, jobs=64).passed
-    assert _single("lower-bound", n_max=4, s_max=1, jobs=64).passed
+    assert _single("lower-bound", graphs=two, s_max=1, jobs=64)["pass"]
+    assert _single("lower-bound", n_max=4, s_max=1, jobs=64)["pass"]
     assert sizes == [2, 4]
 
 
-def test_violation_storage_is_capped():
-    r = SuiteReport("lower-bound")
-    for k in range(MAX_STORED_VIOLATIONS + 20):
-        r.add_violation("g", 1, k, k, "ctx")
-    assert len(r.violations) == MAX_STORED_VIOLATIONS
-    assert r.violations_total == MAX_STORED_VIOLATIONS + 20
-    assert not r.passed
+def test_violation_storage_is_capped(monkeypatch, fresh_memo):
+    # with every reg I^s read as 0, each power of each graph with an edge is
+    # a lower-bound violation: 47 graphs on at most 5 vertices, s = 1, 2
+    monkeypatch.setattr(homology, "regularity_of_power", lambda g, s, field: 0)
+    expected = [{"graph6": emit_graph6(g), "s": s, "lhs": 0,
+                 "rhs": 2 * s + invariants.induced_matching_number(g) - 1,
+                 "context": "reg I^s < 2s + nu(G) - 1"}
+                for n in range(1, 6) for g in enumerate_graphs(n) if not g.is_edgeless()
+                for s in (1, 2)]
+    reports, code = run(SuiteSpec(("lower-bound",), n_max=5, s_max=2))
+    [r] = reports
+    assert code == 1 and len(expected) == 94 > MAX_STORED_VIOLATIONS
+    # the report is the record that --out writes, keys in a fixed order
+    assert list(r) == ["suite", "graphs_tested", "violations", "violations_total",
+                       "wall_time", "pass", "conjecture", "notes"]
+    assert r["violations"] == expected[:MAX_STORED_VIOLATIONS]
+    assert r["violations_total"] == len(expected)
+    assert (r["suite"], r["graphs_tested"], r["pass"], r["conjecture"], r["notes"]) == (
+        "lower-bound", 52, False, False, [])
 
 
 # mutation sensitivity ---------------------------------------------------------
@@ -143,12 +155,12 @@ def test_mutated_induced_matching_is_caught(monkeypatch, fresh_memo):
 
     monkeypatch.setattr(invariants, "induced_matching_number", off_by_one)
     report = _single("lower-bound", n_max=4, s_max=1)
-    assert not report.passed
+    assert not report["pass"]
     # the dumped counterexample replays deterministically
-    bad = parse_graph6(report.violations[0]["graph6"])
+    bad = parse_graph6(report["violations"][0]["graph6"])
     replay = _single("lower-bound", graphs=(bad,), s_max=1)
-    assert not replay.passed
-    assert replay.violations[0]["graph6"] == report.violations[0]["graph6"]
+    assert not replay["pass"]
+    assert replay["violations"][0]["graph6"] == report["violations"][0]["graph6"]
 
 
 @pytest.mark.parametrize("rank_name, characteristic",
@@ -163,7 +175,7 @@ def test_mutated_homology_rank_is_caught(monkeypatch, rank_name, characteristic,
     failed = []
     for name in ("matching-bound", "lower-bound"):
         report = _single(name, n_max=4, s_max=1, field=homology.FieldSpec(characteristic))
-        failed.append(not report.passed)
+        failed.append(not report["pass"])
         suites.clear_all_caches()
     assert any(failed)
 
@@ -173,7 +185,7 @@ def test_mutated_minimalization_is_caught(monkeypatch, fresh_memo):
         return tuple(sorted(set(gens), key=lambda g: (packed_degree(g), -g)))
 
     monkeypatch.setattr(monomials, "_minimal", unfiltered)
-    assert not _single("even-connection", n_max=4, s_max=1).passed
+    assert not _single("even-connection", n_max=4, s_max=1)["pass"]
 
 
 def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
@@ -185,7 +197,7 @@ def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
     for module in (monomials, suites, invariants):
         monkeypatch.setattr(module, "colon_by_monomial", untruncated)
     # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
-    assert not _single("colon-structure", n_max=4, s_max=2).passed
+    assert not _single("colon-structure", n_max=4, s_max=2)["pass"]
 
 
 @pytest.mark.parametrize("new, caught", [("for v in _bits(mask):", False),
@@ -196,7 +208,7 @@ def test_mutated_closed_neighborhood_is_caught(monkeypatch, fresh_memo, new, cau
     # J : w at vertices w that a later endpoint of m shields
     monkeypatch.setattr(suites, "closed_neighborhood",
                         oracles.mutant(graphs.closed_neighborhood, "for v in _bits(mask):", new))
-    assert _single("colon-structure", n_max=5, s_max=2).passed is not caught
+    assert _single("colon-structure", n_max=5, s_max=2)["pass"] is not caught
 
 
 @pytest.mark.parametrize("new, caught", [("for t in triangles(g)]", False),
@@ -207,7 +219,7 @@ def test_mutated_symbolic_square_is_caught(monkeypatch, fresh_memo, new, caught)
     # formula no longer equals the intersection of the squared covers
     monkeypatch.setattr(suites, "symbolic_square",
                         oracles.mutant(monomials.symbolic_square, "for t in triangles(g)]", new))
-    assert _single("symbolic-square", n_max=4, s_max=2).passed is not caught
+    assert _single("symbolic-square", n_max=4, s_max=2)["pass"] is not caught
 
 
 @pytest.mark.parametrize("new, caught", [("== 1", False), ("== 2", True)],
@@ -218,7 +230,7 @@ def test_mutated_leaf_edges_are_caught(monkeypatch, fresh_memo, new, caught):
     old = "g.degree(u) == 1 or g.degree(v) == 1"
     monkeypatch.setattr(suites, "_leaf_edges",
                         oracles.mutant(suites._leaf_edges, old, old.replace("== 1", new)))
-    assert _single("colon-structure", n_max=5, s_max=2).passed is not caught
+    assert _single("colon-structure", n_max=5, s_max=2)["pass"] is not caught
 
 
 def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
@@ -231,14 +243,14 @@ def test_every_even_connection_violation_is_counted(monkeypatch, fresh_memo):
     monkeypatch.setattr(suites, "colon_by_monomial", dropped)
     report = _single("even-connection", graphs=(complete_graph(5),), s_max=2)
     # one violation per multiset: 10 of one edge, 55 of two
-    assert report.violations_total == 65
-    assert len(report.violations) == MAX_STORED_VIOLATIONS
+    assert report["violations_total"] == 65
+    assert len(report["violations"]) == MAX_STORED_VIOLATIONS
 
 
 def test_rerun_does_not_read_an_earlier_runs_table(monkeypatch):
     # the true run ends on K5, leaving its colons in the table; the mutant
     # rerun starts on K5 too and must build its own
-    assert _single("even-connection", graphs=(complete_graph(5),), s_max=2).passed
+    assert _single("even-connection", graphs=(complete_graph(5),), s_max=2)["pass"]
     true_colon = suites.colon_by_monomial
 
     def dropped(i, m):
@@ -247,7 +259,7 @@ def test_rerun_does_not_read_an_earlier_runs_table(monkeypatch):
 
     monkeypatch.setattr(suites, "colon_by_monomial", dropped)
     report = _single("even-connection", graphs=(complete_graph(5),), s_max=2)
-    assert report.violations_total == 65
+    assert report["violations_total"] == 65
 
 
 @pytest.mark.parametrize("n_max, s_max, calls", [(5, 3, 2755), (6, 2, 7553)])
@@ -273,7 +285,7 @@ def test_mutated_even_connected_pairs_is_caught(monkeypatch):
         return {(u, v): k for (u, v), k in true_lengths(g, m).items() if u != v}
 
     monkeypatch.setattr(evenconn, "even_connection_lengths", no_self_pairs)
-    assert not _single("even-connection", n_max=4, s_max=1).passed
+    assert not _single("even-connection", n_max=4, s_max=1)["pass"]
 
 
 @pytest.mark.parametrize("bound, caught", [("<", False), ("<=", True)],
@@ -283,7 +295,7 @@ def test_mutated_usage_bound_is_caught(monkeypatch, bound, caught):
     monkeypatch.setattr(evenconn, "even_connection_lengths",
                         oracles.mutant(evenconn.even_connection_lengths, old,
                                        old.replace("<", bound)))
-    assert _single("even-connection", n_max=5, s_max=2).passed is not caught
+    assert _single("even-connection", n_max=5, s_max=2)["pass"] is not caught
 
 
 def test_mutated_isolated_reduction_is_caught(monkeypatch):
@@ -291,7 +303,7 @@ def test_mutated_isolated_reduction_is_caught(monkeypatch):
     monkeypatch.setattr(evenconn, "isolated_reduction_failures",
                         oracles.mutant(evenconn.isolated_reduction_failures,
                                        "hood[u] | 1 << u", "1 << u"))
-    assert not _single("isolated-reduction", n_max=4, s_max=2).passed
+    assert not _single("isolated-reduction", n_max=4, s_max=2)["pass"]
 
 
 def test_isolated_reduction_follows_the_budget_rule(monkeypatch):
@@ -299,14 +311,14 @@ def test_isolated_reduction_follows_the_budget_rule(monkeypatch):
         return [(frozenset(), 0)]
 
     monkeypatch.setattr(evenconn, "isolated_reduction_failures", fails_everywhere)
-    assert _single("isolated-reduction", n_max=4, s_max=1).violations_total == 0
+    assert _single("isolated-reduction", n_max=4, s_max=1)["violations_total"] == 0
     # power 3 is skipped on six vertices: one s = 2 record per edge of K6
     report = _single("isolated-reduction", graphs=(complete_graph(6),), s_max=3)
-    assert report.violations_total == 15
-    assert {v["s"] for v in report.violations} == {2}
+    assert report["violations_total"] == 15
+    assert {v["s"] for v in report["violations"]} == {2}
     # and kept on five: 10 edges, then 55 multisets of two
     report = _single("isolated-reduction", graphs=(complete_graph(5),), s_max=3)
-    assert report.violations_total == 10 + 55
+    assert report["violations_total"] == 10 + 55
 
 
 BOUND_SUITES = ("lower-bound", "matching-bound", "cameron-walker", "locally-linear",
@@ -343,14 +355,14 @@ def test_shifted_power_regularity_matrix(monkeypatch, d):
     for name in BOUND_SUITES:
         report = _single(name, n_max=5, s_max=3)
         total, first = SHIFTED_REG_VIOLATIONS[d].get(name, (0, None))
-        assert report.violations_total == total, name
-        stored = tuple(report.violations[0].values()) if report.violations else None
+        assert report["violations_total"] == total, name
+        stored = tuple(report["violations"][0].values()) if report["violations"] else None
         assert stored == first, name
 
 
 def test_clean_rerun_after_mutations():
     report = _single("lower-bound", n_max=4, s_max=1)
-    assert report.passed
+    assert report["pass"]
 
 
 # conjecture suites --------------------------------------------------------------
@@ -358,8 +370,8 @@ def test_clean_rerun_after_mutations():
 def test_conjecture_suites_are_labeled_and_pass_small():
     for name in CONJECTURE_SUITES:
         report = _single(name, n_max=4, s_max=2)
-        assert report.conjecture
-        assert report.passed  # no counterexample at this scale
+        assert report["conjecture"]
+        assert report["pass"]  # no counterexample at this scale
 
 
 def test_conjecture_failures_do_not_affect_exit_code(monkeypatch):
@@ -368,7 +380,7 @@ def test_conjecture_failures_do_not_affect_exit_code(monkeypatch):
 
     monkeypatch.setitem(suites._CHECKERS, "conjecture-a", always_violates)
     reports, code = run(SuiteSpec(("conjecture-a",), n_max=3, s_max=1))
-    assert not reports[0].passed
+    assert not reports[0]["pass"]
     assert code == 0
 
 
@@ -397,16 +409,16 @@ def test_regularity_is_memoized_per_ideal_until_cleared(monkeypatch):
 def test_one_clear_forgets_memoized_invariants(monkeypatch):
     homology.clear_caches()
     spec = SuiteSpec(("lower-bound",), n_max=4, s_max=1)
-    assert run(spec)[0][0].passed
+    assert run(spec)[0][0]["pass"]
     true_rec = invariants._matching_rec
 
     def inflated(g, alive, reach, memo):
         return true_rec(g, alive, reach, memo) + 1
 
     monkeypatch.setattr(invariants, "_matching_rec", inflated)
-    assert run(spec)[0][0].passed  # nu(G) still comes from the memo
+    assert run(spec)[0][0]["pass"]  # nu(G) still comes from the memo
     homology.clear_caches()
-    assert not run(spec)[0][0].passed
+    assert not run(spec)[0][0]["pass"]
 
 
 def test_memo_persists_only_regularities_of_powers(tmp_path, monkeypatch):
@@ -535,7 +547,7 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     assert payload  # regularities were recorded
     suites.clear_all_caches()
     reports, code = run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
-    assert code == 0 and reports[0].passed
+    assert code == 0 and reports[0]["pass"]
 
 
 def test_corrupt_disk_cache_is_ignored(tmp_path, monkeypatch):
@@ -553,7 +565,7 @@ def test_malformed_disk_cache_is_ignored_whole(tmp_path, monkeypatch, payload):
     suites._load_disk_cache()
     assert homology.cache_snapshot() == []
     reports, code = run(SuiteSpec(("matching-bound",), n_max=3, s_max=1))
-    assert code == 0 and reports[0].passed
+    assert code == 0 and reports[0]["pass"]
 
 
 def test_failed_cache_write_keeps_previous_file(tmp_path, monkeypatch):
