@@ -151,11 +151,10 @@ def _cmd_colon_graph(args) -> int:
     except ValueError as exc:  # includes GraphError
         args.usage_error(f"--edges {args.edges}: {exc}")
     for g in graphs:
-        pairs = evenconn.even_connection_lengths(g, m)
-        gp = evenconn.colon_graph(g, pairs)
+        gp, names = evenconn.colon_graph(g, evenconn.even_connection_lengths(g, m))
         print(json.dumps({
             "graph6": emit_graph6(gp),
-            "labels": list(gp.labels),
+            "labels": list(names),
             "new_pairs": [
                 {"u": u, "v": v, "path": list(path),
                  "assignments": [[pos, list(e)] for pos, e in assignments]}

@@ -28,7 +28,8 @@ by usage total, one packed usage integer and one vertex bitmask per state
 class, and returns each pair with its maximal k.  This dict {(u, v): k}
 is the one value of the colon graph: the even-connection suite compares
 it with the monomial colon, the isolated-reduction scan reads it, and
-`colon_graph` builds the labelled `Graph` from it where one is shown.
+`colon_graph` builds the (graph, variable names) pair from it where one
+is shown.
 The breadth-first search behind `even_connected_pairs` only certifies:
 each pair comes as (u, v, path, assignments), an explicit walk of maximal
 length and the multiset edge at each odd position, with ties broken by
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from .graphs import Graph, GraphError, from_edge_list
-from .monomials import polar_name
+from .monomials import polar_name, variables
 
 
 def check_multiset(g: Graph, m: tuple[tuple[int, int], ...]) -> None:
@@ -180,15 +181,15 @@ def even_connected_pairs(g: Graph, m: tuple[tuple[int, int], ...]) -> list[tuple
     return [(u, v, *found[(u, v)]) for u, v in sorted(found)]
 
 
-def colon_graph(g: Graph, pairs: dict[tuple[int, int], int]) -> Graph:
+def colon_graph(g: Graph, pairs: dict[tuple[int, int], int]) -> tuple[Graph, tuple[str, ...]]:
     """The polarized graph of (I^{s+1} : e_1...e_s), given its even-connected
-    `pairs`: E(G) plus one edge per pair, self-connections becoming
-    whisker edges u-u'."""
+    `pairs`, and its variable names: E(G) plus one edge per pair, a self
+    pair u becoming a whisker edge to a new vertex xu.2."""
     selfs = [u for u, v in pairs if u == v]
-    labels = list(g.labels) + [polar_name(g.labels[u], 2) for u in selfs]
+    names = variables(g.n) + tuple(polar_name(variables(g.n)[u], 2) for u in selfs)
     edges = g.edges() + [(u, v) for u, v in pairs if u != v and not g.has_edge(u, v)]
     edges += [(u, g.n + i) for i, u in enumerate(selfs)]
-    return from_edge_list(g.n + len(selfs), edges, tuple(labels))
+    return from_edge_list(len(names), edges), names
 
 
 def isolated_reduction_failures(g: Graph, pairs: dict[tuple[int, int], int]

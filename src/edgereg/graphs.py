@@ -1,11 +1,9 @@
 """Immutable small simple graphs with exact isomorphism handling.
 
-Vertices are the integers 0..n-1 and adjacency is stored as per-vertex
-bitmasks.  Vertex sets are bitmasks too: `closed_neighborhood` takes and
-returns one, and `induced_subgraph` keeps the vertices of one.  Every
-graph carries per-vertex labels which downstream modules use as
-polynomial variable names, so induced subgraphs keep the labels of the
-surviving vertices.
+A graph is its adjacency, `(n, adj)`: vertices 0..n-1, adj[v] the bitmask
+of v's neighbours, and no names (`monomials` names its ideals' variables).
+Vertex sets are bitmasks too: `closed_neighborhood` takes and returns one,
+and `induced_subgraph` keeps the vertices of one, renumbered.
 
 Isomorphism is decided through a canonical form, the least adjacency code
 over the vertex orders that respect an iteratively refined colouring, found
@@ -34,10 +32,6 @@ class GraphError(ValueError):
     """Malformed graph input: bad edge, bad graph6 text, bound exceeded."""
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(n))
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -49,10 +43,9 @@ def _bits(mask: int) -> Iterator[int]:
 class Graph:
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n or len(self.labels) != self.n:
+        if self.n < 0 or len(self.adj) != self.n:
             raise GraphError("inconsistent vertex count")
         full = (1 << self.n) - 1
         for v, mask in enumerate(self.adj):
@@ -60,10 +53,8 @@ class Graph:
                 raise GraphError("adjacency bit out of range")
             if mask >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise GraphError("adjacency not symmetric")
+        if any(not self.adj[u] >> v & 1 for v in range(self.n) for u in _bits(self.adj[v])):
+            raise GraphError("adjacency not symmetric")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -87,8 +78,7 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
-                   labels: tuple[str, ...] | None = None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops, out-of-range and
     duplicate edges (after orienting each pair as u < v)."""
     adj = [0] * n
@@ -105,7 +95,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
         seen.add((u, v))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj), labels if labels is not None else _default_labels(n))
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +151,17 @@ def from_json_dict(d: dict) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple((full ^ g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, adj, g.labels)
+    return Graph(g.n, adj)
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Induced subgraph on the vertices of the bitmask `mask`, renumbered
-    0..k-1 in increasing old order; labels of the surviving vertices are
-    kept."""
+    0..k-1 in increasing old order."""
     if mask < 0 or mask >> g.n:
         raise GraphError(f"vertex mask {mask:#x} out of range for n={g.n}")
     keep = list(_bits(mask))
     adj = tuple(sum(1 << j for j, u in enumerate(keep) if g.adj[v] >> u & 1) for v in keep)
-    return Graph(len(keep), adj, tuple(g.labels[v] for v in keep))
+    return Graph(len(keep), adj)
 
 
 def closed_neighborhood(g: Graph, mask: int) -> int:
@@ -217,15 +206,21 @@ def _canonical_key(n: int, adj: tuple[int, ...]) -> tuple[int, int]:
     Children whose row i exceeds the least at depth i are dropped, since
     only larger codes lie below them.  Rows after i read only positions
     after i, so the rest of the code depends on the cell list alone, and
-    children with equal cell lists merge (K_n and the edgeless graph keep
-    at most 2^n branches, not n! orders).  The result is the least code
-    over all those orders, the permutation product's, bit for bit."""
-    branches = {tuple(sum(1 << v for v in c) for c in _refinement_classes(n, adj))}
+    children with equal cell lists merge.  A cell lies in one refinement
+    class; when that class is pairwise twins, swapping two of its vertices
+    fixes every placed vertex and every other cell, so only the cell's
+    lowest vertex is tried (K_n and K_{1,n-1} keep one branch).  The
+    result is the least code over all those orders, the permutation
+    product's, bit for bit."""
+    classes = _refinement_classes(n, adj)
+    twinned = sum(sum(1 << v for v in c) for c in classes
+                  if len({adj[v] for v in c}) == 1 or len({adj[v] | 1 << v for v in c}) == 1)
+    branches = {tuple(sum(1 << v for v in c) for c in classes)}
     code = 0
     for i in range(n - 1):
         best, survivors = None, set()
         for head, *rest in branches:
-            for v in _bits(head):
+            for v in _bits(head & -head if head & twinned else head):
                 nb = adj[v]
                 row, cells = 0, []
                 for c in (head ^ (1 << v), *rest):
@@ -268,7 +263,7 @@ def _canonical_reps(n: int) -> list[Graph]:
       degree when d > top, or d == top and it has no neighbour in
       `busiest`."""
     if n == 0:
-        return [Graph(0, (), ())]
+        return [Graph(0, ())]
     found: dict[tuple[int, int], Graph] = {}
     for h in _canonical_reps(n - 1):
         top = max(map(int.bit_count, h.adj), default=0)
@@ -284,7 +279,7 @@ def _canonical_reps(n: int) -> list[Graph]:
             adj = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(h.adj)) + (mask,)
             key = _canonical_key(n, adj)
             if key not in found:
-                found[key] = Graph(n, adj, _default_labels(n))
+                found[key] = Graph(n, adj)
     return [found[k] for k in sorted(found, key=lambda k: (k[1].bit_count(), k[1]))]
 
 

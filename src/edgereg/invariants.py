@@ -7,10 +7,11 @@ number nu(G) <= 1 (no induced 2K2), and chordality by deleting simplicial
 vertices until none is left (Dirac).  No polynomial-time cleverness is
 attempted beyond what keeps ten-vertex graphs instant.
 
-Local regularity is the regularity of the colon ideal (I(G) : x), which
-the regularity engine computes directly; it is the quantity the power
-bounds are phrased in.  Every function returns a plain value; the checks
-built on these invariants live in `suites`.
+Local regularity, reg (I(G) : x), is the quantity the power bounds are
+phrased in.  The colon is (x_u : u in N(x)) + I(G - N[x]), two ideals in
+disjoint variables, so it is read off the link G - N[x] of x.  Every
+function returns a plain value; the checks built on these invariants,
+Froberg's theorem on the links among them, live in `suites`.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable
 from . import homology
 from .graphs import (Graph, _bits, canonical_key, claw, closed_neighborhood, complement, cricket,
                      induced_subgraph)
-from .monomials import colon_by_monomial, edge_ideal, squarefree
+from .monomials import edge_ideal
 
 
 def _cached(g: Graph, name: str, fn: Callable[[], object], *extra):
@@ -123,18 +124,21 @@ def is_cameron_walker(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # local regularity
 
+def link(g: Graph, x: int) -> Graph:
+    """G - N[x]: its edge ideal and the variables of N(x) generate (I(G) : x)."""
+    return induced_subgraph(g, ((1 << g.n) - 1) ^ closed_neighborhood(g, 1 << x))
+
+
 def local_regularity(g: Graph, x: int, field: homology.FieldSpec = homology.GF2) -> int:
-    """Regularity of the colon ideal (I(G) : x).  The colon works out to
-    the variables of N(x) plus the edge ideal of G - N[x]; the engine is
-    given the colon ideal itself so there is a single source of truth.
-    Returns 0 when the colon ideal is zero (edgeless graph)."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    i = edge_ideal(g)
-    if i.is_zero:
-        return 0
-    colon = colon_by_monomial(i, squarefree((x,), g.n))
-    return homology.regularity(colon, field)
+    """Regularity of the colon ideal (I(G) : x): 0 when G has no edge (the
+    colon is zero), 1 when the link of x has none (the colon is generated
+    by the variables of N(x)), and otherwise reg I(link), which the
+    variables of N(x), unused by the link, do not change.  An isolated x
+    has the link G - x, and its colon is I(G) itself."""
+    h = link(g, x)  # a vertex out of range raises ValueError
+    if h.is_edgeless():
+        return 0 if g.is_edgeless() else 1
+    return homology.regularity(edge_ideal(h), field)
 
 
 def local_regularity_max(g: Graph, field: homology.FieldSpec = homology.GF2) -> int:
@@ -142,31 +146,13 @@ def local_regularity_max(g: Graph, field: homology.FieldSpec = homology.GF2) -> 
     graphs.  Isolated vertices are excluded: for such x the colon is I(G)
     itself, which says nothing local (adding an isolated vertex never
     changes the edge ideal, so it must not change this invariant either)."""
-    return int(_cached(g, "lrm",
-                       lambda: max((local_regularity(g, x, field)
-                                    for x in range(g.n) if g.degree(x) > 0),
-                                   default=0),
-                       field.characteristic))
+    return int(_cached(g, "lrm", lambda: max((local_regularity(g, x, field) for x in range(g.n)
+                                              if g.degree(x)), default=0), field.characteristic))
 
 
-def is_locally_linear(g: Graph) -> bool:
-    """True when reg (I(G):x) <= 2 for every non-isolated vertex x.  The
-    answer is cross-checked against the co-chordality shortcut for each
-    colon graph."""
-    result = local_regularity_max(g) <= 2
-    shortcut = all(_colon_graph_cochordal(g, x)
-                   for x in range(g.n) if g.degree(x) > 0)
-    if shortcut != result:
-        raise RuntimeError(
-            "internal consistency failure: engine and co-chordal shortcut disagree "
-            f"on local regularity <= 2 for {g!r}")
-    return result
-
-
-def _colon_graph_cochordal(g: Graph, x: int) -> bool:
-    # reg(I:x) <= 2 iff G - N[x] is edgeless or co-chordal
-    h = induced_subgraph(g, ((1 << g.n) - 1) ^ closed_neighborhood(g, 1 << x))
-    return h.is_edgeless() or is_co_chordal(h)
+def is_locally_linear(g: Graph, field: homology.FieldSpec = homology.GF2) -> bool:
+    """True when reg (I(G) : x) <= 2 for every non-isolated vertex x."""
+    return local_regularity_max(g, field) <= 2
 
 
 # ---------------------------------------------------------------------------

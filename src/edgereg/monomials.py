@@ -11,7 +11,8 @@ maxima and divisibility tests are then a handful of integer operations, a
 divisor never exceeds its multiple as an integer, and descending integer
 order is lexicographic order.  The price is an exponent cap of
 LANE_MAX = 15: `pack` and `power` raise ValueError above it.  Words are
-made here alone (`squarefree`, `packed_ideal`), and `colon_by_monomial`
+made here alone (`squarefree`, `packed_ideal`), and so are the variable
+names of a graph's ideals (`variables`, `polar_name`).  `colon_by_monomial`
 takes a word.  Many words share one int in `pack_slots`' slots, on which
 `monus` acts as on one word.  Text enters through `parse_monomial`, whose
 exponent dict `pack_capped` turns into a word for the CLI's `--colon`,
@@ -24,7 +25,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Iterable, Mapping
 
 from .graphs import Graph
@@ -221,9 +222,9 @@ def zero_ideal(vars: Iterable[str] = ()) -> MonomialIdeal:
 # edge ideals and friends
 
 def edge_ideal(g: Graph) -> MonomialIdeal:
-    """I(G), generated by x_u x_v over the edges; the universe is every
-    vertex label, including isolated vertices."""
-    return packed_ideal(g.labels, (squarefree(e, g.n) for e in g.edges()))
+    """I(G), generated by x_u x_v over the edges; the universe is
+    `variables(g.n)`, one variable per vertex, isolated ones included."""
+    return packed_ideal(variables(g.n), (squarefree(e, g.n) for e in g.edges()))
 
 
 def power(i: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -278,7 +279,13 @@ def sum_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# polarization
+# variable names and polarization
+
+@cache
+def variables(n: int) -> tuple[str, ...]:
+    """x0, x1, ..., x{n-1}: vertex v's variable in an n-vertex graph's ideals."""
+    return tuple(f"x{v}" for v in range(n))
+
 
 def polar_name(v: str, k: int) -> str:
     """Name of the k-th polarized copy; copy 1 is the original variable."""
@@ -329,19 +336,14 @@ def symbolic_square(g: Graph) -> MonomialIdeal:
     """I(G)^2 plus one cubic generator per triangle of G."""
     gens = list(power(edge_ideal(g), 2).gens)
     gens += [squarefree(t, g.n) for t in triangles(g)]
-    return packed_ideal(g.labels, gens)
+    return packed_ideal(variables(g.n), gens)
 
 
 def cover_square_intersection(g: Graph) -> MonomialIdeal:
     """Independent route to the symbolic square: the intersection over all
     minimal vertex covers P of the squared cover ideal P^2."""
-    covers = minimal_vertex_covers(g)
     if g.is_edgeless():
-        return zero_ideal(g.labels)
-    result: MonomialIdeal | None = None
-    for cover in covers:
-        p = packed_ideal(g.labels, (squarefree((u,), g.n) for u in cover))
-        p2 = power(p, 2)
-        result = p2 if result is None else intersect(result, p2)
-    assert result is not None
-    return result
+        return zero_ideal(variables(g.n))
+    covers = (packed_ideal(variables(g.n), (squarefree((u,), g.n) for u in cover))
+              for cover in minimal_vertex_covers(g))
+    return reduce(intersect, (power(p, 2) for p in covers))

@@ -31,7 +31,7 @@ failure.
 
 Derived values live in one process-wide memo owned by `homology`: graph
 invariants and regularities of powers per isomorphism class, every other
-regularity (colons, symbolic squares) per exact ideal, and the homology of
+regularity (colons, links, symbolic squares) per exact ideal, and the homology of
 every complex a Betti table has ranked, so each is ranked once per sweep.
 One call to `clear_all_caches()` forgets all of them and the graph's table.
 Only the regularities of powers persist across runs, in the directory
@@ -61,9 +61,9 @@ from typing import Callable, Iterator, Sequence
 from . import evenconn, homology, invariants
 from .graphs import (DEFAULT_ENUMERATION_BOUND, Graph, closed_neighborhood, emit_graph6,
                      enumerate_graphs)
-from .monomials import (MonomialIdeal, colon_by_monomial,
-                        cover_square_intersection, edge_ideal, packed_ideal, polarize, power,
-                        squarefree, sum_ideals, symbolic_square)
+from .monomials import (MonomialIdeal, colon_by_monomial, cover_square_intersection, edge_ideal,
+                        packed_ideal, polarize, power, squarefree, sum_ideals, symbolic_square,
+                        variables)
 
 CACHE_ENV_VAR = "EDGEREG_CACHE_DIR"
 CACHE_FILE = "regcache.json"
@@ -143,9 +143,21 @@ def _check_cameron_walker(g: Graph, spec: SuiteSpec) -> list[dict]:
 
 
 def _check_locally_linear(g: Graph, spec: SuiteSpec) -> list[dict]:
-    if g.is_edgeless() or not invariants.is_locally_linear(g):
+    """Froberg's theorem, one record per non-isolated x where it fails, then
+    the bounds on reg I^s of a locally linear graph."""
+    if g.is_edgeless():
         return []
     out = []
+    for x in range(g.n):
+        if g.degree(x):
+            h = invariants.link(g, x)
+            reg = invariants.local_regularity(g, x, spec.field)
+            froberg = h.is_edgeless() or invariants.is_co_chordal(h)
+            if (reg <= 2) != froberg:
+                out.append(_viol(g, None, reg, froberg, "reg (I : x) <= 2 iff G - N[x] is "
+                                 f"edgeless or co-chordal fails at x={x}"))
+    if not invariants.is_locally_linear(g, spec.field):
+        return out
     reg1 = homology.regularity_of_power(g, 1, spec.field)
     if reg1 > 3:
         out.append(_viol(g, 1, reg1, 3, "locally linear graph with reg I > 3"))
@@ -162,7 +174,8 @@ def _check_gapfree_local(g: Graph, spec: SuiteSpec) -> list[dict]:
 
 
 def _check_gapfree_locallinear(g: Graph, spec: SuiteSpec) -> list[dict]:
-    if g.is_edgeless() or not invariants.is_gap_free(g) or not invariants.is_locally_linear(g):
+    if (g.is_edgeless() or not invariants.is_gap_free(g)
+            or not invariants.is_locally_linear(g, spec.field)):
         return []
     return _power_bound(g, spec, 0, operator.ne, "gap-free locally linear: reg I^s != 2s",
                         start=2)
@@ -309,10 +322,10 @@ def _check_colon_structure(g: Graph, spec: SuiteSpec) -> list[dict]:
 def _vertex_colon_parts(g: Graph, w: int, s: int) -> tuple[MonomialIdeal, MonomialIdeal]:
     """I(G - N[w])^s and the ideal of the variables of the open
     neighborhood N(w), both over the full variable universe."""
-    blocked = closed_neighborhood(g, 1 << w)
-    sub = packed_ideal(g.labels, (squarefree((u, v), g.n) for u, v in g.edges()
-                                  if not (blocked >> u | blocked >> v) & 1))
-    var_part = packed_ideal(g.labels, (squarefree((u,), g.n) for u in g.neighbors(w)))
+    blocked, names = closed_neighborhood(g, 1 << w), variables(g.n)
+    sub = packed_ideal(names, (squarefree((u, v), g.n) for u, v in g.edges()
+                               if not (blocked >> u | blocked >> v) & 1))
+    var_part = packed_ideal(names, (squarefree((u,), g.n) for u in g.neighbors(w)))
     return sub if sub.is_zero else power(sub, s), var_part
 
 
@@ -340,7 +353,8 @@ def _check_even_connection(g: Graph, spec: SuiteSpec) -> list[dict]:
                     out.append(_viol(g, s, sorted(set(bad)), 2,
                                      f"non-quadratic colon generators for m={list(m)}"))
                     continue
-                combinatorial = edge_ideal(evenconn.colon_graph(g, pairs))
+                gp, names = evenconn.colon_graph(g, pairs)
+                combinatorial = packed_ideal(names, (squarefree(e, gp.n) for e in gp.edges()))
                 algebraic = polarize(colon)
                 out.append(_viol(
                     g, s, sorted(combinatorial.generators()), sorted(algebraic.generators()),

@@ -16,12 +16,12 @@ from edgereg.graphs import Graph, GraphError, from_edge_list
 from edgereg.monomials import LANE, MonomialIdeal, _plane_degree, lane_masks, pack, packed_ideal
 
 
-def edgeless(n: int, labels: tuple[str, ...] | None = None) -> Graph:
-    return from_edge_list(n, [], labels)
+def edgeless(n: int) -> Graph:
+    return from_edge_list(n, [])
 
 
-def complete_graph(n: int, labels: tuple[str, ...] | None = None) -> Graph:
-    return from_edge_list(n, list(itertools.combinations(range(n), 2)), labels)
+def complete_graph(n: int) -> Graph:
+    return from_edge_list(n, list(itertools.combinations(range(n), 2)))
 
 
 def cycle_graph(n: int) -> Graph:

@@ -11,7 +11,8 @@ face closure and homology ranks with `homology`.
 `frozenset_isolated_reduction_failures` is the earlier, set-based form of
 `evenconn.isolated_reduction_failures`, kept as its reference,
 `polarized_supports` the earlier, polarize-and-decode form of
-`homology.hochster_supports`, and
+`homology.hochster_supports`, `colon_local_regularity` the earlier,
+colon-ideal form of `invariants.local_regularity`, and
 `permutation_product_key` the earlier, exhaustive form of
 `graphs._canonical_key`, sharing its refinement classes.  `contains`
 (membership on dense rows), `certificate_holds` (an even-connection walk
@@ -33,7 +34,8 @@ from edgereg.evenconn import colon_graph
 from edgereg.graphs import Graph, _bits, _refinement_classes, enumerate_graphs, induced_subgraph
 from edgereg.homology import (FACE_BUDGET, LATTICE_BUDGET, BettiTable, BudgetError,
                               FieldSpec, _closure, _profile_from_masks, hochster_oracle)
-from edgereg.monomials import LANE, MonomialIdeal, lane_masks, pack, polarize, unpack
+from edgereg.monomials import (LANE, MonomialIdeal, colon_by_monomial, edge_ideal, lane_masks,
+                               pack, polarize, squarefree, unpack)
 
 
 def permutation_isomorphic(g: Graph, h: Graph) -> bool:
@@ -130,7 +132,8 @@ def brute_locally_linear(g: Graph) -> bool:
     for x in range(g.n):
         if g.degree(x):
             colon = tuple_colon(rows, tuple(int(v == x) for v in range(g.n)))
-            if hochster_oracle(MonomialIdeal(g.labels, tuple(map(pack, colon)))).regularity() > 2:
+            names = tuple(f"x{v}" for v in range(g.n))
+            if hochster_oracle(MonomialIdeal(names, tuple(map(pack, colon)))).regularity() > 2:
                 return False
     return True
 
@@ -364,7 +367,7 @@ def longest_walk_endpoints(pairs, w) -> set[int]:
 
 
 def frozenset_isolated_reduction_failures(g: Graph, pairs) -> list[tuple[frozenset[int], int]]:
-    gp = colon_graph(g, pairs)
+    gp, _ = colon_graph(g, pairs)
     edges = gp.edges()
     hoods = [(_closed_hood(gp, u), _closed_hood(g, u)) for u in range(g.n)]
     out = []
@@ -399,6 +402,17 @@ def polarized_supports(i: MonomialIdeal) -> tuple[int, list[int]]:
         raise BudgetError(f"face budget {homology.FACE_BUDGET} exceeded")
     remap = {orig: idx for idx, orig in enumerate(used)}
     return n, sorted({sum(1 << remap[k] for k in _bits(m)) for m in supports_in_p})
+
+
+# Reference for `invariants.local_regularity`: its earlier route, which takes
+# the colon ideal (I(G) : x) over all of G's variables and reads the
+# regularity off its Betti table, past the exact-ideal memo.
+
+def colon_local_regularity(g: Graph, x: int, field: FieldSpec) -> int:
+    i = edge_ideal(g)
+    if i.is_zero:
+        return 0
+    return homology.graded_betti(colon_by_monomial(i, squarefree((x,), g.n)), field).regularity()
 
 
 # Mutation tests: a package function with one source fragment replaced.

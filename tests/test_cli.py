@@ -5,8 +5,9 @@ import time
 
 import pytest
 
+import oracles
 from builders import cycle_graph, path_graph
-from edgereg import homology, suites
+from edgereg import homology, invariants, suites
 from edgereg.cli import main
 from edgereg.graphs import emit_graph6, enumerate_graphs
 
@@ -33,18 +34,41 @@ def test_invariants_accepts_json_lines(tmp_path, capsys):
 
 
 def test_invariants_past_a_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, fresh_memo):
-    # C5's first local colon has 7 lcm-lattice points; K2's record is
-    # computed but not printed, since no record is printed before all are
+    # C7's links are P4s, whose edge ideal has 6 lcm-lattice points; K2's
+    # record is computed but not printed, since no record is printed before
+    # all are
     monkeypatch.setattr(homology, "LATTICE_BUDGET", 2)
     path = tmp_path / "in.g6"
-    path.write_text("A_\nDhc\n")
+    path.write_text("A_\nFhCKG\n")
     with pytest.raises(SystemExit) as exc:
         main(["invariants", str(path)])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.splitlines()[-1] == (
-        "edgereg invariants: error: lcm lattice budget 2 exceeded (graph Dhc)")
+        "edgereg invariants: error: lcm lattice budget 2 exceeded (graph FhCKG)")
+
+
+def test_mutated_co_chordal_is_a_locally_linear_violation(tmp_path, capsys, monkeypatch,
+                                                         fresh_memo):
+    # Froberg's theorem is checked at every non-isolated vertex of the sweep:
+    # a co-chordal test that never holds gives one replayable record per
+    # vertex whose link has an edge, and the run still ends with its report
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "locally-linear", "--n", "5", "--out", str(out)]
+    assert main(argv) == 0
+    monkeypatch.setattr(invariants, "is_co_chordal", oracles.mutant(
+        invariants.is_co_chordal, "return is_chordal(complement(g))", "return False"))
+    suites.clear_all_caches()
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    [report] = json.loads(out.read_text())
+    assert report["violations_total"] == 61
+    assert report["violations"][0] == {
+        "graph6": "CQ", "s": None, "lhs": 2, "rhs": False,
+        "context": "reg (I : x) <= 2 iff G - N[x] is edgeless or co-chordal fails at x=0"}
+    assert all(v["s"] is None and v["lhs"] == 2 and v["rhs"] is False
+               for v in report["violations"])
 
 
 def test_ideal_power_pipeline(tmp_path, capsys):

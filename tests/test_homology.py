@@ -809,7 +809,7 @@ def test_exact_sequence_lemma_variables():
             for v in range(g.n):
                 if g.degree(v) == 0:
                     continue
-                x = M(g.labels[v])
+                x = M(f"x{v}")
                 with_colon = regularity(colon_by_monomial(i, squarefree((v,), g.n))) + 1
                 with_sum = regularity(sum_ideals(i, ideal([x], vars=i.vars)))
                 assert reg_i in (with_colon, with_sum)

@@ -7,7 +7,7 @@ from builders import (complete_bipartite, complete_graph, cycle_graph, disjoint_
                       edgeless, graph_join, ideal, path_graph, star)
 from edgereg import invariants, suites
 from edgereg.graphs import claw, complement, cricket, enumerate_graphs
-from edgereg.homology import regularity_of_power
+from edgereg.homology import GF2, QQ, FieldSpec, regularity_of_power
 from edgereg.invariants import (has_induced_pattern, induced_matching_number,
                                 invariant_record, is_cameron_walker, is_chordal,
                                 is_claw_free, is_co_chordal, is_cricket_free,
@@ -137,8 +137,8 @@ def test_local_regularity_edgeless():
 
 
 def test_local_regularity_matches_colon_formula():
-    # (I : x) = I(G - N[x]) + (variables of N(x)); spot-verify the engine
-    # input equals the direct colon on every small graph
+    # (I : x) = I(G - N[x]) + (variables of N(x)), the two summands the link
+    # route reads: check it against the direct colon on every small graph
     from edgereg.monomials import colon_by_monomial, edge_ideal, squarefree, sum_ideals
     from edgereg.graphs import closed_neighborhood
     for g in enumerate_graphs(4):
@@ -149,12 +149,33 @@ def test_local_regularity_matches_colon_formula():
             colon = colon_by_monomial(i, squarefree((x,), g.n))
             blocked = closed_neighborhood(g, 1 << x)
             expected = sum_ideals(
-                ideal([{g.labels[u]: 1, g.labels[v]: 1}
+                ideal([{f"x{u}": 1, f"x{v}": 1}
                        for u, v in g.edges() if not blocked & (1 << u | 1 << v)],
-                      vars=g.labels),
-                ideal([{g.labels[u]: 1} for u in g.neighbors(x)],
-                      vars=g.labels))
+                      vars=i.vars),
+                ideal([{f"x{u}": 1} for u in g.neighbors(x)], vars=i.vars))
             assert colon == expected
+
+
+def _link_mismatches(sizes, fields) -> int:
+    """Vertices x, isolated ones included, of the graphs with n in `sizes`
+    where `invariants.local_regularity` and the colon route differ, counted
+    over `fields`."""
+    return sum(invariants.local_regularity(g, x, field)
+               != oracles.colon_local_regularity(g, x, field)
+               for field in fields for n in sizes for g in enumerate_graphs(n) for x in range(g.n))
+
+
+def test_local_regularity_matches_the_colon_route(fresh_memo):
+    assert _link_mismatches(range(7), (GF2, QQ, FieldSpec(3))) == 0
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("link", "closed_neighborhood(g, 1 << x)", "1 << x"),
+    ("local_regularity", "0 if g.is_edgeless() else 1", "0 if g.is_edgeless() else 2"),
+], ids=["link-removes-only-x", "edgeless-link-valued-2"])
+def test_mutated_link_is_caught(monkeypatch, fresh_memo, name, old, new):
+    monkeypatch.setattr(invariants, name, oracles.mutant(getattr(invariants, name), old, new))
+    assert _link_mismatches(range(5), (GF2,)) > 0
 
 
 def test_gap_free_cricket_free_implies_locally_linear():
@@ -208,7 +229,7 @@ def test_hypothesis_predicates_match_their_definitions(name):
 @pytest.mark.parametrize("name, old", [
     ("is_gap_free", "return induced_matching_number(g) <= 1"),
     ("is_cameron_walker", "return induced_matching_number(g) == matching_number(g)"),
-    ("is_locally_linear", "return result"),
+    ("is_locally_linear", "return local_regularity_max(g, field) <= 2"),
 ], ids=list(HYPOTHESIS_PREDICATES))
 def test_mutated_hypothesis_predicate_is_caught(monkeypatch, fresh_memo, name, old):
     # a predicate that never holds leaves every suite it guards vacuous

@@ -194,7 +194,7 @@ def test_mutated_colon_truncation_is_caught(monkeypatch, fresh_memo):
         quotients = {((g | hi) - m) & val for g in i.gens}
         return monomials.MonomialIdeal(i.vars, monomials._minimal(quotients, len(i.vars)))
 
-    for module in (monomials, suites, invariants):
+    for module in (monomials, suites):
         monkeypatch.setattr(module, "colon_by_monomial", untruncated)
     # (J : w) for a vertex w keeps a spurious w^15 * g beside the true g
     assert not _single("colon-structure", n_max=4, s_max=2)["pass"]
